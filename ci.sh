@@ -10,7 +10,8 @@
 #
 # Stages (limit in seconds):
 #   static  (300) — gofmt, build, vet, docs-freshness greps
-#   unit    (600) — full test suite, -count=1 (no cached results)
+#   unit    (600) — full test suite, -count=1 (no cached results), plus
+#                   the perfbench module's own vet and tests
 #   race    (900) — full suite under the race detector (chase worker
 #                   pool, psearch pool, and the serving layer's
 #                   singleflight/drain paths are all concurrent code)
@@ -185,6 +186,10 @@ stage_static() {
 
 stage_unit() {
     go test -count=1 ./...
+    # perfbench is its own Go module (the end-to-end benchmark), so the
+    # root ./... skips it; its tests feed every answer check a known-bad
+    # input.
+    (cd perfbench && go vet . && go test -count=1 .)
 }
 
 stage_race() {

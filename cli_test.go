@@ -319,6 +319,83 @@ func TestCLI(t *testing.T) {
 		}
 	})
 
+	// The portfolio report validator is an acceptance gate: each known-bad
+	// report must fail it, with the reason named, while a quick report
+	// below the timing thresholds and the committed report pass.
+	t.Run("tdbench-checkportfolio", func(t *testing.T) {
+		side := func(ns float64, verdict, winner string) map[string]any {
+			return map[string]any{"ns_per_op": ns, "verdict": verdict, "winner": winner}
+		}
+		// report returns a full report that passes every gate; each case
+		// breaks one thing.
+		report := func() map[string]any {
+			return map[string]any{
+				"quick": false,
+				"workloads": []any{
+					map[string]any{"name": "power",
+						"race":      side(4e5, "finite-counterexample", "model-search"),
+						"portfolio": side(3e5, "finite-counterexample", "model-search"),
+						"speedup":   4.0 / 3, "consistent": true},
+					map[string]any{"name": "collapse:4",
+						"race":      side(4e8, "unknown", ""),
+						"portfolio": side(8e7, "implied", "kb"),
+						"speedup":   5.0, "consistent": true},
+				},
+				"summary": map[string]any{
+					"winner_counts": map[string]any{"kb": 1, "model-search": 1},
+					"kb_speedup":    5.0, "kb_workload": "collapse:4",
+					"within_noise": 2, "all_consistent": true},
+			}
+		}
+		workload := func(rep map[string]any, i int) map[string]any {
+			return rep["workloads"].([]any)[i].(map[string]any)
+		}
+		summary := func(rep map[string]any) map[string]any { return rep["summary"].(map[string]any) }
+		dir := t.TempDir()
+		for _, tc := range []struct {
+			name, want string
+			exit       int
+			edit       func(rep map[string]any)
+		}{
+			{"full", "verdicts consistent", 0, func(map[string]any) {}},
+			{"contradictory", "contradictory definitive verdicts", 1, func(rep map[string]any) {
+				workload(rep, 0)["portfolio"] = side(3e5, "implied", "chase")
+			}},
+			{"missing-side", "missing a timed side", 1, func(rep map[string]any) {
+				delete(workload(rep, 1), "race")
+			}},
+			{"inconsistent-summary", "inconsistent verdicts", 1, func(rep map[string]any) {
+				summary(rep)["all_consistent"] = false
+			}},
+			{"kb-speedup", "kb headline speedup", 1, func(rep map[string]any) {
+				summary(rep)["kb_speedup"] = 1.9
+			}},
+			{"within-noise", "within noise of the race on only 1", 1, func(rep map[string]any) {
+				summary(rep)["within_noise"] = 1
+			}},
+			{"quick-below-thresholds", "thresholds not enforced", 0, func(rep map[string]any) {
+				rep["quick"] = true
+				summary(rep)["kb_speedup"] = 1.2
+				summary(rep)["within_noise"] = 0
+			}},
+		} {
+			rep := report()
+			tc.edit(rep)
+			data, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, tc.name+".json")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if out := run("tdbench", tc.exit, "-checkportfolio", path); !strings.Contains(out, tc.want) {
+				t.Errorf("%s: output lacks %q:\n%s", tc.name, tc.want, out)
+			}
+		}
+		run("tdbench", 0, "-checkportfolio", "BENCH_portfolio.json")
+	})
+
 	// The service lifecycle across a real process boundary: start tdserve
 	// on an ephemeral port, get a cold verdict and a renamed cache hit over
 	// HTTP, SIGTERM it, and require a clean drain whose trace ends with the

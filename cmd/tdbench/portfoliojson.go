@@ -48,7 +48,7 @@ type portfolioSide struct {
 	NsPerOp float64 `json:"ns_per_op"`
 	Verdict string  `json:"verdict"`
 	// Winner names the settling arm ("derivation"/"model-search" for the
-	// race; "kb"/"model-search"/"chase"/"eid" for the portfolio).
+	// race; "kb"/"model-search"/"chase" for the portfolio).
 	Winner string `json:"winner,omitempty"`
 	// Ticks and Decisions report the portfolio's scheduler work; zero on
 	// the race side.
@@ -109,16 +109,15 @@ func portfolioRaceBudget() core.Budget {
 // portfolioBenchOptions matches the adaptive side's hard ceilings to the
 // race budgets: same node budget and order window for the counter-model
 // search, the engine-default rule budget for completion, and the
-// tdinfer-default chase meters for the two chase arms (which the race
-// does not run at all — the comparison charges the portfolio for its
-// extra arms rather than crediting them).
+// tdinfer-default chase meters for the chase arm (which the race does
+// not run at all — the comparison charges the portfolio for its extra
+// arm rather than crediting it).
 func portfolioBenchOptions() portfolio.Options {
 	opt := portfolio.Options{}
 	opt.Completion.Governor = budget.New(nil, rewrite.DefaultLimits)
 	opt.ModelSearch.Governor = budget.New(nil, budget.Limits{Nodes: 300_000})
 	opt.ModelSearch.Orders = budget.Range{Lo: 2, Hi: 6}
 	opt.Chase.Governor = budget.New(nil, budget.Limits{Rounds: 64, Tuples: 100_000})
-	opt.EID.Governor = budget.New(nil, budget.Limits{Rounds: 64, Tuples: 100_000})
 	return opt
 }
 

@@ -1,12 +1,15 @@
 package cert_test
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"templatedep/internal/budget"
 	"templatedep/internal/cert"
 	"templatedep/internal/core"
+	"templatedep/internal/reduction"
 	"templatedep/internal/td"
 	"templatedep/internal/words"
 )
@@ -116,7 +119,7 @@ func TestFiniteModelCertRoundTripTD(t *testing.T) {
 }
 
 func TestCertifyImpliedReplay(t *testing.T) {
-	// An untraced win (as from the KB or EID portfolio arms) certifies by
+	// An untraced win (as from the kb portfolio arm) certifies by
 	// deterministic chase replay.
 	p := words.TwoStepPresentation()
 	res, err := core.AnalyzePresentation(p, core.DefaultBudget())
@@ -124,12 +127,44 @@ func TestCertifyImpliedReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := res.Instance
-	c := cert.CertifyImplied(cert.PresentationProblem(p), in.D, in.D0, budget.Limits{})
+	c := cert.CertifyImplied(context.Background(), cert.PresentationProblem(p), in.D, in.D0, budget.Limits{})
 	if c == nil {
 		t.Fatal("replay failed to certify a sound implied verdict")
 	}
 	if err := cert.Check(roundTrip(t, c)); err != nil {
 		t.Fatalf("replayed certificate rejected: %v", err)
+	}
+}
+
+// The replay runs under the caller's context, not a fresh background one:
+// a request past its deadline, or on a draining server, gets no
+// certificate instead of a replay running on to the chase.DefaultLimits
+// floors.
+func TestCertifyImpliedHonoursCancellation(t *testing.T) {
+	p := words.TwoStepPresentation()
+	in := reduction.MustBuild(p)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if c := cert.CertifyImplied(ctx, cert.PresentationProblem(p), in.D, in.D0, budget.Limits{}); c != nil {
+		t.Fatal("a cancelled replay returned a certificate")
+	}
+
+	// Cancellation mid-replay: the gap instance never reaches its goal and
+	// roughly squares every round, so only the chase's in-round
+	// checkpoints can stop it before the default floors. A generous CI
+	// margin still catches a replay that ignores ctx.
+	gap := words.IdempotentGapPresentation()
+	gin := reduction.MustBuild(gap)
+	ctx, cancel = context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	c := cert.CertifyImplied(ctx, cert.PresentationProblem(gap), gin.D, gin.D0, budget.Limits{})
+	elapsed := time.Since(start)
+	if c != nil {
+		t.Fatal("an expired replay of an unimplied goal returned a certificate")
+	}
+	if elapsed > 5*time.Second {
+		t.Errorf("replay overshot its 30ms context by %v", elapsed)
 	}
 }
 

@@ -10,19 +10,21 @@ import (
 
 // CertifyImplied produces a chase certificate for an "implied" verdict that
 // was reached without a replayable proof object — a Knuth–Bendix
-// completion, an EID embedding, or an untraced chase run. It re-runs the
-// traced restricted chase under a fresh governor capped by lim (zero-value
-// fields fall back to chase.DefaultLimits); the chase is deterministic, so
-// a sound verdict replays to Implied and the validated trace becomes the
+// completion or an untraced chase run. It re-runs the traced restricted
+// chase under a fresh governor over ctx capped by lim (zero-value fields
+// fall back to chase.DefaultLimits); the chase is deterministic, so a
+// sound verdict replays to Implied and the validated trace becomes the
 // certificate. Returns nil when the replay does not confirm the verdict
-// within lim — callers then report the verdict without a certificate.
-func CertifyImplied(doc Problem, deps []*td.TD, d0 *td.TD, lim budget.Limits) *Certificate {
+// within lim, or when ctx is cancelled or expires first (the chase stops
+// at its next checkpoint) — callers then report the verdict without a
+// certificate.
+func CertifyImplied(ctx context.Context, doc Problem, deps []*td.TD, d0 *td.TD, lim budget.Limits) *Certificate {
 	for _, r := range budget.Resources() {
 		if lim.Of(r) == 0 {
 			lim = lim.With(r, chase.DefaultLimits.Of(r))
 		}
 	}
-	g := budget.New(context.Background(), lim)
+	g := budget.New(ctx, lim)
 	res, err := chase.ProveImplies(deps, d0, chase.Options{Governor: g, SemiNaive: true})
 	if err != nil || res.Verdict != chase.Implied {
 		return nil

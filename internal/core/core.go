@@ -219,7 +219,9 @@ func Infer(deps []*td.TD, d0 *td.TD, b Budget) (InferenceResult, error) {
 	doc := func() cert.Problem { return cert.TDProblem(d0.Schema(), deps, d0) }
 	// certImplied turns an Implied chase result into a certificate: its own
 	// trace when the run recorded a complete one, a deterministic traced
-	// replay under the same budget class (with margin) otherwise.
+	// replay under the same budget class (with margin) otherwise. The
+	// replay shares the run-wide governor's context, so a cancelled run
+	// keeps its verdict and drops the certificate.
 	certImplied := func(cres *chase.Result) *cert.Certificate {
 		if len(cres.Trace) > 0 && !cres.WarmStarted {
 			return cert.NewChase(doc(), cres.Trace)
@@ -234,7 +236,8 @@ func Infer(deps []*td.TD, d0 *td.TD, b Budget) (InferenceResult, error) {
 				lim.Tuples = 4*l.Tuples + 1024
 			}
 		}
-		return cert.CertifyImplied(doc(), deps, d0, lim)
+		ctx := budget.Resolve(b.Governor, budget.Limits{}).Context()
+		return cert.CertifyImplied(ctx, doc(), deps, d0, lim)
 	}
 	verdict := func(res InferenceResult) (InferenceResult, error) {
 		b.emit(obs.Event{Type: obs.EvVerdict, Verdict: res.Verdict.String()})

@@ -20,11 +20,10 @@ import (
 // PortfolioOptions derives portfolio Options from the budget: each arm
 // governor's limits become that arm's hard ceilings, the run-wide
 // governor becomes the parent pool (its context cancels the portfolio at
-// the next lease boundary; any meter it caps becomes shared headroom),
-// and the sink and chase worker count thread through. The EID arm
-// mirrors the chase ceilings — the two chases meter the same resources —
-// and completion runs under the same bounded side-check governor as the
-// static pipeline's Knuth–Bendix fallback.
+// the next lease boundary, and its certifying replay; any meter it caps
+// becomes shared headroom), and the sink and chase worker count thread
+// through. Completion runs under the same bounded side-check governor as
+// the static pipeline's Knuth–Bendix fallback.
 func (b Budget) PortfolioOptions() portfolio.Options {
 	opt := portfolio.Options{
 		Governor:    b.Governor,
@@ -35,7 +34,6 @@ func (b Budget) PortfolioOptions() portfolio.Options {
 		ModelSearch: b.ModelSearch,
 		FiniteDB:    b.FiniteDB,
 	}
-	opt.EID.Governor = b.Chase.Governor
 	opt.Completion.Governor = b.completionGovernor()
 	return opt
 }
@@ -90,7 +88,6 @@ func inferPortfolioDeepening(deps []*td.TD, d0 *td.TD, opt DeepeningOptions, g *
 		// pool is a meterless child sharing only the cancellation context.
 		po.Governor = g.Child(budget.Limits{})
 		po.Chase.Governor = budget.New(nil, budget.Limits{Rounds: chaseRounds, Tuples: chaseTuples})
-		po.EID.Governor = po.Chase.Governor
 		po.FiniteDB.Governor = budget.New(nil, budget.Limits{Nodes: fdbNodes})
 		po.FiniteDB.Sizes = budget.Range{Lo: 1, Hi: fdbSize}
 		po.Chase.CaptureState = true

@@ -228,10 +228,6 @@ func (opt Options) presChaseOptions() chase.Options {
 	return chase.Options{Governor: gov(budget.Limits{Rounds: 1, Tuples: 50}), SemiNaive: true}
 }
 
-func (opt Options) presEIDOptions() eid.Options {
-	return eid.Options{Governor: gov(budget.Limits{Rounds: 1, Tuples: 50})}
-}
-
 func (opt Options) finiteDBOptions() finitemodel.Options {
 	return finitemodel.Options{Sizes: opt.Sizes, Governor: gov(budget.Limits{Nodes: opt.Limits.Nodes})}
 }
@@ -330,7 +326,6 @@ func runTD(in corpus.Instance, opt Options) ([]engineOut, error) {
 	if err := run("portfolio", func() (string, *cert.Certificate, error) {
 		res, err := portfolio.Infer(in.Deps, in.Goal, portfolio.Options{
 			Chase:    opt.chaseOptions(),
-			EID:      opt.eidOptions(),
 			FiniteDB: opt.finiteDBOptions(),
 			Certify:  true,
 		})
@@ -386,14 +381,13 @@ func runPresentation(in corpus.Instance, opt Options) ([]engineOut, error) {
 		return nil, err
 	}
 	if err := run("portfolio", func() (string, *cert.Certificate, error) {
-		// Certify stays off here: an Implied win from the kb or eid arm
-		// would trigger a certifying chase replay at chase.DefaultLimits
+		// Certify stays off here: an Implied win from the kb arm would
+		// trigger a certifying chase replay at chase.DefaultLimits
 		// floors, and on a wide presentation reduction that replay does
 		// not terminate in fuzzing time. race and seq are the designated
 		// certificate producers for presentation instances.
 		res, err := portfolio.AnalyzePresentation(in.Pres, portfolio.Options{
 			Chase:       opt.presChaseOptions(),
-			EID:         opt.presEIDOptions(),
 			ModelSearch: opt.modelSearchOptions(),
 			Completion:  opt.completionOptions(),
 		})

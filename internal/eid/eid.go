@@ -14,6 +14,14 @@
 // paper's undecidability result for TDs strengthens the earlier one for
 // EIDs. The package provides satisfaction checking and a chase-based
 // implication semi-procedure mirroring package chase.
+//
+// On a TD (FromTD) this chase is the same restricted chase as package
+// chase, with the same verdicts under the same governor, but a plain scan
+// join without the semi-naive delta, warm starts or certificates. So it
+// is not a serving engine: the portfolio does not run it. It is the
+// independent reference the TD chase is cross-checked against
+// (internal/difffuzz), and the only chase here for EIDs whose conclusion
+// has more than one atom.
 package eid
 
 import (

@@ -97,7 +97,7 @@ const (
 	// EvArmStart reports that a dual-semidecision arm began work. From the
 	// race front-end (Src "core") Arm is "derivation" or "model-search";
 	// from the adaptive portfolio (Src "portfolio") Arm names the engine
-	// arm ("kb", "chase", "eid", "model-search", "finite-db") and the event
+	// arm ("kb", "model-search", "chase", "finite-db") and the event
 	// opens one budget lease. Fields: Arm, Round (deepening round, or the
 	// portfolio scheduler tick; 0 outside both).
 	EvArmStart EventType = "arm_start"

@@ -6,7 +6,6 @@ import (
 	"templatedep/internal/budget"
 	"templatedep/internal/cert"
 	"templatedep/internal/chase"
-	"templatedep/internal/eid"
 	"templatedep/internal/finitemodel"
 	"templatedep/internal/reduction"
 	"templatedep/internal/rewrite"
@@ -176,54 +175,6 @@ func chaseArm(deps []*td.TD, d0 *td.TD, opt Options, res *Result, scale int) *ar
 	return a
 }
 
-// eidArm runs the EID-chase on the same instance. The engine cannot
-// snapshot, so every lease re-runs from scratch under the grown
-// cumulative caps; its per-lease delta statistics still measure only the
-// new rounds, because the re-done prefix reproduces the previous lease's
-// totals exactly.
-func eidArm(deps []*td.TD, d0 *td.TD, opt Options, res *Result, scale int) *arm {
-	edeps := make([]*eid.EID, len(deps))
-	for i, d := range deps {
-		edeps[i] = eid.FromTD(d)
-	}
-	egoal := eid.FromTD(d0)
-	a := &arm{
-		name:  "eid",
-		meter: budget.Rounds,
-		cur:   budget.Limits{Rounds: 2 * scale, Tuples: 8192 * scale},
-		max:   armCeilings(opt.EID.Governor, eid.DefaultLimits),
-	}
-	var prevRounds, prevTuples int
-	var lastRate float64
-	var hasRate bool
-	a.run = func(g *budget.Governor) (leaseResult, error) {
-		eres, err := eid.Implies(edeps, egoal, eid.Options{Governor: g})
-		if err != nil {
-			return leaseResult{}, err
-		}
-		switch eres.Verdict {
-		case eid.Implied:
-			return leaseResult{win: Implied, verdict: "implied"}, nil
-		case eid.NotImplied:
-			res.Counterexample = eres.Instance
-			return leaseResult{win: FiniteCounterexample, verdict: "not-implied"}, nil
-		}
-		dr := eres.Rounds - prevRounds
-		dt := eres.TuplesAdded - prevTuples
-		prevRounds, prevTuples = eres.Rounds, eres.TuplesAdded
-		if dr < 1 {
-			dr = 1
-		}
-		rate := float64(dt) / float64(dr)
-		return leaseResult{
-			health:  rateHealth(rate, &lastRate, &hasRate),
-			verdict: "unknown",
-			outcome: eres.Budget,
-		}, nil
-	}
-	return a
-}
-
 // modelSearchArm runs the finite counter-model search over a growing
 // order window: each covered window advances Hi by one (structural
 // progress, so the arm reports converging), and covering the caller's
@@ -333,7 +284,7 @@ func scaleOf(opt Options) int {
 }
 
 // AnalyzePresentation runs the presentation-level portfolio: Knuth–Bendix
-// completion, the finite counter-model search, and both chases on the
+// completion, the finite counter-model search, and the chase on the
 // reduction's (D, D0), in that fixed scheduling order. Completion leads
 // because a confluent system settles the word problem in one decision
 // procedure call — the cheapest possible win when it exists — and the
@@ -356,30 +307,28 @@ func AnalyzePresentation(p *words.Presentation, opt Options) (*Result, error) {
 		kbArm(rewrite.FromPresentation(in.Pres), opt, res, scale),
 		modelSearchArm(p, in, opt, res, scale),
 		chaseArm(in.D, in.D0, opt, res, scale),
-		eidArm(in.D, in.D0, opt, res, scale),
 	}
 	out, err := run(arms, opt, res)
 	if err == nil && opt.Certify {
-		certify(out, cert.PresentationProblem(p), in.D, in.D0)
+		certify(opt.Governor, out, cert.PresentationProblem(p), in.D, in.D0)
 	}
 	return out, err
 }
 
-// Infer runs the TD-level portfolio: the chase, the finite-database
-// enumerator, and the EID chase, in that fixed scheduling order. The
-// chase leads because it is the only arm that can certify Implied with a
-// proof trace and the only one that can snapshot across leases.
+// Infer runs the TD-level portfolio: the chase and the finite-database
+// enumerator, in that fixed scheduling order. The chase leads because it
+// is the only arm that can certify Implied with a proof trace and the
+// only one that can snapshot across leases.
 func Infer(deps []*td.TD, d0 *td.TD, opt Options) (*Result, error) {
 	res := &Result{}
 	scale := scaleOf(opt)
 	arms := []*arm{
 		chaseArm(deps, d0, opt, res, scale),
 		finiteDBArm(deps, d0, opt, res, scale),
-		eidArm(deps, d0, opt, res, scale),
 	}
 	out, err := run(arms, opt, res)
 	if err == nil && opt.Certify {
-		certify(out, cert.TDProblem(d0.Schema(), deps, d0), deps, d0)
+		certify(opt.Governor, out, cert.TDProblem(d0.Schema(), deps, d0), deps, d0)
 	}
 	return out, err
 }

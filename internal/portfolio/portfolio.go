@@ -1,4 +1,4 @@
-// Package portfolio runs every engine in the repository as one adaptive
+// Package portfolio runs the repository's engines as one adaptive
 // portfolio under a single parent budget, reallocating meter headroom
 // between the arms as live progress signals come in.
 //
@@ -8,9 +8,9 @@
 // thrashing. This package replaces both with a governed portfolio:
 //
 //   - every arm (Knuth–Bendix completion, finite counter-model search, the
-//     TD chase, the EID chase, the finite-database enumerator) holds a
-//     cumulative budget LEASE — a child governor of the parent pool capping
-//     the arm's dominant meter;
+//     chase, the finite-database enumerator) holds a cumulative budget
+//     LEASE — a child governor of the parent pool capping the arm's
+//     dominant meter;
 //   - a scheduler ticks through the arms, and at each tick decides, from
 //     each arm's own progress signals, whether to feed the arm (grow its
 //     lease fast), grow it steadily, or starve it (withhold growth and
@@ -22,6 +22,14 @@
 //     as a typed portfolio_realloc observability event carrying the arm,
 //     the meter, the old and new cumulative grant, and the driving signal,
 //     so a trace replays the full reallocation history.
+//
+// The EID chase (internal/eid) is deliberately not an arm. Every TD is an
+// EID with a one-atom conclusion, so on the portfolio's inputs it is the
+// same restricted chase as the chase arm, with the same verdicts under the
+// same governor — minus the index join, the semi-naive delta and the warm
+// carry. As an arm it would only re-do the chase arm's work, and settle
+// the re-done rounds and tuples into the shared parent pool the chase
+// draws on.
 //
 // # Scheduling model and determinism
 //
@@ -41,8 +49,8 @@
 // # Lease mechanics
 //
 // Grants are CUMULATIVE caps, not increments. Arms that cannot snapshot
-// (eid, the searches) re-run from scratch under the bigger cap, re-doing
-// their prefix; the chase arm resumes from its captured State (the warm
+// (the searches) re-run from scratch under the bigger cap, re-doing their
+// prefix; the chase arm resumes from its captured State (the warm
 // replay re-charges the prefix, so its meters still read cumulatively) and
 // Knuth–Bendix keeps one System whose rules are re-charged at the top of
 // every completion call. The parent pool is settled with the per-lease
@@ -68,7 +76,6 @@ import (
 	"templatedep/internal/budget"
 	"templatedep/internal/cert"
 	"templatedep/internal/chase"
-	"templatedep/internal/eid"
 	"templatedep/internal/finitemodel"
 	"templatedep/internal/obs"
 	"templatedep/internal/reduction"
@@ -87,8 +94,8 @@ const (
 	// Unknown means every arm retired or the parent budget stopped the
 	// run before any arm produced a definitive answer.
 	Unknown Verdict = iota
-	// Implied means D logically implies D0 (won by the chase, the EID
-	// chase, or a confluent completion that decides the goal).
+	// Implied means D logically implies D0 (won by the chase or a
+	// confluent completion that decides the goal).
 	Implied
 	// FiniteCounterexample means a finite database satisfies D and
 	// violates D0 (won by a chase fixpoint, the finite-database
@@ -159,7 +166,7 @@ type Options struct {
 	// Certify makes a definitive verdict carry a serializable certificate
 	// (Result.Cert): native proof objects (a validated chase trace, the
 	// verified counter-model) serialize directly, and Implied wins from
-	// arms without one (kb, eid, an untraced chase lease) are certified by
+	// arms without one (kb, an untraced chase lease) are certified by
 	// a deterministic traced chase replay. Off by default — the replay
 	// costs one extra chase run on some wins.
 	Certify bool
@@ -169,7 +176,6 @@ type Options struct {
 	// portfolio replaces the governor itself with per-lease children and
 	// overrides Sink and Workers per the portfolio contract.
 	Chase       chase.Options
-	EID         eid.Options
 	ModelSearch search.Options
 	FiniteDB    finitemodel.Options
 	Completion  rewrite.CompletionOptions
@@ -180,8 +186,7 @@ type Options struct {
 type Decision struct {
 	// Tick is the scheduler pass the decision was taken in.
 	Tick int
-	// Arm names the arm: "kb", "model-search", "chase", "eid",
-	// "finite-db".
+	// Arm names the arm: "kb", "model-search", "chase", "finite-db".
 	Arm string
 	// Meter is the resource whose cumulative grant the decision changes.
 	Meter budget.Resource

@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -38,7 +39,6 @@ func analyze(t *testing.T, name string, opt Options) *Result {
 func tight() Options {
 	opt := Options{}
 	opt.Chase.Governor = budget.New(nil, budget.Limits{Rounds: 16, Tuples: 1500})
-	opt.EID.Governor = budget.New(nil, budget.Limits{Rounds: 16, Tuples: 1500})
 	opt.ModelSearch.Governor = budget.New(nil, budget.Limits{Nodes: 50000})
 	return opt
 }
@@ -254,7 +254,6 @@ func TestStarvedArmStillProbes(t *testing.T) {
 	opt := Options{}
 	opt.Completion.Governor = budget.New(nil, budget.Limits{Rules: 100, Rounds: 50})
 	opt.Chase.Governor = budget.New(nil, budget.Limits{Rounds: 2, Tuples: 200})
-	opt.EID.Governor = budget.New(nil, budget.Limits{Rounds: 2, Tuples: 200})
 	opt.ModelSearch.Governor = budget.New(nil, budget.Limits{Nodes: 200000})
 	opt.ModelSearch.Orders = budget.Range{Lo: 2, Hi: 2}
 	res := analyze(t, "collapse:4", opt)
@@ -308,7 +307,6 @@ func TestArmCeilingsRespected(t *testing.T) {
 	_, fig1 := td.GarmentExample()
 	opt := Options{}
 	opt.Chase.Governor = budget.New(nil, budget.Limits{Rounds: 1, Tuples: 2})
-	opt.EID.Governor = budget.New(nil, budget.Limits{Rounds: 1, Tuples: 2})
 	opt.FiniteDB.Governor = budget.New(nil, budget.Limits{Nodes: 5})
 	opt.FiniteDB.Sizes = budget.Range{Lo: 1, Hi: 1}
 	res, err := Infer([]*td.TD{fig1}, fig1, opt)
@@ -387,5 +385,34 @@ func TestMemoryCarriesAcrossRuns(t *testing.T) {
 	}
 	if !second.GoalRefuted {
 		t.Error("remembered refutation must still set GoalRefuted")
+	}
+}
+
+// cancelOnVerdict cancels a context when the portfolio announces its
+// verdict — after the last lease, before the certifying replay.
+type cancelOnVerdict context.CancelFunc
+
+func (f cancelOnVerdict) Event(e obs.Event) {
+	if e.Type == obs.EvVerdict && e.Src == "portfolio" {
+		f()
+	}
+}
+
+// The certifying replay shares the parent pool's context: a run cancelled
+// once its verdict is in keeps the verdict and ships no certificate.
+func TestCertifyReplayStopsWithParent(t *testing.T) {
+	res := analyze(t, "twostep", Options{Certify: true})
+	if res.Verdict != Implied || res.Cert() == nil {
+		t.Fatalf("uncancelled run: verdict %v, cert %v; want implied with a certificate", res.Verdict, res.Cert() != nil)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res = analyze(t, "twostep", Options{Certify: true,
+		Governor: budget.New(ctx, budget.Limits{}), Sink: cancelOnVerdict(cancel)})
+	if res.Verdict != Implied {
+		t.Fatalf("verdict %v, want implied", res.Verdict)
+	}
+	if res.Cert() != nil {
+		t.Error("a replay under a cancelled parent returned a certificate")
 	}
 }
