@@ -16,8 +16,9 @@
 #                   pool, psearch pool, and the serving layer's
 #                   singleflight/drain paths are all concurrent code)
 #   smoke   (300) — end-to-end binaries: tdinfer governed runs on the
-#                   undecidable gap preset (static race under a deadline,
-#                   and the adaptive portfolio's finite-db answer);
+#                   undecidable gap preset (a deadline stop with the
+#                   finite-db arm held to size 1, and the portfolio's
+#                   finite-db answer at the default sizes);
 #                   tdserve under a duplicate-heavy tdbench -loadjson
 #                   burst with graceful-drain assertions
 #   shard   (300) — the multi-replica tier: 3 tdserve replicas with disk
@@ -208,11 +209,12 @@ stage_smoke() {
     # Governance smoke: a wall-clock budget on the undecidable gap preset must
     # come back promptly (bounded cancellation latency), exit 0 with an honest
     # "unknown", and leave a trace that replays (the JSONL parses and carries
-    # the chase's deadline stop marker). Pinned to the static race: the
-    # adaptive portfolio *answers* this instance (asserted below), so only
-    # -engine race exercises the deadline path on it.
+    # the chase's deadline stop marker). -cx-tuples 1: at the default sizes
+    # the portfolio *answers* this instance (asserted below); held to size 1,
+    # the finite-db arm covers its window and retires, so only the diverging
+    # chase is left for the deadline to stop.
     go build -o "$smoke/tdinfer" ./cmd/tdinfer
-    out=$("$smoke/tdinfer" -engine race -preset gap -deadline 100ms -rounds 100000 \
+    out=$("$smoke/tdinfer" -preset gap -cx-tuples 1 -deadline 100ms -rounds 100000 \
         -tuples 10000000 -trace "$smoke/gap.jsonl")
     grep -q "verdict: unknown" <<<"$out" || {
         echo "ci: gap smoke: expected unknown verdict, got:" >&2
@@ -223,15 +225,15 @@ stage_smoke() {
         echo "ci: gap smoke: trace has no chase deadline stop event" >&2
         exit 1
     }
-    grep -q '"type":"verdict","src":"core","verdict":"unknown"' "$smoke/gap.jsonl" || {
-        echo "ci: gap smoke: trace does not close with an unknown core verdict" >&2
+    grep -q '"type":"verdict","src":"portfolio","verdict":"unknown"' "$smoke/gap.jsonl" || {
+        echo "ci: gap smoke: trace does not close with an unknown portfolio verdict" >&2
         exit 1
     }
 
-    # Portfolio smoke: the default engine settles the same TD instance — the
-    # finite-db arm finds the 2-tuple database the sequential run never
-    # reaches (DESIGN.md §12) — and its trace carries the reallocation
-    # decisions.
+    # Portfolio smoke: at the default sizes the portfolio settles the same TD
+    # instance — the finite-db arm finds the 2-tuple database a chase-first
+    # sequential run never reaches (DESIGN.md §12) — and its trace carries
+    # the reallocation decisions.
     out=$("$smoke/tdinfer" -preset gap -deadline 30s -trace "$smoke/gap_pf.jsonl")
     grep -q "verdict: finite-counterexample" <<<"$out" || {
         echo "ci: portfolio gap smoke: expected finite-counterexample, got:" >&2
@@ -274,10 +276,9 @@ stage_smoke() {
     fi
 
     # Parallel determinism smoke: the chase event stream is a pure function
-    # of the problem — byte-identical for every -workers value. The raw trace
-    # interleaves the implication arm with the racing counter-model arm
-    # (whose cancellation point is scheduling-dependent), so the comparison
-    # filters to the chase layer's own events.
+    # of the problem — byte-identical for every -workers value. The
+    # comparison filters to the chase layer's own events, the stream
+    # -workers parallelizes.
     "$smoke/tdinfer" -preset chain:1 -rounds 64 -tuples 200000 \
         -workers 1 -trace "$smoke/chain_w1.jsonl" >/dev/null
     "$smoke/tdinfer" -preset chain:1 -rounds 64 -tuples 200000 \
@@ -441,11 +442,10 @@ stage_bench() {
     # latency drop.
     "$smoke/tdbench" -checkbench BENCH_chase.json
 
-    # The portfolio comparison emitter: a fresh quick report (one timed run
-    # per side) must parse with race/portfolio verdicts consistent on every
-    # preset, and the committed full report must additionally satisfy the
-    # acceptance thresholds (within noise on >=2 presets, kb >=2x on the
-    # KB-decidable one).
+    # The portfolio emitter: a fresh quick report (one timed run per preset)
+    # and the committed full report must each time every grid preset and
+    # reach its expected verdict through its expected arm (model-search on
+    # power, kb on twostep, chain:2 and collapse:4).
     "$smoke/tdbench" -portfoliojson "$smoke/BENCH_portfolio.json" -portfolioquick >/dev/null
     "$smoke/tdbench" -checkportfolio "$smoke/BENCH_portfolio.json"
     "$smoke/tdbench" -checkportfolio BENCH_portfolio.json

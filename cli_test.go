@@ -87,13 +87,13 @@ func TestCLI(t *testing.T) {
 	// The governance contract end to end: a wall-clock budget on the
 	// undecidable gap instance exits 0 with an honest unknown verdict,
 	// partial chase statistics, and a trace that still replays cleanly.
-	// Pinned to the static race engine — the adaptive portfolio settles
-	// this instance (see tdinfer-portfolio-gap below), so only the static
-	// sequential run exercises the deadline path on it.
+	// -cx-tuples 1 keeps the portfolio from settling this instance (see
+	// tdinfer-portfolio-gap below): the finite-db arm covers size 1 and
+	// retires, so only the diverging chase is left for the deadline to stop.
 	t.Run("tdinfer-deadline", func(t *testing.T) {
 		trace := filepath.Join(t.TempDir(), "gap.jsonl")
 		out := run("tdinfer", 0,
-			"-preset", "gap", "-deadline", "100ms", "-engine", "race",
+			"-preset", "gap", "-cx-tuples", "1", "-deadline", "100ms",
 			"-rounds", "100000", "-tuples", "10000000",
 			"-trace", trace)
 		if !strings.Contains(out, "verdict: unknown") {
@@ -116,21 +116,22 @@ func TestCLI(t *testing.T) {
 		if tot.Stops["chase"] != "deadline" {
 			t.Errorf("replay stops %v, want chase stopped by deadline", tot.Stops)
 		}
-		if tot.Verdicts["chase"] != "unknown" || tot.Verdicts["core"] != "unknown" {
-			t.Errorf("replay verdicts %v, want unknown from chase and core", tot.Verdicts)
+		if tot.Verdicts["chase"] != "unknown" || tot.Verdicts["portfolio"] != "unknown" {
+			t.Errorf("replay verdicts %v, want unknown from chase and portfolio", tot.Verdicts)
 		}
 		if tot.Rounds == 0 || tot.TuplesAdded == 0 {
 			t.Errorf("replay totals %+v: expected partial chase progress before the deadline", tot)
 		}
 	})
 
-	// The adaptive portfolio on the same gap instance: the finite-db arm
-	// gets leases alongside the diverging chase and finds the 2-tuple
-	// database that satisfies D and violates D0 — an answer the static
-	// sequential run above never reaches because the chase drains its
-	// whole budget first. (The word-level gap property rules out finite
-	// CANCELLATION-MODEL counterexamples, not arbitrary finite databases,
-	// so the presentation-level verdict for gap stays unknown.)
+	// The adaptive portfolio on the same gap instance at the default
+	// -cx-tuples: the finite-db arm gets leases alongside the diverging
+	// chase and finds the 2-tuple database that satisfies D and violates
+	// D0 — an answer a chase-first sequential run never reaches because
+	// the chase drains its whole budget first. (The word-level gap
+	// property rules out finite CANCELLATION-MODEL counterexamples, not
+	// arbitrary finite databases, so the presentation-level verdict for
+	// gap stays unknown.)
 	t.Run("tdinfer-portfolio-gap", func(t *testing.T) {
 		trace := filepath.Join(t.TempDir(), "gap-portfolio.jsonl")
 		out := run("tdinfer", 0,
@@ -320,63 +321,52 @@ func TestCLI(t *testing.T) {
 	})
 
 	// The portfolio report validator is an acceptance gate: each known-bad
-	// report must fail it, with the reason named, while a quick report
-	// below the timing thresholds and the committed report pass.
+	// report must fail it, naming the preset, while full and quick reports
+	// with the grid's verdicts and winners, and the committed report, pass.
 	t.Run("tdbench-checkportfolio", func(t *testing.T) {
-		side := func(ns float64, verdict, winner string) map[string]any {
-			return map[string]any{"ns_per_op": ns, "verdict": verdict, "winner": winner}
+		preset := func(name string, ns float64, verdict, winner string) map[string]any {
+			return map[string]any{"name": name, "ns_per_op": ns, "verdict": verdict,
+				"winner": winner, "ticks": 1, "decisions": 4}
 		}
-		// report returns a full report that passes every gate; each case
+		// report returns a full report that passes the gate; each case
 		// breaks one thing.
 		report := func() map[string]any {
 			return map[string]any{
 				"quick": false,
 				"workloads": []any{
-					map[string]any{"name": "power",
-						"race":      side(4e5, "finite-counterexample", "model-search"),
-						"portfolio": side(3e5, "finite-counterexample", "model-search"),
-						"speedup":   4.0 / 3, "consistent": true},
-					map[string]any{"name": "collapse:4",
-						"race":      side(4e8, "unknown", ""),
-						"portfolio": side(8e7, "implied", "kb"),
-						"speedup":   5.0, "consistent": true},
+					preset("power", 4e5, "finite-counterexample", "model-search"),
+					preset("twostep", 6e5, "implied", "kb"),
+					preset("chain:2", 2e6, "implied", "kb"),
+					preset("collapse:4", 8e7, "implied", "kb"),
 				},
-				"summary": map[string]any{
-					"winner_counts": map[string]any{"kb": 1, "model-search": 1},
-					"kb_speedup":    5.0, "kb_workload": "collapse:4",
-					"within_noise": 2, "all_consistent": true},
 			}
 		}
 		workload := func(rep map[string]any, i int) map[string]any {
 			return rep["workloads"].([]any)[i].(map[string]any)
 		}
-		summary := func(rep map[string]any) map[string]any { return rep["summary"].(map[string]any) }
 		dir := t.TempDir()
 		for _, tc := range []struct {
 			name, want string
 			exit       int
 			edit       func(rep map[string]any)
 		}{
-			{"full", "verdicts consistent", 0, func(map[string]any) {}},
-			{"contradictory", "contradictory definitive verdicts", 1, func(rep map[string]any) {
-				workload(rep, 0)["portfolio"] = side(3e5, "implied", "chase")
+			{"full", "each with its expected verdict and winning arm", 0, func(map[string]any) {}},
+			{"quick", "quick: timings are single runs", 0, func(rep map[string]any) { rep["quick"] = true }},
+			{"wrong-verdict", "preset twostep: finite-counterexample won by kb", 1, func(rep map[string]any) {
+				workload(rep, 1)["verdict"] = "finite-counterexample"
 			}},
-			{"missing-side", "missing a timed side", 1, func(rep map[string]any) {
-				delete(workload(rep, 1), "race")
+			{"wrong-winner", "preset collapse:4: implied won by chase", 1, func(rep map[string]any) {
+				workload(rep, 3)["winner"] = "chase"
 			}},
-			{"inconsistent-summary", "inconsistent verdicts", 1, func(rep map[string]any) {
-				summary(rep)["all_consistent"] = false
+			{"unknown", "preset chain:2: unknown won by none", 1, func(rep map[string]any) {
+				workload(rep, 2)["verdict"] = "unknown"
+				delete(workload(rep, 2), "winner")
 			}},
-			{"kb-speedup", "kb headline speedup", 1, func(rep map[string]any) {
-				summary(rep)["kb_speedup"] = 1.9
+			{"untimed", "preset power not timed", 1, func(rep map[string]any) {
+				delete(workload(rep, 0), "ns_per_op")
 			}},
-			{"within-noise", "within noise of the race on only 1", 1, func(rep map[string]any) {
-				summary(rep)["within_noise"] = 1
-			}},
-			{"quick-below-thresholds", "thresholds not enforced", 0, func(rep map[string]any) {
-				rep["quick"] = true
-				summary(rep)["kb_speedup"] = 1.2
-				summary(rep)["within_noise"] = 0
+			{"missing", "preset collapse:4 missing", 1, func(rep map[string]any) {
+				rep["workloads"] = rep["workloads"].([]any)[:3]
 			}},
 		} {
 			rep := report()
@@ -394,6 +384,86 @@ func TestCLI(t *testing.T) {
 			}
 		}
 		run("tdbench", 0, "-checkportfolio", "BENCH_portfolio.json")
+	})
+
+	// The differential-fuzz report validator is the fuzz stage's gate:
+	// each known-bad edit of the committed report must fail it with the
+	// reason named, and the committed report itself must pass.
+	t.Run("tdbench-checkfuzz", func(t *testing.T) {
+		committed, err := os.ReadFile("BENCH_fuzz.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// family returns the named family of rep; num reads a JSON number
+		// as an int.
+		family := func(rep map[string]any, name string) map[string]any {
+			for _, f := range rep["families"].([]any) {
+				if f := f.(map[string]any); f["family"] == name {
+					return f
+				}
+			}
+			t.Fatalf("committed report has no %s family", name)
+			return nil
+		}
+		num := func(v any) int { return int(v.(float64)) }
+		dir := t.TempDir()
+		for _, tc := range []struct {
+			name, want string
+			edit       func(rep map[string]any)
+		}{
+			{"missing-family", `missing corpus family "tm"`, func(rep map[string]any) {
+				tm := num(family(rep, "tm")["cases"])
+				var kept []any
+				for _, f := range rep["families"].([]any) {
+					if f.(map[string]any)["family"] != "tm" {
+						kept = append(kept, f)
+					}
+				}
+				rep["families"] = kept
+				rep["instances"] = num(rep["instances"]) - tm
+			}},
+			{"verdict-sum", "family random: verdict counts sum to", func(rep map[string]any) {
+				f := family(rep, "random")
+				f["implied"] = num(f["implied"]) + 1
+			}},
+			{"oracle-mismatch", "contradict the fragment oracle", func(rep map[string]any) {
+				family(rep, "oracle")["oracle_mismatches"] = 1
+			}},
+			{"oracle-unknown", "oracle family: 1 cases stayed unknown", func(rep map[string]any) {
+				f := family(rep, "oracle")
+				f["implied"] = num(f["implied"]) - 1
+				f["unknown"] = 1
+			}},
+			{"disagreement", "1 cross-engine invariant violations", func(rep map[string]any) {
+				rep["disagreement_count"] = 1
+				rep["disagreements"] = []any{"random-0001: verdict: engine chase says \"implied\""}
+			}},
+			{"uncertified", "definitive consensus verdicts shipped a checked certificate", func(rep map[string]any) {
+				rep["certified"] = num(rep["certified"]) - 1
+			}},
+			{"cases-counter", "counter fuzz.cases = ", func(rep map[string]any) {
+				rep["counters"].(map[string]any)["fuzz.cases"] = num(rep["instances"]) - 1
+			}},
+			{"unknown-field", `unknown field "bogus"`, func(rep map[string]any) { rep["bogus"] = 1 }},
+		} {
+			var rep map[string]any
+			if err := json.Unmarshal(committed, &rep); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(rep)
+			data, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, tc.name+".json")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if out := run("tdbench", 1, "-checkfuzz", path); !strings.Contains(out, tc.want) {
+				t.Errorf("%s: output lacks %q:\n%s", tc.name, tc.want, out)
+			}
+		}
+		run("tdbench", 0, "-checkfuzz", "BENCH_fuzz.json")
 	})
 
 	// The service lifecycle across a real process boundary: start tdserve

@@ -54,23 +54,19 @@ type benchResult struct {
 	WarmVerdict string  `json:"warm_verdict,omitempty"`
 }
 
+// benchReport's workers sweep is 1 vs the header's gomaxprocs, so a report
+// from a 1-CPU box documents that its /parallel arm could not exercise
+// real parallelism.
 type benchReport struct {
 	reportHost
-	// Maxprocs records runtime.GOMAXPROCS(0) on the generating host: the
-	// workers sweep below is 1 vs this value, so a report from a 1-CPU box
-	// documents that its /parallel arm could not exercise real parallelism.
-	Maxprocs int           `json:"gomaxprocs"`
-	Results  []benchResult `json:"results"`
+	Results []benchResult `json:"results"`
 }
 
 func writeBenchJSON(path string, metrics bool) {
 	fail := reportFail("bench")
 	reportProbe(path, fail)
 
-	rep := benchReport{
-		reportHost: newReportHost(),
-		Maxprocs:   runtime.GOMAXPROCS(0),
-	}
+	rep := benchReport{reportHost: newReportHost()}
 
 	// record returns a pointer to the appended result so chase workloads can
 	// annotate it (workers, warm columns) before the next record call — the

@@ -31,9 +31,9 @@ func main() {
 	metrics := flag.Bool("metrics", false, "with -benchjson: fold an observability counter snapshot of each chase workload into the JSON (see docs/OBSERVABILITY.md)")
 	searchjson := flag.String("searchjson", "", "measure the counter-model search workloads under the serial/parallel and symmetry/none ablations and write JSON results to this file")
 	searchquick := flag.Bool("searchquick", false, "with -searchjson: one timed run per arm instead of a full benchmark loop (CI smoke)")
-	portfoliojson := flag.String("portfoliojson", "", "compare the static race against the adaptive portfolio on the preset grid and write JSON results to this file")
-	portfolioquick := flag.Bool("portfolioquick", false, "with -portfoliojson: one timed run per side instead of a full benchmark loop (CI smoke)")
-	checkportfolio := flag.String("checkportfolio", "", "validate a -portfoliojson report (parses, verdicts consistent, acceptance thresholds on full reports) and exit")
+	portfoliojson := flag.String("portfoliojson", "", "time the adaptive portfolio on the preset grid (verdict, winning arm, scheduler work) and write JSON results to this file")
+	portfolioquick := flag.Bool("portfolioquick", false, "with -portfoliojson: one timed run per preset instead of a full benchmark loop (CI smoke)")
+	checkportfolio := flag.String("checkportfolio", "", "validate a -portfoliojson report (every grid preset timed, with its expected verdict and winning arm) and exit")
 	checksearch := flag.String("checksearch", "", "validate a -searchjson report (parses, all ablation arms present, verdicts identical) and exit")
 	checkbench := flag.String("checkbench", "", "validate a -benchjson report (parses, all workloads present, join-arm verdicts identical) and exit")
 	loadjson := flag.String("loadjson", "", "hammer a running tdserve with a duplicate-heavy workload and write JSON results to this file")

@@ -16,22 +16,27 @@ import (
 )
 
 // reportHost is the provenance header embedded in every report: when it
-// was generated and by which toolchain/platform. Older committed reports
-// predate the goos/goarch fields, so validators must treat them as
-// optional.
+// was generated, by which toolchain/platform, and on how many CPUs — a
+// parallel arm measured at GOMAXPROCS 1 measures the serial path. Older
+// committed reports predate some of these fields, so validators must treat
+// them as optional.
 type reportHost struct {
-	Generated string `json:"generated"`
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos,omitempty"`
-	GOARCH    string `json:"goarch,omitempty"`
+	Generated  string `json:"generated"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
 }
 
 func newReportHost() reportHost {
 	return reportHost{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
+		Generated:  time.Now().UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 }
 

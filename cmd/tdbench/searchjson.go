@@ -24,7 +24,6 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 
 	"templatedep/internal/budget"
 	"templatedep/internal/finitemodel"
@@ -85,7 +84,6 @@ type searchSummary struct {
 
 type searchReport struct {
 	reportHost
-	NumCPU    int              `json:"num_cpu"`
 	Workers   int              `json:"workers"`
 	Workloads []searchWorkload `json:"workloads"`
 	Summary   searchSummary    `json:"summary"`
@@ -161,7 +159,6 @@ func writeSearchJSON(path string, quick bool) {
 
 	rep := searchReport{
 		reportHost: newReportHost(),
-		NumCPU:     runtime.NumCPU(),
 		Workers:    benchWorkers,
 	}
 

@@ -1,8 +1,10 @@
 // Command tdinfer runs the dual semidecision procedure for template
 // dependency inference: given a set D of TDs and a goal TD D0 over a shared
-// schema, it chases D0's frozen antecedents under D (semideciding "D
-// implies D0") and, if the chase is inconclusive, enumerates small finite
-// databases looking for a counterexample (semideciding "D0 fails finitely").
+// schema, the adaptive portfolio (internal/portfolio) interleaves a chase of
+// D0's frozen antecedents under D (semideciding "D implies D0") with an
+// enumeration of small finite databases looking for a counterexample
+// (semideciding "D0 fails finitely"), and reports the first definitive
+// answer and the arm that found it.
 //
 // Example:
 //
@@ -71,10 +73,9 @@ func main() {
 		rounds     = flag.Int("rounds", 64, "chase round budget")
 		tuples     = flag.Int("tuples", 100000, "chase tuple budget")
 		fmTuples   = flag.Int("cx-tuples", 4, "counterexample enumeration: max tuples")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the chase and the counterexample enumeration (results are identical for every value; 1 = serial)")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the chase; the portfolio runs the counterexample enumeration serially (results are identical for every value; 1 = serial)")
 		pruneFlag  = flag.String("prune", "symmetry", "counterexample enumeration symmetry breaking: symmetry|none")
 		deadline   = flag.Duration("deadline", 0, "wall-clock budget for the whole run (0 = none)")
-		engine     = flag.String("engine", "portfolio", "inference engine: portfolio (adaptive budget reallocation across all arms) or race (static sequential dual run)")
 		proof      = flag.Bool("proof", false, "print the proof object: the chase trace for implied, the counter-database and witness table for finite-counterexample")
 		certFile   = flag.String("cert", "", "write the verdict's verifiable certificate (JSON) to FILE; re-check with tdcheck -verify FILE")
 		traceFile  = flag.String("trace", "", "write the structured event stream to FILE as JSONL (see docs/OBSERVABILITY.md)")
@@ -85,9 +86,6 @@ func main() {
 	flag.Var(&deps, "dep", "a TD (repeatable)")
 	flag.Parse()
 
-	if *engine != "portfolio" && *engine != "race" {
-		fatal(fmt.Errorf("unknown -engine %q (want portfolio or race)", *engine))
-	}
 	if *preset == "" && (*schemaFlag == "" || *goalFlag == "") {
 		fmt.Fprintln(os.Stderr, "tdinfer: either -preset or both -schema and -goal are required")
 		flag.Usage()
@@ -164,7 +162,6 @@ func main() {
 	}
 	b.FiniteDB.Sizes = budget.Range{Lo: 1, Hi: *fmTuples}
 	b.Chase.Workers = *workers
-	b.FiniteDB.Workers = *workers
 	prune, err := psearch.ParsePrune(*pruneFlag)
 	if err != nil {
 		fatal(err)
@@ -205,23 +202,13 @@ func main() {
 	fmt.Printf("D0:  %s\n\n", goal.Format())
 
 	start := time.Now()
-	var res core.InferenceResult
-	if *engine == "portfolio" {
-		pres, perr := portfolio.Infer(depSet, goal, b.PortfolioOptions())
-		if perr != nil {
-			fatal(perr)
-		}
-		res = core.InferenceResult{Verdict: core.VerdictOf(pres.Verdict),
-			Chase: pres.Chase, Counterexample: pres.Counterexample}.WithCert(pres.Cert())
-		if pres.Winner != "" {
-			fmt.Printf("winner: %s arm (%d scheduler ticks, %d reallocation decisions)\n",
-				pres.Winner, pres.Ticks, len(pres.Decisions))
-		}
-	} else {
-		res, err = core.Infer(depSet, goal, b)
-		if err != nil {
-			fatal(err)
-		}
+	res, err := portfolio.Infer(depSet, goal, b.PortfolioOptions())
+	if err != nil {
+		fatal(err)
+	}
+	if res.Winner != "" {
+		fmt.Printf("winner: %s arm (%d scheduler ticks, %d reallocation decisions)\n",
+			res.Winner, res.Ticks, len(res.Decisions))
 	}
 	fmt.Printf("verdict: %s\n", res.Verdict)
 	if res.Chase != nil {
@@ -239,7 +226,7 @@ func main() {
 			}
 		}
 	}
-	if *proof && res.Verdict == core.Implied {
+	if *proof && res.Verdict == portfolio.Implied {
 		switch {
 		case res.Chase != nil && len(res.Chase.Trace) > 0:
 			fmt.Println("proof trace:")
@@ -259,7 +246,7 @@ func main() {
 	if res.Counterexample != nil {
 		fmt.Printf("finite counterexample (%d tuples):\n%s", res.Counterexample.Len(), res.Counterexample.String())
 	}
-	if *proof && res.Verdict == core.FiniteCounterexample {
+	if *proof && res.Verdict == portfolio.FiniteCounterexample {
 		printCounterexampleProof(res, presetPres, presetInst, b)
 	}
 	if *certFile != "" {
@@ -276,7 +263,7 @@ func main() {
 		}
 		fmt.Printf("certificate: kind=%s written to %s (re-check with: tdcheck -verify %s)\n", c.Kind, *certFile, *certFile)
 	}
-	if res.Verdict == core.Unknown {
+	if res.Verdict == portfolio.Unknown {
 		switch ctx.Err() {
 		case context.Canceled:
 			fmt.Printf("interrupted after %v — partial results only.\n", time.Since(start).Round(time.Millisecond))
@@ -295,7 +282,7 @@ func main() {
 // search finds one, or an honest note that none exists within budget (the
 // database-level and cancellation-model counterexample notions genuinely
 // differ, e.g. on the gap preset).
-func printCounterexampleProof(res core.InferenceResult, p *words.Presentation, in *reduction.Instance, b core.Budget) {
+func printCounterexampleProof(res *portfolio.Result, p *words.Presentation, in *reduction.Instance, b core.Budget) {
 	if c := res.Cert(); c != nil && c.Model != nil {
 		fmt.Println("counterexample proof:")
 		printIndented(cert.DescribeModel(c.Model))

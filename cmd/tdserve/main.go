@@ -69,7 +69,6 @@ func main() {
 		tuples       = flag.Int("tuples", 0, "per-request chase tuple budget (0 = engine default)")
 		nodes        = flag.Int("nodes", 0, "per-request search node budget (0 = engine default)")
 		wordsCap     = flag.Int("words", 0, "per-request closure word budget (0 = engine default)")
-		engine       = flag.String("engine", "portfolio", "inference engine per cold run: portfolio (adaptive reallocation) or race (static budgets)")
 		traceFile    = flag.String("trace", "", "write the structured event stream to FILE as JSONL (see docs/OBSERVABILITY.md)")
 		storePath    = flag.String("store", "", "disk-backed verdict store FILE (append-log; created if absent, replayed on start)")
 		peers        = flag.String("peers", "", "comma-separated base URLs of every ring replica, this one included (enables consistent-hash peer fill)")
@@ -77,9 +76,6 @@ func main() {
 		peerTimeout  = flag.Duration("peer-timeout", 2*time.Second, "wall-clock bound per peer-fill round trip")
 	)
 	flag.Parse()
-	if *engine != "portfolio" && *engine != "race" {
-		fatal(fmt.Errorf("unknown -engine %q (want portfolio or race)", *engine))
-	}
 	var peerList []string
 	if *peers != "" {
 		for _, p := range strings.Split(*peers, ",") {
@@ -108,7 +104,6 @@ func main() {
 		StateCacheSize: *stateCache,
 		Workers:        *workers,
 		Counters:       counters,
-		Engine:         *engine,
 		Peers:          peerList,
 		Self:           *self,
 		PeerTimeout:    *peerTimeout,

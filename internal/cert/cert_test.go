@@ -9,6 +9,7 @@ import (
 	"templatedep/internal/budget"
 	"templatedep/internal/cert"
 	"templatedep/internal/core"
+	"templatedep/internal/portfolio"
 	"templatedep/internal/reduction"
 	"templatedep/internal/td"
 	"templatedep/internal/words"
@@ -83,13 +84,11 @@ func TestFiniteModelCertRoundTrip(t *testing.T) {
 
 func TestChaseCertRoundTripTD(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	b := core.DefaultBudget()
-	b.Certify = true
-	res, err := core.Infer([]*td.TD{fig1}, fig1, b)
+	res, err := portfolio.Infer([]*td.TD{fig1}, fig1, portfolio.Options{Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict != core.Implied {
+	if res.Verdict != portfolio.Implied {
 		t.Fatalf("verdict %v, want implied", res.Verdict)
 	}
 	c := roundTrip(t, res.Cert())
@@ -103,13 +102,11 @@ func TestChaseCertRoundTripTD(t *testing.T) {
 
 func TestFiniteModelCertRoundTripTD(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	b := core.DefaultBudget()
-	b.Certify = true
-	res, err := core.Infer(nil, fig1, b)
+	res, err := portfolio.Infer(nil, fig1, portfolio.Options{Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict != core.FiniteCounterexample {
+	if res.Verdict != portfolio.FiniteCounterexample {
 		t.Fatalf("verdict %v, want finite-counterexample", res.Verdict)
 	}
 	c := roundTrip(t, res.Cert())
@@ -183,9 +180,7 @@ func wantCheckError(t *testing.T, c *cert.Certificate, substr string) {
 
 func TestRejectCorruptedChaseStep(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	b := core.DefaultBudget()
-	b.Certify = true
-	res, err := core.Infer([]*td.TD{fig1}, fig1, b)
+	res, err := portfolio.Infer([]*td.TD{fig1}, fig1, portfolio.Options{Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

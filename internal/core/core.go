@@ -8,8 +8,8 @@
 //	FCEX = {(D, D0) : D0 fails in some finite database satisfying D}
 //
 // are effectively inseparable — no algorithm decides between them. What CAN
-// be done, and what this package does, is run a semi-procedure for each set
-// side by side under explicit budgets:
+// be done is run a semi-procedure for each set side by side under explicit
+// budgets:
 //
 //   - the chase semidecides IMPL (a proof trace certifies membership);
 //   - finite-database / finite-semigroup search semidecides FCEX (a
@@ -19,6 +19,13 @@
 //     reports Unknown. Undecidability guarantees that no budget heuristic
 //     can eliminate the Unknown outcome; this library makes the phenomenon
 //     observable rather than pretending to decide it.
+//
+// The adaptive portfolio (internal/portfolio) is the one front-end that
+// runs the engines side by side; this package supplies its budget
+// vocabulary (Budget, PortfolioOptions, VerdictOf) and the sequential
+// presentation pipeline (AnalyzePresentation and its iterative-deepening
+// wrapper), which returns the reduction's derivation and counter-model
+// proof objects.
 package core
 
 import (
@@ -30,11 +37,9 @@ import (
 	"templatedep/internal/finitemodel"
 	"templatedep/internal/obs"
 	"templatedep/internal/reduction"
-	"templatedep/internal/relation"
 	"templatedep/internal/rewrite"
 	"templatedep/internal/search"
 	"templatedep/internal/semigroup"
-	"templatedep/internal/td"
 	"templatedep/internal/tm"
 	"templatedep/internal/words"
 )
@@ -56,10 +61,10 @@ type Budget struct {
 	// every sub-procedure whose options do not already carry a sink, so
 	// one sink observes the whole dual run. See docs/OBSERVABILITY.md.
 	Sink obs.Sink
-	// Certify makes every definitive TD-level verdict carry a serializable
-	// certificate (Cert() on the result): chase tracing is forced on so an
-	// Implied verdict has a replayable trace. Off by default — tracing
-	// costs allocations on the hot path, so benchmarks stay unchanged.
+	// Certify is passed to the portfolio (PortfolioOptions): its definitive
+	// verdicts then carry a serializable certificate. The presentation
+	// pipeline does not read it — PresentationResult.Cert assembles one
+	// from the proof objects every run keeps anyway.
 	Certify bool
 }
 
@@ -72,9 +77,6 @@ func (b Budget) withSink() Budget {
 		}
 		if b.ModelSearch.Sink == nil {
 			b.ModelSearch.Sink = b.Sink
-		}
-		if b.FiniteDB.Sink == nil {
-			b.FiniteDB.Sink = b.Sink
 		}
 	}
 	return b
@@ -96,9 +98,6 @@ func (b Budget) withGovernor() Budget {
 	}
 	if b.ModelSearch.Governor == nil {
 		b.ModelSearch.Governor = b.Governor.Child(search.DefaultLimits)
-	}
-	if b.FiniteDB.Governor == nil {
-		b.FiniteDB.Governor = b.Governor.Child(finitemodel.DefaultLimits)
 	}
 	return b
 }
@@ -174,109 +173,6 @@ func (v *Verdict) UnmarshalText(text []byte) error {
 		return fmt.Errorf("core: unknown verdict %q", text)
 	}
 	return nil
-}
-
-// InferenceResult reports a TD-level dual semidecision run.
-type InferenceResult struct {
-	Verdict Verdict
-	// Chase holds the chase run (its trace is the proof when Implied; its
-	// fixpoint is the counterexample when the chase itself refuted).
-	Chase *chase.Result
-	// Counterexample is the finite database violating D0, when found
-	// (either the chase fixpoint or the enumerator's witness).
-	Counterexample *relation.Instance
-
-	cert *cert.Certificate
-}
-
-// Cert returns the run's serializable certificate: non-nil for every
-// definitive verdict of a run with Budget.Certify set (and for portfolio
-// runs whose winning arm's verdict could be certified), nil for Unknown
-// and for uncertified runs.
-func (r InferenceResult) Cert() *cert.Certificate { return r.cert }
-
-// WithCert returns a copy of r carrying c; it is how layers that rebuild
-// an InferenceResult from parts (the portfolio front-end, the CLIs'
-// presentation adapter) thread a certificate through without exporting
-// the field itself.
-func (r InferenceResult) WithCert(c *cert.Certificate) InferenceResult {
-	r.cert = c
-	return r
-}
-
-// Infer runs the dual semidecision for an arbitrary TD instance: the chase
-// for IMPL and, if the chase is inconclusive, the finite-database
-// enumerator for FCEX.
-func Infer(deps []*td.TD, d0 *td.TD, b Budget) (InferenceResult, error) {
-	b = b.withSink().withGovernor()
-	if b.Certify && !b.Chase.CaptureState {
-		// Force tracing so an Implied verdict has a replayable proof.
-		// Snapshot-capturing runs (the serving layer's warm-state cache)
-		// stay untraced — tracing makes snapshots ineligible — and
-		// certify by replay instead.
-		b.Chase.Trace = true
-	}
-	doc := func() cert.Problem { return cert.TDProblem(d0.Schema(), deps, d0) }
-	// certImplied turns an Implied chase result into a certificate: its own
-	// trace when the run recorded a complete one, a deterministic traced
-	// replay under the same budget class (with margin) otherwise. The
-	// replay shares the run-wide governor's context, so a cancelled run
-	// keeps its verdict and drops the certificate.
-	certImplied := func(cres *chase.Result) *cert.Certificate {
-		if len(cres.Trace) > 0 && !cres.WarmStarted {
-			return cert.NewChase(doc(), cres.Trace)
-		}
-		var lim budget.Limits
-		if b.Chase.Governor != nil {
-			l := b.Chase.Governor.Limits()
-			if l.Rounds > 0 {
-				lim.Rounds = 2*l.Rounds + 4
-			}
-			if l.Tuples > 0 {
-				lim.Tuples = 4*l.Tuples + 1024
-			}
-		}
-		ctx := budget.Resolve(b.Governor, budget.Limits{}).Context()
-		return cert.CertifyImplied(ctx, doc(), deps, d0, lim)
-	}
-	verdict := func(res InferenceResult) (InferenceResult, error) {
-		b.emit(obs.Event{Type: obs.EvVerdict, Verdict: res.Verdict.String()})
-		return res, nil
-	}
-	b.emit(obs.Event{Type: obs.EvArmStart, Arm: "chase"})
-	cres, err := chase.Implies(deps, d0, b.Chase)
-	if err != nil {
-		return InferenceResult{}, err
-	}
-	b.emit(obs.Event{Type: obs.EvArmResult, Arm: "chase", Verdict: cres.Verdict.String()})
-	switch cres.Verdict {
-	case chase.Implied:
-		res := InferenceResult{Verdict: Implied, Chase: &cres}
-		if b.Certify {
-			res.cert = certImplied(&cres)
-		}
-		return verdict(res)
-	case chase.NotImplied:
-		res := InferenceResult{Verdict: FiniteCounterexample, Chase: &cres, Counterexample: cres.Instance}
-		if b.Certify {
-			res.cert = cert.NewFiniteModel(doc(), cres.Instance, nil)
-		}
-		return verdict(res)
-	}
-	b.emit(obs.Event{Type: obs.EvArmStart, Arm: "finite-db"})
-	fres, err := finitemodel.FindCounterexample(deps, d0, b.FiniteDB)
-	if err != nil {
-		return InferenceResult{}, err
-	}
-	b.emit(obs.Event{Type: obs.EvArmResult, Arm: "finite-db", Verdict: fres.Status()})
-	if fres.Instance != nil {
-		res := InferenceResult{Verdict: FiniteCounterexample, Chase: &cres, Counterexample: fres.Instance}
-		if b.Certify {
-			res.cert = cert.NewFiniteModel(doc(), fres.Instance, nil)
-		}
-		return verdict(res)
-	}
-	return verdict(InferenceResult{Verdict: Unknown, Chase: &cres})
 }
 
 // PresentationResult reports a presentation-level run of the paper's

@@ -1,83 +1,14 @@
 package core
 
 import (
-	"templatedep/internal/budget"
 	"testing"
 
+	"templatedep/internal/budget"
 	"templatedep/internal/chase"
-	"templatedep/internal/finitemodel"
-	"templatedep/internal/relation"
 	"templatedep/internal/search"
-	"templatedep/internal/td"
 	"templatedep/internal/tm"
 	"templatedep/internal/words"
 )
-
-func TestInferImplied(t *testing.T) {
-	_, fig1 := td.GarmentExample()
-	res, err := Infer([]*td.TD{fig1}, fig1, DefaultBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != Implied {
-		t.Errorf("verdict %v", res.Verdict)
-	}
-	if res.Chase == nil {
-		t.Error("missing chase proof")
-	}
-}
-
-func TestInferCounterexampleViaChaseFixpoint(t *testing.T) {
-	_, fig1 := td.GarmentExample()
-	res, err := Infer(nil, fig1, DefaultBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != FiniteCounterexample {
-		t.Fatalf("verdict %v", res.Verdict)
-	}
-	if res.Counterexample == nil {
-		t.Fatal("missing counterexample")
-	}
-	if ok, _ := fig1.Satisfies(res.Counterexample); ok {
-		t.Error("counterexample satisfies D0")
-	}
-}
-
-func TestInferCounterexampleViaEnumerator(t *testing.T) {
-	// Force the chase to be inconclusive with a tiny budget, so the
-	// enumerator must find the counterexample.
-	s := relation.MustSchema("A", "B", "C")
-	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
-	goal := td.MustParse(s, "R(a, b, c) & R(a', b', c') -> R(a, b, c')", "goal")
-	b := DefaultBudget()
-	b.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 1, Tuples: 3}), SemiNaive: true}
-	b.FiniteDB = finitemodel.Options{Governor: budget.New(nil, budget.Limits{Tuples: 3})}
-	res, err := Infer([]*td.TD{join}, goal, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != FiniteCounterexample {
-		t.Fatalf("verdict %v", res.Verdict)
-	}
-	if ok, _ := join.Satisfies(res.Counterexample); !ok {
-		t.Error("counterexample violates D")
-	}
-}
-
-func TestInferUnknown(t *testing.T) {
-	_, fig1 := td.GarmentExample()
-	b := DefaultBudget()
-	b.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 1, Tuples: 2}), SemiNaive: true} // cannot finish
-	b.FiniteDB = finitemodel.Options{Sizes: budget.Range{Lo: 1, Hi: 1}, Governor: budget.New(nil, budget.Limits{Nodes: 5})}
-	res, err := Infer([]*td.TD{fig1}, fig1, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != Unknown {
-		t.Errorf("verdict %v", res.Verdict)
-	}
-}
 
 func TestAnalyzePresentationImplied(t *testing.T) {
 	b := DefaultBudget()

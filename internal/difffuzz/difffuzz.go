@@ -309,20 +309,10 @@ func runTD(in corpus.Instance, opt Options) ([]engineOut, error) {
 	}); err != nil {
 		return nil, err
 	}
-	// core is the designated certificate producer for TD instances:
-	// Certify forces chase tracing, so a definitive verdict always
-	// carries a certificate (own trace for Implied, the counterexample
-	// database for FCEX).
-	if err := run("core", func() (string, *cert.Certificate, error) {
-		res, err := core.Infer(in.Deps, in.Goal, core.Budget{
-			Chase:    opt.chaseOptions(),
-			FiniteDB: opt.finiteDBOptions(),
-			Certify:  true,
-		})
-		return res.Verdict.String(), res.Cert(), err
-	}); err != nil {
-		return nil, err
-	}
+	// portfolio is the designated certificate producer for TD instances:
+	// with Certify on, a definitive verdict carries the counterexample
+	// database for FCEX and, for Implied, a chase trace from a traced
+	// replay of the untraced winning lease.
 	if err := run("portfolio", func() (string, *cert.Certificate, error) {
 		res, err := portfolio.Infer(in.Deps, in.Goal, portfolio.Options{
 			Chase:    opt.chaseOptions(),
@@ -351,28 +341,15 @@ func runPresentation(in corpus.Instance, opt Options) ([]engineOut, error) {
 		outs = append(outs, engineOut{name: name, verdict: verdict, cert: c, ns: time.Since(start).Nanoseconds()})
 		return nil
 	}
-	presBudget := func() core.Budget {
-		return core.Budget{
+	// seq is the designated certificate producer here: its definitive
+	// verdicts always carry a proof object (a derivation or a verified
+	// counter-model), so Cert() is structurally non-nil.
+	if err := run("seq", func() (string, *cert.Certificate, error) {
+		res, err := core.AnalyzePresentation(in.Pres, core.Budget{
 			Chase:       opt.presChaseOptions(),
 			Closure:     opt.closureOptions(),
 			ModelSearch: opt.modelSearchOptions(),
-			FiniteDB:    opt.finiteDBOptions(),
-		}
-	}
-	// race and seq are the designated certificate producers here: their
-	// definitive verdicts always carry a proof object (a derivation or a
-	// verified counter-model), so Cert() is structurally non-nil.
-	if err := run("race", func() (string, *cert.Certificate, error) {
-		res, err := core.AnalyzePresentationRace(in.Pres, presBudget())
-		if err != nil {
-			return "", nil, err
-		}
-		return res.Verdict.String(), res.Cert(), nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := run("seq", func() (string, *cert.Certificate, error) {
-		res, err := core.AnalyzePresentation(in.Pres, presBudget())
+		})
 		if err != nil {
 			return "", nil, err
 		}
@@ -384,8 +361,8 @@ func runPresentation(in corpus.Instance, opt Options) ([]engineOut, error) {
 		// Certify stays off here: an Implied win from the kb arm would
 		// trigger a certifying chase replay at chase.DefaultLimits
 		// floors, and on a wide presentation reduction that replay does
-		// not terminate in fuzzing time. race and seq are the designated
-		// certificate producers for presentation instances.
+		// not terminate in fuzzing time. seq is the designated
+		// certificate producer for presentation instances.
 		res, err := portfolio.AnalyzePresentation(in.Pres, portfolio.Options{
 			Chase:       opt.presChaseOptions(),
 			ModelSearch: opt.modelSearchOptions(),
@@ -471,7 +448,7 @@ func runCase(in corpus.Instance, i int, opt Options) (Case, error) {
 	// the independent checker; a consensus definitive verdict must ship
 	// at least one that does.
 	certified := false
-	for k, o := range outs {
+	for _, o := range outs {
 		run := EngineRun{Engine: o.name, Verdict: o.verdict, NS: o.ns}
 		if o.cert != nil {
 			if err := checkCert(o.cert); err != nil {
@@ -482,7 +459,6 @@ func runCase(in corpus.Instance, i int, opt Options) (Case, error) {
 			}
 		}
 		c.Engines = append(c.Engines, run)
-		_ = k
 	}
 	if definitive(c.Verdict) && !certified {
 		problem("cert", "consensus verdict %q shipped no checkable certificate", c.Verdict)

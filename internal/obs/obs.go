@@ -95,14 +95,14 @@ const (
 	// after the addition).
 	EvRuleAdded EventType = "rule_added"
 	// EvArmStart reports that a dual-semidecision arm began work. From the
-	// race front-end (Src "core") Arm is "derivation" or "model-search";
-	// from the adaptive portfolio (Src "portfolio") Arm names the engine
+	// presentation pipeline (Src "core") Arm is "derivation" or
+	// "model-search"; from the adaptive portfolio (Src "portfolio") Arm names the engine
 	// arm ("kb", "model-search", "chase", "finite-db") and the event
 	// opens one budget lease. Fields: Arm, Round (deepening round, or the
 	// portfolio scheduler tick; 0 outside both).
 	EvArmStart EventType = "arm_start"
-	// EvArmResult reports an arm's outcome: the race arm's result, or the
-	// close of one portfolio lease. Fields: Arm, Round, Verdict (the
+	// EvArmResult reports an arm's outcome: the pipeline arm's result, or
+	// the close of one portfolio lease. Fields: Arm, Round, Verdict (the
 	// arm-level outcome string).
 	EvArmResult EventType = "arm_result"
 	// EvDeepenRound closes one iterative-deepening round. Fields: Round,
@@ -288,11 +288,11 @@ type Event struct {
 }
 
 // Sink receives events. Implementations must be safe for concurrent use:
-// the chase emits from a single goroutine (its sequential merge phase, so
-// the stream is deterministic even with Options.Workers > 1), but the
-// racing front-end emits from both arm goroutines at once. Events arrive
-// in program order per emitting goroutine; no cross-goroutine ordering is
-// guaranteed.
+// the portfolio runs its arms on one goroutine and the chase emits from
+// its sequential merge phase (so the stream is deterministic even with
+// Options.Workers > 1), but a server emits from every in-flight request at
+// once into one shared sink. Events arrive in program order per emitting
+// goroutine; no cross-goroutine ordering is guaranteed.
 type Sink interface {
 	Event(Event)
 }

@@ -398,7 +398,7 @@ func (s *CounterSink) Event(e Event) {
 // ProgressSink renders a live, single-line progress display, overwritten
 // in place with carriage returns — the `-progress` flag of the CLIs. It
 // tracks the most recent chase round, search effort, and arm activity, and
-// is safe for concurrent emitters (the racing front-end's two arms).
+// is safe for concurrent emitters.
 type ProgressSink struct {
 	mu sync.Mutex
 	w  io.Writer

@@ -295,13 +295,6 @@ func AnalyzePresentation(p *words.Presentation, opt Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Instance: in}
-	// A structural kb retirement carried in from a previous run keeps its
-	// definitive meaning even though the arm will not run again.
-	if opt.Memory != nil {
-		if m, ok := opt.Memory.Arms["kb"]; ok && m.Done && m.Note == "refuted" {
-			res.GoalRefuted = true
-		}
-	}
 	scale := scaleOf(opt)
 	arms := []*arm{
 		kbArm(rewrite.FromPresentation(in.Pres), opt, res, scale),

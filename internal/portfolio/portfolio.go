@@ -2,10 +2,11 @@
 // portfolio under a single parent budget, reallocating meter headroom
 // between the arms as live progress signals come in.
 //
-// The static front-ends in core treat the engines as fixed-budget arms: the
-// race gives each arm its whole budget up front, iterative deepening grows
-// every budget by the same schedule whether the arm is converging or
-// thrashing. This package replaces both with a governed portfolio:
+// It is the repository's one inference front-end: tdinfer, tdserve and the
+// differential fuzzer's TD certificate producer all run through it. Rather
+// than give each engine a fixed budget up front, or grow every budget on
+// one schedule whether the engine is converging or thrashing, it governs
+// the engines as a portfolio:
 //
 //   - every arm (Knuth–Bendix completion, finite counter-model search, the
 //     chase, the finite-database enumerator) holds a cumulative budget
@@ -160,9 +161,6 @@ type Options struct {
 	TickScale int
 	// MaxTicks caps scheduler passes; <= 0 means DefaultMaxTicks.
 	MaxTicks int
-	// Memory seeds the arms with allocations learned by a previous run
-	// (see Result.Memory); nil starts cold.
-	Memory *Memory
 	// Certify makes a definitive verdict carry a serializable certificate
 	// (Result.Cert): native proof objects (a validated chase trace, the
 	// verified counter-model) serialize directly, and Implied wins from
@@ -218,27 +216,6 @@ type ArmReport struct {
 	Starved bool
 }
 
-// Memory carries allocations learned by one portfolio run into the next —
-// iterative deepening threads it through rounds so a re-run does not
-// re-learn that (say) the chase needs tuples much faster than rounds.
-type Memory struct {
-	Arms map[string]ArmMemory
-}
-
-// ArmMemory is one arm's learned state.
-type ArmMemory struct {
-	// Grants are the cumulative caps the arm had reached.
-	Grants budget.Limits
-	// Stall and Starved carry the health hysteresis.
-	Stall   int
-	Starved bool
-	// Done with a structural Note ("refuted", "covered") keeps the arm
-	// retired in the next run; budget-relative notes ("exhausted") do
-	// not, since the next run may hold a bigger pool.
-	Done bool
-	Note string
-}
-
 // Result reports a portfolio run.
 type Result struct {
 	Verdict Verdict
@@ -271,8 +248,6 @@ type Result struct {
 	// Stop reports how the parent budget cut the run short; zero when
 	// the run ended by verdict or by every arm retiring.
 	Stop budget.Outcome
-	// Memory is the learned allocation state, ready to seed a re-run.
-	Memory *Memory
 
 	cert *cert.Certificate
 }
@@ -384,29 +359,6 @@ func (a *arm) grown(parent *budget.Governor, mult int) budget.Limits {
 	return l
 }
 
-// adopt seeds the arm from a previous run's memory: grants merge upward
-// (never below this run's opening grants), hysteresis carries over, and a
-// structural retirement stays retired.
-func (a *arm) adopt(mem *Memory) {
-	if mem == nil {
-		return
-	}
-	m, ok := mem.Arms[a.name]
-	if !ok {
-		return
-	}
-	for _, r := range budget.Resources() {
-		if v := m.Grants.Of(r); v > a.cur.Of(r) && a.cur.Of(r) > 0 {
-			a.cur = a.cur.With(r, v)
-		}
-	}
-	a.stall = m.Stall
-	a.starved = m.Starved
-	if m.Done && (m.Note == "refuted" || m.Note == "covered") {
-		a.done, a.note = true, m.Note
-	}
-}
-
 // run is the portfolio scheduler: a sequential, deterministic time-slicer
 // over the arms. res arrives with mode-specific fields (Instance) already
 // set; the arms write their certificates into it through closures.
@@ -433,12 +385,9 @@ func run(arms []*arm, opt Options, res *Result) (*Result, error) {
 	}
 	finish := func(tick int) (*Result, error) {
 		res.Ticks = tick
-		res.Memory = &Memory{Arms: make(map[string]ArmMemory, len(arms))}
 		for _, a := range arms {
 			res.Arms = append(res.Arms, ArmReport{Name: a.name, Leases: a.leases,
 				Grants: a.cur, Used: a.settled, Done: a.done, Note: a.note, Starved: a.starved})
-			res.Memory.Arms[a.name] = ArmMemory{Grants: a.cur, Stall: a.stall,
-				Starved: a.starved, Done: a.done, Note: a.note}
 		}
 		emit(obs.Event{Type: obs.EvVerdict, Verdict: res.Verdict.String(), Round: tick})
 		return res, nil
@@ -450,7 +399,6 @@ func run(arms []*arm, opt Options, res *Result) (*Result, error) {
 	}
 
 	for _, a := range arms {
-		a.adopt(opt.Memory)
 		a.clampSeed(parent)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"templatedep/internal/budget"
 	"templatedep/internal/obs"
@@ -340,51 +341,30 @@ func TestParentPoolClampsGrants(t *testing.T) {
 	}
 }
 
-// Memory carries learned allocations and structural retirements into the
-// next run: the kb arm's definitive refutation stays retired, and the
-// chase arm opens at (at least) its learned grant.
-func TestMemoryCarriesAcrossRuns(t *testing.T) {
-	fopt := tight()
-	fopt.MaxTicks = 4
-	first := analyze(t, "gap", fopt)
-	if first.Memory == nil {
-		t.Fatal("no memory")
+// A parent deadline must stop the portfolio within one checkpoint batch of
+// the running lease, not at the end of the lease: serve's RequestTimeout
+// relies on it. On the gap presentation kb refutes the goal and retires,
+// and neither the model search nor the diverging chase can settle it; the
+// chase's ceilings here are so large that only the deadline can stop the
+// run. The chase polls the shared context every 4096 homomorphisms, so the
+// run returns shortly after the deadline; the wall-clock bound below is a
+// generous CI margin.
+func TestDeadlineOvershootBounded(t *testing.T) {
+	g, cancel := budget.ForDuration(150*time.Millisecond, budget.Limits{})
+	defer cancel()
+	opt := Options{Governor: g}
+	opt.Chase.Governor = budget.New(nil, budget.Limits{Rounds: 1 << 20, Tuples: 1 << 30})
+	start := time.Now()
+	res := analyze(t, "gap", opt)
+	elapsed := time.Since(start)
+	if res.Verdict != Unknown || res.Winner != "" {
+		t.Errorf("verdict %v winner %q, want unknown with no winner", res.Verdict, res.Winner)
 	}
-	kbMem, ok := first.Memory.Arms["kb"]
-	if !ok || !kbMem.Done || kbMem.Note != "refuted" {
-		t.Fatalf("kb memory %+v, want structural refutation", kbMem)
+	if res.Stop.Code != budget.CodeDeadline {
+		t.Errorf("stop %v, want a deadline stop", res.Stop)
 	}
-	var learned int
-	for _, a := range first.Arms {
-		if a.Name == "chase" {
-			learned = a.Grants.Rounds
-		}
-	}
-	if learned <= 2 {
-		t.Fatalf("chase should have grown past its seed in 4 ticks, got %d", learned)
-	}
-
-	sopt := tight()
-	sopt.MaxTicks = 4
-	sopt.Memory = first.Memory
-	second := analyze(t, "gap", sopt)
-	for _, a := range second.Arms {
-		if a.Name == "kb" {
-			if a.Leases != 0 || !a.Done {
-				t.Errorf("kb re-ran despite remembered refutation: %+v", a)
-			}
-		}
-	}
-	for _, d := range second.Decisions {
-		if d.Arm == "chase" && d.Signal == "seed" {
-			if d.New < learned {
-				t.Errorf("chase reseeded at %d, below learned grant %d", d.New, learned)
-			}
-			break
-		}
-	}
-	if !second.GoalRefuted {
-		t.Error("remembered refutation must still set GoalRefuted")
+	if elapsed > 5*time.Second {
+		t.Errorf("deadline overshoot: 150ms budget took %v", elapsed)
 	}
 }
 

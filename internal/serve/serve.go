@@ -1,8 +1,7 @@
-// Package serve is the long-running inference service over the engine
-// front-ends — the adaptive portfolio (internal/portfolio, the default
-// Runner) or the static facade (internal/core, Config.Engine "race"): an
-// HTTP/JSON layer that answers TD-implication queries with the same
-// engines as the CLIs, but amortizes work across requests.
+// Package serve is the long-running inference service over the adaptive
+// portfolio (internal/portfolio, through PortfolioRunner): an HTTP/JSON
+// layer that answers TD-implication queries with the same engines as the
+// CLIs, but amortizes work across requests.
 //
 // Undecidability shapes the serving economics. A single query may burn its
 // entire budget and still answer Unknown — that is the honest outcome the
@@ -88,9 +87,9 @@ type Config struct {
 	// negative disables state caching). State entries carry chased
 	// instances, so the default is much smaller than the verdict cache's.
 	StateCacheSize int
-	// Workers sets the engines' intra-run parallelism (chase round
-	// sharding, finite-db subtree splitting) for every cold run; 0 keeps
-	// the engines serial. Results are bit-identical for every value.
+	// Workers sets the chase's intra-run parallelism (round sharding) for
+	// every cold run; 0 keeps it serial. The portfolio runs its search
+	// arms serially. Results are bit-identical for every value.
 	Workers int
 	// Sink receives every event of every request, each stamped with the
 	// request's trace ID.
@@ -98,13 +97,7 @@ type Config struct {
 	// Counters, when set, additionally folds every event through a
 	// CounterSink — the source of /metrics.
 	Counters *obs.Counters
-	// Engine picks the inference front-end when Runner is nil:
-	// "portfolio" (or "") serves every cold run through the adaptive
-	// portfolio scheduler, "race" through the static fixed-budget
-	// front-ends (the pre-portfolio behavior).
-	Engine string
-	// Runner overrides the engine entry point (nil = resolved from
-	// Engine).
+	// Runner overrides the engine entry point (nil = PortfolioRunner).
 	Runner Runner
 	// Store, when set, is the disk-backed write-through verdict store:
 	// every answered verdict is persisted (internal/store supersession
@@ -281,11 +274,7 @@ func New(cfg Config) *Server {
 		cfg.StateCacheSize = defaultStateCacheSize
 	}
 	if cfg.Runner == nil {
-		if cfg.Engine == "race" {
-			cfg.Runner = CoreRunner
-		} else {
-			cfg.Runner = PortfolioRunner
-		}
+		cfg.Runner = PortfolioRunner
 	}
 	var base []obs.Sink
 	if cfg.Sink != nil {
@@ -418,10 +407,6 @@ func (s *Server) budgetFor(p *Problem, sink obs.Sink) (core.Budget, *budget.Gove
 	b.Chase = chase.DefaultOptions()
 	b.Chase.Governor = g.Child(s.chaseLimits(p))
 	b.Chase.Workers = s.cfg.Workers
-	b.FiniteDB.Workers = s.cfg.Workers
-	b.Closure.Governor = g.Child(budget.Limits{
-		Words: pick(l.Words, words.DefaultLimits.Words),
-	})
 	b.ModelSearch.Governor = g.Child(budget.Limits{
 		Nodes: pick(l.Nodes, search.DefaultLimits.Nodes),
 	})
@@ -431,37 +416,7 @@ func (s *Server) budgetFor(p *Problem, sink obs.Sink) (core.Budget, *budget.Gove
 	return b, g, cancel
 }
 
-// CoreRunner is the production Runner: the racing front-end for
-// presentations (first definitive arm wins), the sequential dual run for
-// TD instances.
-func CoreRunner(_ context.Context, p *Problem, b core.Budget) (CachedVerdict, error) {
-	if p.Pres != nil {
-		res, err := core.AnalyzePresentationRace(p.Pres, b)
-		if err != nil {
-			return CachedVerdict{}, err
-		}
-		return CachedVerdict{Verdict: res.Verdict, Winner: res.Winner, Cert: res.Cert()}, nil
-	}
-	res, err := core.Infer(p.Deps, p.Goal, b)
-	if err != nil {
-		return CachedVerdict{}, err
-	}
-	winner := ""
-	switch res.Verdict {
-	case core.Implied:
-		winner = "chase"
-	case core.FiniteCounterexample:
-		winner = "finite-db"
-	}
-	v := CachedVerdict{Verdict: res.Verdict, Winner: winner, Cert: res.Cert()}
-	if res.Chase != nil {
-		v.State = res.Chase.State
-		v.Warm = res.Chase.WarmStarted
-	}
-	return v, nil
-}
-
-// PortfolioRunner is the default Runner: every arm races under one
+// PortfolioRunner is the default Runner: every arm runs under one
 // adaptive portfolio governor, with meter headroom reallocated between
 // arms from live progress signals. The chase-state cache keeps working
 // unchanged — the chase arm threads the request's warm state into its
