@@ -109,7 +109,7 @@ func BenchmarkReductionDirectionA(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := chase.Implies(in.D, in.D0, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000}), SemiNaive: true})
+				res, err := chase.Implies(in.D, in.D0, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000})})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -249,7 +249,7 @@ func BenchmarkFullTDDecision(b *testing.B) {
 		b.Run(fmt.Sprintf("antecedents=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := chase.Implies([]*td.TD{join}, goal, chase.DefaultOptions())
+				res, err := chase.Implies([]*td.TD{join}, goal, chase.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -281,7 +281,7 @@ func BenchmarkEIDChase(b *testing.B) {
 	b.Run("implies/projection", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := eid.Implies([]*eid.EID{e}, projA, eid.DefaultOptions())
+			res, err := eid.Implies([]*eid.EID{e}, projA, eid.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -312,8 +312,8 @@ func BenchmarkAdjoinIdentity(b *testing.B) {
 // E9: the dual semidecision on the three canonical instances — who
 // terminates on what.
 func BenchmarkDualSemidecision(b *testing.B) {
-	bud := core.DefaultBudget()
-	bud.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000}), SemiNaive: true}
+	bud := core.Budget{}
+	bud.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000})}
 	bud.Closure = words.ClosureOptions{Governor: budget.New(nil, budget.Limits{Words: 3000}), LengthCap: 10}
 	bud.ModelSearch = search.Options{Orders: budget.Range{Lo: 2, Hi: 4}, Governor: budget.New(nil, budget.Limits{Nodes: 300000})}
 	bud.FiniteDB = finitemodel.Options{Sizes: budget.Range{Lo: 1, Hi: 2}}
@@ -349,15 +349,15 @@ func BenchmarkChaseSchedulers(b *testing.B) {
 	for i := 0; i < 6; i++ {
 		start.MustAdd(relation.Tuple{0, relation.Value(i), relation.Value(i)})
 	}
-	for _, semiNaive := range []bool{false, true} {
-		name := "naive"
-		if semiNaive {
-			name = "semi-naive"
+	for _, naive := range []bool{true, false} {
+		name := "semi-naive"
+		if naive {
+			name = "naive"
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e, err := chase.NewEngine(s, []*td.TD{join}, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 10000}), SemiNaive: semiNaive})
+				e, err := chase.NewEngine(s, []*td.TD{join}, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 10000}), Naive: naive})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -384,7 +384,7 @@ func BenchmarkChaseVariants(b *testing.B) {
 		b.Run(v.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e, err := chase.NewEngine(s, []*td.TD{join}, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 10000}), Variant: v, SemiNaive: true})
+				e, err := chase.NewEngine(s, []*td.TD{join}, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 10000}), Variant: v})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -417,7 +417,7 @@ tail:   R(a, b, c) & R(a', b', c) -> R(a, b', c)
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				e, err := chase.NewEngine(s, deps, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 20000}), SemiNaive: true, Workers: workers})
+				e, err := chase.NewEngine(s, deps, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 20000}), Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -448,8 +448,8 @@ func BenchmarkJoinStrategies(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					res, err := chase.Implies(in.D, in.D0, chase.Options{
-						Governor:  budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000}),
-						SemiNaive: true, Join: join,
+						Governor: budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000}),
+						Join:     join,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -479,8 +479,8 @@ func BenchmarkJoinClosure(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					e, err := chase.NewEngine(s, []*td.TD{join}, chase.Options{
-						Governor:  budget.New(nil, budget.Limits{Rounds: 50, Tuples: 10000}),
-						SemiNaive: true, Join: strat,
+						Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 10000}),
+						Join:     strat,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -592,8 +592,8 @@ func BenchmarkSearchStrategies(b *testing.B) {
 		name string
 		run  func() words.Result
 	}{
-		{"forward/goal", func() words.Result { return words.DeriveGoal(p, words.DefaultClosureOptions()) }},
-		{"bidirectional/goal", func() words.Result { return words.DeriveGoalBidirectional(p, words.DefaultClosureOptions()) }},
+		{"forward/goal", func() words.Result { return words.DeriveGoal(p, words.ClosureOptions{}) }},
+		{"bidirectional/goal", func() words.Result { return words.DeriveGoalBidirectional(p, words.ClosureOptions{}) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -615,7 +615,7 @@ func BenchmarkWordClosure(b *testing.B) {
 		b.Run(fmt.Sprintf("chain=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res := words.DeriveGoal(p, words.DefaultClosureOptions())
+				res := words.DeriveGoal(p, words.ClosureOptions{})
 				if res.Verdict != words.Derivable {
 					b.Fatal("not derivable")
 				}

@@ -60,8 +60,8 @@ func TestCancelledChaseTraceReplaysToPartialStats(t *testing.T) {
 	defer cancel()
 	var buf bytes.Buffer
 	e, err := chase.NewEngine(in.Schema, in.D, chase.Options{
-		Governor:  budget.New(ctx, budget.Limits{Rounds: 1000, Tuples: 1_000_000}),
-		SemiNaive: true, Sink: obs.NewJSONLSink(&buf)})
+		Governor: budget.New(ctx, budget.Limits{Rounds: 1000, Tuples: 1_000_000}),
+		Sink:     obs.NewJSONLSink(&buf)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,8 @@ func TestExhaustedChaseTraceReplaysToPartialStats(t *testing.T) {
 	in := reduction.MustBuild(words.IdempotentGapPresentation())
 	var buf bytes.Buffer
 	res, err := chase.Implies(in.D, in.D0, chase.Options{
-		Governor:  budget.New(nil, budget.Limits{Rounds: 3, Tuples: 1_000_000}),
-		SemiNaive: true, Sink: obs.NewJSONLSink(&buf)})
+		Governor: budget.New(nil, budget.Limits{Rounds: 3, Tuples: 1_000_000}),
+		Sink:     obs.NewJSONLSink(&buf)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestDeadlineMidRoundTraceStaysClosed(t *testing.T) {
 	var buf bytes.Buffer
 	start := time.Now()
 	res, err := chase.Implies(in.D, in.D0, chase.Options{
-		Governor: g, SemiNaive: true, Sink: obs.NewJSONLSink(&buf)})
+		Governor: g, Sink: obs.NewJSONLSink(&buf)})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestEIDChaseMatchesTDChaseUnderIdenticalGovernors(t *testing.T) {
 func chaseDifferences(t *testing.T, deps []*td.TD, goal *td.TD, limits budget.Limits) []string {
 	t.Helper()
 	tres, err := chase.Implies(deps, goal, chase.Options{
-		Governor: budget.New(nil, limits), SemiNaive: true})
+		Governor: budget.New(nil, limits)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,8 @@
 # for upload.
 #
 # Stages (limit in seconds):
-#   static  (300) — gofmt, build, vet, docs-freshness greps
+#   static  (300) — gofmt, build, vet, docs-freshness greps (event,
+#                   counter and package vocabularies, tdserve's flags)
 #   unit    (600) — full test suite, -count=1 (no cached results), plus
 #                   the perfbench module's own vet and tests
 #   race    (900) — full suite under the race detector (chase worker
@@ -170,6 +171,21 @@ stage_static() {
     for token in fuzz.cases fuzz.disagreements fuzz.family.; do
         if ! grep -q -- "$token" docs/OBSERVABILITY.md; then
             echo "docs/OBSERVABILITY.md: fuzz counter \"$token\" (from internal/obs) is undocumented" >&2
+            exit 1
+        fi
+    done
+
+    # tdserve's operator surface: every flag `tdserve -h` prints must be
+    # documented in README.md.
+    local flags
+    flags=$(go run ./cmd/tdserve -h 2>&1 | sed -n 's/^  -\([a-z-]*\).*/\1/p')
+    if [[ -z "$flags" ]]; then
+        echo "tdserve -h printed no flags" >&2
+        exit 1
+    fi
+    for flag in $flags; do
+        if ! grep -qE -- "(^|[^a-z-])-$flag([^a-z-]|\$)" README.md; then
+            echo "README.md: tdserve flag -$flag is undocumented" >&2
             exit 1
         fi
     done

@@ -386,40 +386,71 @@ func TestCLI(t *testing.T) {
 		run("tdbench", 0, "-checkportfolio", "BENCH_portfolio.json")
 	})
 
-	// The differential-fuzz report validator is the fuzz stage's gate:
-	// each known-bad edit of the committed report must fail it with the
-	// reason named, and the committed report itself must pass.
-	t.Run("tdbench-checkfuzz", func(t *testing.T) {
-		committed, err := os.ReadFile("BENCH_fuzz.json")
+	// find returns the element of rep[list] whose field equals value; drop
+	// removes it.
+	find := func(t *testing.T, rep map[string]any, list, field, value string) map[string]any {
+		t.Helper()
+		for _, e := range rep[list].([]any) {
+			if e := e.(map[string]any); e[field] == value {
+				return e
+			}
+		}
+		t.Fatalf("committed report has no %s with %s %q", list, field, value)
+		return nil
+	}
+	drop := func(rep map[string]any, list, field, value string) {
+		var kept []any
+		for _, e := range rep[list].([]any) {
+			if e.(map[string]any)[field] != value {
+				kept = append(kept, e)
+			}
+		}
+		rep[list] = kept
+	}
+	num := func(v any) int { return int(v.(float64)) }
+	// knownBad runs a report validator on edits of a committed report:
+	// each edit must fail it naming the reason, and the committed report
+	// itself must pass.
+	type badEdit struct {
+		name, want string
+		edit       func(rep map[string]any)
+	}
+	knownBad := func(t *testing.T, flag, committedPath string, cases []badEdit) {
+		committed, err := os.ReadFile(committedPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// family returns the named family of rep; num reads a JSON number
-		// as an int.
-		family := func(rep map[string]any, name string) map[string]any {
-			for _, f := range rep["families"].([]any) {
-				if f := f.(map[string]any); f["family"] == name {
-					return f
-				}
-			}
-			t.Fatalf("committed report has no %s family", name)
-			return nil
-		}
-		num := func(v any) int { return int(v.(float64)) }
 		dir := t.TempDir()
-		for _, tc := range []struct {
-			name, want string
-			edit       func(rep map[string]any)
-		}{
+		for _, tc := range cases {
+			var rep map[string]any
+			if err := json.Unmarshal(committed, &rep); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(rep)
+			data, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, tc.name+".json")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if out := run("tdbench", 1, flag, path); !strings.Contains(out, tc.want) {
+				t.Errorf("%s: output lacks %q:\n%s", tc.name, tc.want, out)
+			}
+		}
+		run("tdbench", 0, flag, committedPath)
+	}
+
+	// The differential-fuzz report validator is the fuzz stage's gate.
+	t.Run("tdbench-checkfuzz", func(t *testing.T) {
+		family := func(rep map[string]any, name string) map[string]any {
+			return find(t, rep, "families", "family", name)
+		}
+		knownBad(t, "-checkfuzz", "BENCH_fuzz.json", []badEdit{
 			{"missing-family", `missing corpus family "tm"`, func(rep map[string]any) {
 				tm := num(family(rep, "tm")["cases"])
-				var kept []any
-				for _, f := range rep["families"].([]any) {
-					if f.(map[string]any)["family"] != "tm" {
-						kept = append(kept, f)
-					}
-				}
-				rep["families"] = kept
+				drop(rep, "families", "family", "tm")
 				rep["instances"] = num(rep["instances"]) - tm
 			}},
 			{"verdict-sum", "family random: verdict counts sum to", func(rep map[string]any) {
@@ -445,25 +476,86 @@ func TestCLI(t *testing.T) {
 				rep["counters"].(map[string]any)["fuzz.cases"] = num(rep["instances"]) - 1
 			}},
 			{"unknown-field", `unknown field "bogus"`, func(rep map[string]any) { rep["bogus"] = 1 }},
-		} {
-			var rep map[string]any
-			if err := json.Unmarshal(committed, &rep); err != nil {
-				t.Fatal(err)
-			}
-			tc.edit(rep)
-			data, err := json.Marshal(rep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(dir, tc.name+".json")
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if out := run("tdbench", 1, "-checkfuzz", path); !strings.Contains(out, tc.want) {
-				t.Errorf("%s: output lacks %q:\n%s", tc.name, tc.want, out)
-			}
+		})
+	})
+
+	// The chase bench validator (ci.sh's bench stage).
+	t.Run("tdbench-checkbench", func(t *testing.T) {
+		result := func(rep map[string]any, name string) map[string]any {
+			return find(t, rep, "results", "name", name)
 		}
-		run("tdbench", 0, "-checkfuzz", "BENCH_fuzz.json")
+		knownBad(t, "-checkbench", "BENCH_chase.json", []badEdit{
+			{"missing-plain", "missing workload f1/roundtrip", func(rep map[string]any) {
+				drop(rep, "results", "name", "f1/roundtrip")
+			}},
+			{"missing-scan", "workload chase/decide_full missing a join arm (index present: true, scan present: false)", func(rep map[string]any) {
+				drop(rep, "results", "name", "chase/decide_full/scan")
+			}},
+			{"join-disagree", "workload chase/implies_chain2: join strategies disagree (index=implied scan=unknown)", func(rep map[string]any) {
+				result(rep, "chase/implies_chain2/scan")["verdict"] = "unknown"
+			}},
+			{"missing-parallel", "workload chase/implies_chain3: missing /parallel arm", func(rep map[string]any) {
+				drop(rep, "results", "name", "chase/implies_chain3/parallel")
+			}},
+			{"warm-flip", "workload chase/implies_chain1/index: warm repeat flips the verdict", func(rep map[string]any) {
+				result(rep, "chase/implies_chain1/index")["warm_verdict"] = "unknown"
+			}},
+			{"no-warm-speedup", "no workload shows a >=2x warm-start speedup", func(rep map[string]any) {
+				for _, r := range rep["results"].([]any) {
+					if r := r.(map[string]any); r["warm_ns_per_op"] != nil {
+						r["warm_ns_per_op"] = r["ns_per_op"]
+					}
+				}
+			}},
+			{"non-positive-ns", "workload f2/bridge_len4: non-positive ns_per_op", func(rep map[string]any) {
+				result(rep, "f2/bridge_len4")["ns_per_op"] = 0
+			}},
+		})
+	})
+
+	// The search ablation validator (ci.sh's bench stage).
+	t.Run("tdbench-checksearch", func(t *testing.T) {
+		workload := func(rep map[string]any, name string) map[string]any {
+			return find(t, rep, "workloads", "name", name)
+		}
+		knownBad(t, "-checksearch", "BENCH_search.json", []badEdit{
+			{"missing-arm", "workload modelsearch/gap missing ablation arm parallel-4/none", func(rep map[string]any) {
+				w := workload(rep, "modelsearch/gap")
+				w["arms"] = w["arms"].([]any)[:3]
+			}},
+			{"verdicts-differ", "workload finitedb/power: verdict changed across ablation arms", func(rep map[string]any) {
+				workload(rep, "finitedb/power")["verdicts_identical"] = false
+			}},
+			{"summary-differs", "summary reports non-identical verdicts", func(rep map[string]any) {
+				rep["summary"].(map[string]any)["all_verdicts_identical"] = false
+			}},
+			{"no-workloads", "no workloads", func(rep map[string]any) { rep["workloads"] = []any{} }},
+		})
+	})
+
+	// The sharded-serving validator (ci.sh's shard stage).
+	t.Run("tdbench-checkserve", func(t *testing.T) {
+		restart := func(rep map[string]any) map[string]any { return rep["restart"].(map[string]any) }
+		knownBad(t, "-checkserve", "BENCH_serve.json", []badEdit{
+			{"replicas", "replicas = 2, want 3", func(rep map[string]any) { rep["replicas"] = 2 }},
+			{"burst-sum", "burst sources sum to", func(rep map[string]any) {
+				b := rep["burst"].(map[string]any)
+				b["cold"] = num(b["cold"]) + 1
+			}},
+			{"no-peer-ok", "no peer fill was adopted anywhere in the ring", func(rep map[string]any) {
+				rep["peer_ok_total"] = 0
+				for _, sh := range rep["per_shard"].([]any) {
+					sh.(map[string]any)["peer_ok"] = 0
+				}
+			}},
+			{"restart-store-hits", "restart served 6 of 7 repeats from the store", func(rep map[string]any) {
+				restart(rep)["store_hits"] = num(restart(rep)["repeated_keys"]) - 1
+			}},
+			{"restart-recomputes", "restart re-ran 1 engines", func(rep map[string]any) {
+				restart(rep)["recomputes"] = 1
+			}},
+			{"unknown-field", `unknown field "bogus"`, func(rep map[string]any) { rep["bogus"] = 1 }},
+		})
 	})
 
 	// The service lifecycle across a real process boundary: start tdserve

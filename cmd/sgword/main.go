@@ -161,7 +161,7 @@ func main() {
 		}
 	case "analyze":
 		g := budget.New(ctx, budget.Limits{})
-		b := core.DefaultBudget()
+		b := core.Budget{}
 		b.Governor = g
 		b.Closure = words.ClosureOptions{
 			Governor:  g.Child(budget.Limits{Words: *maxWords}),

@@ -181,8 +181,8 @@ func writeBenchJSON(path string, metrics bool) {
 			a := a
 			mkOpt := func() chase.Options {
 				return chase.Options{
-					Governor:  budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000}),
-					SemiNaive: true, Join: a.join, Workers: a.workers,
+					Governor: budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000}),
+					Join:     a.join, Workers: a.workers,
 				}
 			}
 			res, err := chase.Implies(in.D, in.D0, mkOpt())
@@ -239,7 +239,7 @@ func writeBenchJSON(path string, metrics bool) {
 	joinDep := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
 	goal := td.MustParse(s, "R(a, b0, c0) & R(a, b1, c1) & R(a, b2, c2) -> R(a, b0, c2)", "goal")
 	for _, js := range []chase.JoinStrategy{chase.JoinIndex, chase.JoinScan} {
-		opt := chase.DefaultOptions()
+		opt := chase.Options{}
 		opt.Join = js
 		res, err := chase.Implies([]*td.TD{joinDep}, goal, opt)
 		check(err)

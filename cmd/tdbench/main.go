@@ -189,9 +189,9 @@ func e1() {
 	}
 	for _, tc := range cases {
 		in := reduction.MustBuild(tc.p)
-		dres := words.DeriveGoal(in.Pres, words.DefaultClosureOptions())
+		dres := words.DeriveGoal(in.Pres, words.ClosureOptions{})
 		start := time.Now()
-		cres, err := chase.Implies(in.D, in.D0, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000}), SemiNaive: true})
+		cres, err := chase.Implies(in.D, in.D0, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000})})
 		check(err)
 		fmt.Printf("%-10s %-12d %-9s %-8d %-8d %-10s\n",
 			tc.name, dres.Derivation.Len(), cres.Verdict, cres.Stats.Rounds, cres.Instance.Len(),
@@ -201,7 +201,7 @@ func e1() {
 
 	// Growth curve for chain3: canonical-database size per round.
 	in := reduction.MustBuild(words.ChainPresentation(3))
-	gres, err := chase.Implies(in.D, in.D0, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000}), SemiNaive: true, KeepHistory: true})
+	gres, err := chase.Implies(in.D, in.D0, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000}), KeepHistory: true})
 	check(err)
 	fmt.Print("chain3 growth (round: tuples):")
 	for _, h := range gres.History {
@@ -296,7 +296,7 @@ func e6() {
 		}
 		goalText += fmt.Sprintf(" -> R(a, b0, c%d)", k-1)
 		goal := td.MustParse(s, goalText, "goal")
-		res, err := chase.Implies([]*td.TD{join}, goal, chase.DefaultOptions())
+		res, err := chase.Implies([]*td.TD{join}, goal, chase.Options{})
 		check(err)
 		fmt.Printf("%-14s %-9s %-10v %-8d\n",
 			fmt.Sprintf("%d-antecedent", k), res.Verdict, res.FixpointReached, res.Stats.Rounds)
@@ -334,8 +334,8 @@ func e8() {
 
 func e9() {
 	header("E9 (inseparability)", "dual semidecision: who terminates on what")
-	b := core.DefaultBudget()
-	b.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000}), SemiNaive: true}
+	b := core.Budget{}
+	b.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000})}
 	b.Closure = words.ClosureOptions{Governor: budget.New(nil, budget.Limits{Words: 3000}), LengthCap: 10}
 	b.ModelSearch = search.Options{Orders: budget.Range{Lo: 2, Hi: 4}, Governor: budget.New(nil, budget.Limits{Nodes: 300000})}
 	b.FiniteDB = finitemodel.Options{Sizes: budget.Range{Lo: 1, Hi: 2}}
@@ -381,8 +381,8 @@ func e11() {
 		{"chain8", words.ChainPresentation(8)},
 		{"twostep", words.TwoStepPresentation()},
 	} {
-		f := words.DeriveGoal(tc.p, words.DefaultClosureOptions())
-		bi := words.DeriveGoalBidirectional(tc.p, words.DefaultClosureOptions())
+		f := words.DeriveGoal(tc.p, words.ClosureOptions{})
+		bi := words.DeriveGoalBidirectional(tc.p, words.ClosureOptions{})
 		fmt.Printf("%-10s %-10s %-11d %-10s %-11d\n",
 			tc.name, f.Verdict, f.WordsExplored, bi.Verdict, bi.WordsExplored)
 	}
@@ -397,14 +397,14 @@ triple: R(a, b, c) & R(a, b', c') & R(a, b'', c'') -> R(a, b, c'')
 other:  R(a, b, c) & R(a', b, c') -> R(a, b, c')
 `)
 	check(err)
-	red, err := chase.RedundantMembers(deps, chase.DefaultOptions())
+	red, err := chase.RedundantMembers(deps, chase.Options{})
 	check(err)
 	fmt.Printf("redundant members of {join, triple, other}: %v (join ≡ triple via antecedent collapse)\n", red)
 	bloated := td.MustParse(s, "R(a, b, c) & R(a, b', c') & R(a, b'', c'') -> R(a, b, c'')", "bloated")
-	min, err := chase.MinimizeAntecedents(bloated, chase.DefaultOptions())
+	min, err := chase.MinimizeAntecedents(bloated, chase.Options{})
 	check(err)
 	fmt.Printf("antecedent minimization: %d -> %d antecedents\n", bloated.NumAntecedents(), min.NumAntecedents())
-	eq, err := chase.Equivalent([]*td.TD{bloated}, []*td.TD{min}, chase.DefaultOptions())
+	eq, err := chase.Equivalent([]*td.TD{bloated}, []*td.TD{min}, chase.Options{})
 	check(err)
 	fmt.Printf("minimized form equivalent: %v\n", eq == chase.Implied)
 }

@@ -2,7 +2,10 @@
 // times the adaptive portfolio (portfolio.AnalyzePresentation: leases
 // reallocated from live progress signals) on a grid of presets and writes
 // one JSON document (BENCH_portfolio.json in-repo) recording, per preset,
-// the time per run, the verdict, the winning arm and the scheduler's work.
+// the time per run, the verdict, the winning arm and the scheduler's work,
+// and once for the whole grid the arms' hard ceilings. The ceilings are
+// not tdserve's: tdserve caps kb at 200 rules / 25 sweeps, so it answers
+// collapse:4 unknown where this grid's kb, at the engine default, wins.
 //
 // The grid covers each arm that settles presentations:
 //
@@ -28,6 +31,7 @@ import (
 	"fmt"
 
 	"templatedep/internal/budget"
+	"templatedep/internal/core"
 	"templatedep/internal/portfolio"
 	"templatedep/internal/rewrite"
 	"templatedep/internal/words"
@@ -44,11 +48,22 @@ type portfolioWorkload struct {
 	Decisions int `json:"decisions"`
 }
 
+// portfolioCeilings are the arms' hard ceilings every grid run used.
+type portfolioCeilings struct {
+	ChaseRounds       int    `json:"chase_rounds"`
+	ChaseTuples       int    `json:"chase_tuples"`
+	ModelSearchNodes  int    `json:"model_search_nodes"`
+	ModelSearchOrders [2]int `json:"model_search_orders"`
+	KBRules           int    `json:"kb_rules"`
+	KBSweeps          int    `json:"kb_sweeps"`
+}
+
 type portfolioReport struct {
 	reportHost
 	// Quick marks single-timed-run reports (CI smoke): verdicts and
 	// winners are meaningful, the timings are not.
 	Quick     bool                `json:"quick"`
+	Ceilings  portfolioCeilings   `json:"ceilings"`
 	Workloads []portfolioWorkload `json:"workloads"`
 }
 
@@ -62,31 +77,40 @@ var portfolioGrid = []struct{ preset, verdict, winner string }{
 	{"collapse:4", "implied", "kb"},
 }
 
-// portfolioBenchOptions fixes the arms' hard ceilings: a 300k-node budget
+// portfolioBenchCeilings are the grid's arm ceilings: a 300k-node budget
 // over semigroup orders 2–6 for the counter-model search, the
-// engine-default rule budget for completion, and the tdinfer-default
-// chase meters for the chase arm.
-func portfolioBenchOptions() portfolio.Options {
-	opt := portfolio.Options{}
-	opt.Completion.Governor = budget.New(nil, rewrite.DefaultLimits)
-	opt.ModelSearch.Governor = budget.New(nil, budget.Limits{Nodes: 300_000})
-	opt.ModelSearch.Orders = budget.Range{Lo: 2, Hi: 6}
-	opt.Chase.Governor = budget.New(nil, budget.Limits{Rounds: 64, Tuples: 100_000})
-	return opt
+// tdinfer-default chase meters for the chase arm, and the engine default
+// for completion.
+var portfolioBenchCeilings = portfolioCeilings{
+	ChaseRounds: 64, ChaseTuples: 100_000,
+	ModelSearchNodes: 300_000, ModelSearchOrders: [2]int{2, 6},
+	KBRules: rewrite.DefaultLimits.Rules, KBSweeps: rewrite.DefaultLimits.Rounds,
+}
+
+// portfolioBenchBudget builds a fresh budget at portfolioBenchCeilings;
+// kb's governor stays nil, which means rewrite.DefaultLimits.
+func portfolioBenchBudget() core.Budget {
+	c := portfolioBenchCeilings
+	b := core.Budget{}
+	b.ModelSearch.Governor = budget.New(nil, budget.Limits{Nodes: c.ModelSearchNodes})
+	b.ModelSearch.Orders = budget.Range{Lo: c.ModelSearchOrders[0], Hi: c.ModelSearchOrders[1]}
+	b.Chase.Governor = budget.New(nil, budget.Limits{Rounds: c.ChaseRounds, Tuples: c.ChaseTuples})
+	return b
 }
 
 func writePortfolioJSON(path string, quick bool) {
 	fail := reportFail("portfolio")
 	reportProbe(path, fail)
 
-	rep := portfolioReport{reportHost: newReportHost(), Quick: quick}
+	rep := portfolioReport{reportHost: newReportHost(), Quick: quick, Ceilings: portfolioBenchCeilings}
+	fmt.Printf("ceilings: %+v\n\n", rep.Ceilings)
 	for _, g := range portfolioGrid {
 		p, err := words.Preset(g.preset)
 		check(err)
-		res, err := portfolio.AnalyzePresentation(p, portfolioBenchOptions())
+		res, err := portfolio.AnalyzePresentation(p, portfolioBenchBudget())
 		check(err)
 		ns := measureNs(quick, func() {
-			_, err := portfolio.AnalyzePresentation(p, portfolioBenchOptions())
+			_, err := portfolio.AnalyzePresentation(p, portfolioBenchBudget())
 			check(err)
 		})
 		w := portfolioWorkload{Name: g.preset, NsPerOp: ns, Verdict: res.Verdict.String(),

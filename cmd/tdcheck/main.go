@@ -88,7 +88,7 @@ func main() {
 	fmt.Printf("%d of %d dependencies violated\n", violations, len(deps))
 
 	if *repair {
-		e, err := chase.NewEngine(schema, deps, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: *rounds, Tuples: 100000}), SemiNaive: true})
+		e, err := chase.NewEngine(schema, deps, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: *rounds, Tuples: 100000})})
 		if err != nil {
 			fatal(err)
 		}

@@ -153,12 +153,12 @@ func main() {
 		defer cancel()
 	}
 
-	b := core.DefaultBudget()
+	b := core.Budget{}
 	b.Governor = budget.New(ctx, budget.Limits{})
 	b.Certify = *certFile != "" || *proof
 	b.Chase = chase.Options{
-		Governor:  b.Governor.Child(budget.Limits{Rounds: *rounds, Tuples: *tuples}),
-		SemiNaive: true, Trace: *proof, PerDepStats: *depStats,
+		Governor: b.Governor.Child(budget.Limits{Rounds: *rounds, Tuples: *tuples}),
+		Trace:    *proof, PerDepStats: *depStats,
 	}
 	b.FiniteDB.Sizes = budget.Range{Lo: 1, Hi: *fmTuples}
 	b.Chase.Workers = *workers
@@ -202,7 +202,7 @@ func main() {
 	fmt.Printf("D0:  %s\n\n", goal.Format())
 
 	start := time.Now()
-	res, err := portfolio.Infer(depSet, goal, b.PortfolioOptions())
+	res, err := portfolio.Infer(depSet, goal, b)
 	if err != nil {
 		fatal(err)
 	}
@@ -226,7 +226,7 @@ func main() {
 			}
 		}
 	}
-	if *proof && res.Verdict == portfolio.Implied {
+	if *proof && res.Verdict == core.Implied {
 		switch {
 		case res.Chase != nil && len(res.Chase.Trace) > 0:
 			fmt.Println("proof trace:")
@@ -246,7 +246,7 @@ func main() {
 	if res.Counterexample != nil {
 		fmt.Printf("finite counterexample (%d tuples):\n%s", res.Counterexample.Len(), res.Counterexample.String())
 	}
-	if *proof && res.Verdict == portfolio.FiniteCounterexample {
+	if *proof && res.Verdict == core.FiniteCounterexample {
 		printCounterexampleProof(res, presetPres, presetInst, b)
 	}
 	if *certFile != "" {
@@ -263,7 +263,7 @@ func main() {
 		}
 		fmt.Printf("certificate: kind=%s written to %s (re-check with: tdcheck -verify %s)\n", c.Kind, *certFile, *certFile)
 	}
-	if res.Verdict == portfolio.Unknown {
+	if res.Verdict == core.Unknown {
 		switch ctx.Err() {
 		case context.Canceled:
 			fmt.Printf("interrupted after %v — partial results only.\n", time.Since(start).Round(time.Millisecond))

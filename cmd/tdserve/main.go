@@ -68,7 +68,6 @@ func main() {
 		rounds       = flag.Int("rounds", 0, "per-request chase round budget (0 = engine default)")
 		tuples       = flag.Int("tuples", 0, "per-request chase tuple budget (0 = engine default)")
 		nodes        = flag.Int("nodes", 0, "per-request search node budget (0 = engine default)")
-		wordsCap     = flag.Int("words", 0, "per-request closure word budget (0 = engine default)")
 		traceFile    = flag.String("trace", "", "write the structured event stream to FILE as JSONL (see docs/OBSERVABILITY.md)")
 		storePath    = flag.String("store", "", "disk-backed verdict store FILE (append-log; created if absent, replayed on start)")
 		peers        = flag.String("peers", "", "comma-separated base URLs of every ring replica, this one included (enables consistent-hash peer fill)")
@@ -97,7 +96,7 @@ func main() {
 
 	counters := obs.NewCounters()
 	cfg := serve.Config{
-		Limits:         budget.Limits{Rounds: *rounds, Tuples: *tuples, Nodes: *nodes, Words: *wordsCap},
+		Limits:         budget.Limits{Rounds: *rounds, Tuples: *tuples, Nodes: *nodes},
 		RequestTimeout: *reqTimeout,
 		MaxInflight:    *maxInflight,
 		CacheSize:      *cacheSize,

@@ -27,7 +27,7 @@ func TestImpliesVerdictsIdenticalAcrossJoins(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := reduction.MustBuild(tc.p)
-			opt := chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000}), SemiNaive: true}
+			opt := chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000})}
 			opt.Join = chase.JoinIndex
 			ri, err := chase.Implies(in.D, in.D0, opt)
 			if err != nil {

@@ -32,7 +32,7 @@ func main() {
 
 	// The EID implies both projections...
 	for _, goal := range []*eid.EID{projA, projB} {
-		res, err := eid.Implies([]*eid.EID{paperEID}, goal, eid.DefaultOptions())
+		res, err := eid.Implies([]*eid.EID{paperEID}, goal, eid.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

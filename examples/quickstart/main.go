@@ -40,7 +40,7 @@ func main() {
 	fmt.Println("database satisfies fig1:", ok) // false: nobody supplies style 0 in size 1
 
 	// Repair by chasing: close the database under the dependency.
-	engine, err := chase.NewEngine(schema, []*td.TD{fig1}, chase.DefaultOptions())
+	engine, err := chase.NewEngine(schema, []*td.TD{fig1}, chase.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ires, err := chase.Implies([]*td.TD{fig1}, sym, chase.DefaultOptions())
+	ires, err := chase.Implies([]*td.TD{fig1}, sym, chase.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

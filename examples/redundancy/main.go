@@ -42,7 +42,7 @@ swap:    R(w, p, c) & R(w, p', c') -> R(w, p', c)
 		rest := make([]*td.TD, 0, len(constraints)-1)
 		rest = append(rest, constraints[:i]...)
 		rest = append(rest, constraints[i+1:]...)
-		res, err := chase.Implies(rest, d, chase.DefaultOptions())
+		res, err := chase.Implies(rest, d, chase.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +55,7 @@ swap:    R(w, p, c) & R(w, p', c') -> R(w, p', c)
 	b := []*td.TD{constraints[0], constraints[1]}
 	equiv := true
 	for _, d := range b {
-		res, err := chase.Implies(a, d, chase.DefaultOptions())
+		res, err := chase.Implies(a, d, chase.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -64,7 +64,7 @@ swap:    R(w, p, c) & R(w, p', c') -> R(w, p', c)
 		}
 	}
 	for _, d := range a {
-		res, err := chase.Implies(b, d, chase.DefaultOptions())
+		res, err := chase.Implies(b, d, chase.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -82,7 +82,7 @@ swap:    R(w, p, c) & R(w, p', c') -> R(w, p', c)
 		log.Fatal(err)
 	}
 	fmt.Printf("adding embedded dependency: %s\n", emb.Format())
-	opt := chase.DefaultOptions()
+	opt := chase.Options{}
 	opt.Governor = budget.New(nil, budget.Limits{Rounds: 8, Tuples: chase.DefaultLimits.Tuples})
 	res, err := chase.Implies(append(a, emb), constraints[2], opt)
 	if err != nil {

@@ -17,8 +17,8 @@ import (
 )
 
 func main() {
-	b := core.DefaultBudget()
-	b.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000}), SemiNaive: true}
+	b := core.Budget{}
+	b.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000})}
 	b.Closure = words.ClosureOptions{Governor: budget.New(nil, budget.Limits{Words: 5000}), LengthCap: 10}
 
 	cases := []struct {

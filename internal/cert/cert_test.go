@@ -19,7 +19,7 @@ import (
 // instance and returns its certificate after an encode/decode round trip.
 func impliedPresentationCert(t *testing.T) *cert.Certificate {
 	t.Helper()
-	res, err := core.AnalyzePresentation(words.TwoStepPresentation(), core.DefaultBudget())
+	res, err := core.AnalyzePresentation(words.TwoStepPresentation(), core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func impliedPresentationCert(t *testing.T) *cert.Certificate {
 // counterexample N3) and round-trips its certificate.
 func fcexPresentationCert(t *testing.T) *cert.Certificate {
 	t.Helper()
-	res, err := core.AnalyzePresentation(words.PowerPresentation(), core.DefaultBudget())
+	res, err := core.AnalyzePresentation(words.PowerPresentation(), core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestFiniteModelCertRoundTrip(t *testing.T) {
 
 func TestChaseCertRoundTripTD(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	res, err := portfolio.Infer([]*td.TD{fig1}, fig1, portfolio.Options{Certify: true})
+	res, err := portfolio.Infer([]*td.TD{fig1}, fig1, core.Budget{Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict != portfolio.Implied {
+	if res.Verdict != core.Implied {
 		t.Fatalf("verdict %v, want implied", res.Verdict)
 	}
 	c := roundTrip(t, res.Cert())
@@ -102,11 +102,11 @@ func TestChaseCertRoundTripTD(t *testing.T) {
 
 func TestFiniteModelCertRoundTripTD(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	res, err := portfolio.Infer(nil, fig1, portfolio.Options{Certify: true})
+	res, err := portfolio.Infer(nil, fig1, core.Budget{Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict != portfolio.FiniteCounterexample {
+	if res.Verdict != core.FiniteCounterexample {
 		t.Fatalf("verdict %v, want finite-counterexample", res.Verdict)
 	}
 	c := roundTrip(t, res.Cert())
@@ -119,7 +119,7 @@ func TestCertifyImpliedReplay(t *testing.T) {
 	// An untraced win (as from the kb portfolio arm) certifies by
 	// deterministic chase replay.
 	p := words.TwoStepPresentation()
-	res, err := core.AnalyzePresentation(p, core.DefaultBudget())
+	res, err := core.AnalyzePresentation(p, core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func wantCheckError(t *testing.T, c *cert.Certificate, substr string) {
 
 func TestRejectCorruptedChaseStep(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	res, err := portfolio.Infer([]*td.TD{fig1}, fig1, portfolio.Options{Certify: true})
+	res, err := portfolio.Infer([]*td.TD{fig1}, fig1, core.Budget{Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

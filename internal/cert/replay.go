@@ -25,7 +25,7 @@ func CertifyImplied(ctx context.Context, doc Problem, deps []*td.TD, d0 *td.TD, 
 		}
 	}
 	g := budget.New(ctx, lim)
-	res, err := chase.ProveImplies(deps, d0, chase.Options{Governor: g, SemiNaive: true})
+	res, err := chase.ProveImplies(deps, d0, chase.Options{Governor: g})
 	if err != nil || res.Verdict != chase.Implied {
 		return nil
 	}

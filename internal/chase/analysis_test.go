@@ -12,15 +12,15 @@ func TestImpliesSet(t *testing.T) {
 	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
 	g1 := td.MustParse(s, "R(a, b, c) & R(a, b', c') & R(a, b'', c'') -> R(a, b, c'')", "g1")
 	g2 := td.MustParse(s, "R(a, b, c) & R(a', b', c') -> R(a, b, c')", "g2")
-	v, err := ImpliesSet([]*td.TD{join}, []*td.TD{g1}, DefaultOptions())
+	v, err := ImpliesSet([]*td.TD{join}, []*td.TD{g1}, Options{})
 	if err != nil || v != Implied {
 		t.Errorf("ImpliesSet = %v, %v", v, err)
 	}
-	v, err = ImpliesSet([]*td.TD{join}, []*td.TD{g1, g2}, DefaultOptions())
+	v, err = ImpliesSet([]*td.TD{join}, []*td.TD{g1, g2}, Options{})
 	if err != nil || v != NotImplied {
 		t.Errorf("ImpliesSet with refuted member = %v, %v", v, err)
 	}
-	v, err = ImpliesSet(nil, nil, DefaultOptions())
+	v, err = ImpliesSet(nil, nil, Options{})
 	if err != nil || v != Implied {
 		t.Errorf("empty goals = %v, %v", v, err)
 	}
@@ -30,12 +30,12 @@ func TestEquivalentSets(t *testing.T) {
 	s := threeCol()
 	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
 	triple := td.MustParse(s, "R(a, b, c) & R(a, b', c') & R(a, b'', c'') -> R(a, b, c'')", "triple")
-	v, err := Equivalent([]*td.TD{join}, []*td.TD{join, triple}, DefaultOptions())
+	v, err := Equivalent([]*td.TD{join}, []*td.TD{join, triple}, Options{})
 	if err != nil || v != Implied {
 		t.Errorf("Equivalent = %v, %v", v, err)
 	}
 	other := td.MustParse(s, "R(a, b, c) & R(a', b', c') -> R(a, b, c')", "other")
-	v, err = Equivalent([]*td.TD{join}, []*td.TD{other}, DefaultOptions())
+	v, err = Equivalent([]*td.TD{join}, []*td.TD{other}, Options{})
 	if err != nil || v != NotImplied {
 		t.Errorf("inequivalent sets = %v, %v", v, err)
 	}
@@ -51,7 +51,7 @@ other:  R(a, b, c) & R(a', b, c') -> R(a, b, c')
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := RedundantMembers(deps, DefaultOptions())
+	red, err := RedundantMembers(deps, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestMinimizeAntecedents(t *testing.T) {
 	// The triple goal carries a genuinely redundant middle antecedent:
 	// R(a,b',c') is unused by the conclusion and not needed as a premise.
 	bloated := td.MustParse(s, "R(a, b, c) & R(a, b', c') & R(a, b'', c'') -> R(a, b, c'')", "bloated")
-	min, err := MinimizeAntecedents(bloated, DefaultOptions())
+	min, err := MinimizeAntecedents(bloated, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestMinimizeAntecedents(t *testing.T) {
 		t.Fatalf("no antecedent removed: %d", min.NumAntecedents())
 	}
 	// Equivalence is preserved.
-	v, err := Equivalent([]*td.TD{bloated}, []*td.TD{min}, DefaultOptions())
+	v, err := Equivalent([]*td.TD{bloated}, []*td.TD{min}, Options{})
 	if err != nil || v != Implied {
 		t.Errorf("minimized TD not equivalent: %v, %v", v, err)
 	}
@@ -90,7 +90,7 @@ func TestMinimizeAntecedentsKeepsEssentialRows(t *testing.T) {
 	// fig1-style: both antecedents are essential (the conclusion pairs
 	// variables from the two rows).
 	fig1 := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a*, b, c')", "fig1")
-	min, err := MinimizeAntecedents(fig1, DefaultOptions())
+	min, err := MinimizeAntecedents(fig1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestMinimizeAntecedentsDoesNotTrivializeViaExistentials(t *testing.T) {
 	// and yields the TRIVIAL R(a,b) -> R(x, b), which is NOT equivalent —
 	// the minimizer must keep both rows.
 	d := td.MustParse(s, "R(a, b) & R(a', b') -> R(a', b)", "d")
-	min, err := MinimizeAntecedents(d, DefaultOptions())
+	min, err := MinimizeAntecedents(d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestMinimizeDuplicateAntecedent(t *testing.T) {
 	s := relation.MustSchema("A", "B")
 	// A literally duplicated antecedent row is always removable.
 	d := td.MustParse(s, "R(a, b) & R(a, b) & R(a', b) -> R(a', b)", "dup")
-	min, err := MinimizeAntecedents(d, DefaultOptions())
+	min, err := MinimizeAntecedents(d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

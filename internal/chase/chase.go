@@ -24,6 +24,11 @@
 // Fairness (round-robin over dependencies, breadth-first over trigger
 // generations) makes the procedure complete in the limit: every logically
 // implied conclusion is found given enough budget.
+//
+// The zero Options is the configuration every front-end runs: the
+// semi-naive restricted chase with the index join, under DefaultLimits.
+// Naive, JoinScan and Oblivious select the references and ablations that
+// tests compare against.
 package chase
 
 import (
@@ -92,10 +97,13 @@ type Options struct {
 	Governor *budget.Governor
 	// Variant selects restricted (default) or oblivious stepping.
 	Variant Variant
-	// SemiNaive enables delta-driven trigger enumeration: after the first
-	// round, only homomorphisms touching at least one tuple added in the
-	// previous round are considered. Identical results, fewer joins.
-	SemiNaive bool
+	// Naive turns off delta-driven (semi-naive) trigger enumeration, under
+	// which every round after the first considers only homomorphisms
+	// touching at least one tuple added in the previous round. The naive
+	// chase re-joins the whole instance every round: identical results,
+	// more joins. It is the reference the semi-naive chase is tested
+	// against.
+	Naive bool
 	// Trace records every fired trigger.
 	Trace bool
 	// Workers > 1 enumerates triggers in parallel goroutines within each
@@ -165,12 +173,6 @@ var DefaultLimits = budget.Limits{Rounds: 64, Tuples: 100000}
 // batch keeps the inner loops free of governor traffic while bounding
 // cancellation latency even when a single round diverges.
 const interruptBatch = 4096
-
-// DefaultOptions returns sensible interactive defaults (semi-naive
-// restricted chase under DefaultLimits).
-func DefaultOptions() Options {
-	return Options{SemiNaive: true}
-}
 
 // Verdict is the three-valued outcome of an implication check.
 type Verdict int
@@ -601,7 +603,7 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 		// rounds; one per (dependency, delta position, delta shard) on
 		// semi-naive rounds — so Workers > 1 parallelizes both across
 		// dependencies and within a single dependency's delta.
-		useDelta := e.opt.SemiNaive && round > 1
+		useDelta := !e.opt.Naive && round > 1
 		deltaLen := lastLen - prevLen
 		if sink != nil {
 			sink.Event(obs.Event{Type: obs.EvRoundStart, Src: "chase", Round: round, Tuples: lastLen})

@@ -14,7 +14,7 @@ func threeCol() *relation.Schema { return relation.MustSchema("A", "B", "C") }
 func TestImpliesTrivialGoal(t *testing.T) {
 	s := threeCol()
 	d0 := td.MustParse(s, "R(a, b, c) -> R(a, b, c*)", "trivial")
-	res, err := Implies(nil, d0, DefaultOptions())
+	res, err := Implies(nil, d0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestImpliesTrivialGoal(t *testing.T) {
 
 func TestImpliesSelf(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	res, err := Implies([]*td.TD{fig1}, fig1, DefaultOptions())
+	res, err := Implies([]*td.TD{fig1}, fig1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestImpliesSelf(t *testing.T) {
 
 func TestNotImpliedByEmptySet(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	res, err := Implies(nil, fig1, DefaultOptions())
+	res, err := Implies(nil, fig1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestFullTDDecision(t *testing.T) {
 	}
 	// Implied: the double-cross follows from join.
 	goal := td.MustParse(s, "R(a, b, c) & R(a, b', c') & R(a, b'', c'') -> R(a, b, c'')", "goal")
-	res, err := Implies([]*td.TD{join}, goal, DefaultOptions())
+	res, err := Implies([]*td.TD{join}, goal, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestFullTDDecision(t *testing.T) {
 	}
 	// Not implied: crossing tuples with different A values.
 	goal2 := td.MustParse(s, "R(a, b, c) & R(a', b', c') -> R(a, b, c')", "goal2")
-	res2, err := Implies([]*td.TD{join}, goal2, DefaultOptions())
+	res2, err := Implies([]*td.TD{join}, goal2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestEmbeddedFires(t *testing.T) {
 	// fig1 with swapped roles is NOT implied by fig1... use a goal with
 	// fresh antecedents: two tuples sharing nothing.
 	goal := td.MustParse(fig1.Schema(), "R(a, b, c) & R(a', b', c') -> R(a*, b, c')", "cross")
-	res, err := Implies([]*td.TD{fig1}, goal, DefaultOptions())
+	res, err := Implies([]*td.TD{fig1}, goal, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestEmbeddedFires(t *testing.T) {
 
 func TestBudgetUnknown(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	opt := DefaultOptions()
+	opt := Options{}
 	// frozen antecedents already have 2 tuples
 	opt.Governor = budget.New(nil, budget.Limits{Rounds: DefaultLimits.Rounds, Tuples: 2})
 	res, err := Implies([]*td.TD{fig1}, fig1, opt)
@@ -131,7 +131,7 @@ func TestMaxRoundsUnknown(t *testing.T) {
 	s := threeCol()
 	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
 	goal := td.MustParse(s, "R(a, b, c) & R(a, b', c') & R(a, b'', c'') -> R(a, b, c'')", "goal")
-	e, err := NewEngine(s, []*td.TD{join}, Options{Governor: budget.New(nil, budget.Limits{Rounds: 1, Tuples: 3}), SemiNaive: true})
+	e, err := NewEngine(s, []*td.TD{join}, Options{Governor: budget.New(nil, budget.Limits{Rounds: 1, Tuples: 3})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +149,8 @@ func TestRestrictedVsObliviousAgree(t *testing.T) {
 	s := threeCol()
 	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
 	goal := td.MustParse(s, "R(a, b, c) & R(a, b', c') & R(a, b'', c'') -> R(a, b, c'')", "goal")
-	optR := DefaultOptions()
-	optO := DefaultOptions()
+	optR := Options{}
+	optO := Options{}
 	optO.Variant = Oblivious
 	r1, err := Implies([]*td.TD{join}, goal, optR)
 	if err != nil {
@@ -174,8 +174,8 @@ func TestSemiNaiveMatchesNaive(t *testing.T) {
 	start.MustAdd(relation.Tuple{0, 2, 2})
 	start.MustAdd(relation.Tuple{7, 1, 2})
 
-	run := func(semiNaive bool) *relation.Instance {
-		e, err := NewEngine(s, []*td.TD{join}, Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 1000}), SemiNaive: semiNaive})
+	run := func(naive bool) *relation.Instance {
+		e, err := NewEngine(s, []*td.TD{join}, Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 1000}), Naive: naive})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,8 +185,8 @@ func TestSemiNaiveMatchesNaive(t *testing.T) {
 		}
 		return res.Instance
 	}
-	a := run(false)
-	b := run(true)
+	a := run(true)
+	b := run(false)
 	if a.Len() != b.Len() {
 		t.Fatalf("naive %d tuples, semi-naive %d", a.Len(), b.Len())
 	}
@@ -207,7 +207,7 @@ func TestChaseClosureSatisfiesDeps(t *testing.T) {
 	start := relation.NewInstance(s)
 	start.MustAdd(relation.Tuple{0, 0, 0})
 	start.MustAdd(relation.Tuple{0, 1, 1})
-	e, err := NewEngine(s, []*td.TD{join}, DefaultOptions())
+	e, err := NewEngine(s, []*td.TD{join}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestChaseClosureSatisfiesDeps(t *testing.T) {
 
 func TestTraceRecordsSteps(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	opt := DefaultOptions()
+	opt := Options{}
 	opt.Trace = true
 	res, err := Implies([]*td.TD{fig1}, fig1, opt)
 	if err != nil {
@@ -259,7 +259,7 @@ func TestKeepHistory(t *testing.T) {
 	start.MustAdd(relation.Tuple{0, 0, 0})
 	start.MustAdd(relation.Tuple{0, 1, 1})
 	start.MustAdd(relation.Tuple{0, 2, 2})
-	e, err := NewEngine(s, []*td.TD{join}, Options{Governor: budget.New(nil, budget.Limits{Rounds: 20, Tuples: 1000}), SemiNaive: true, KeepHistory: true})
+	e, err := NewEngine(s, []*td.TD{join}, Options{Governor: budget.New(nil, budget.Limits{Rounds: 20, Tuples: 1000}), KeepHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ mirror: R(a, b, c) & R(a', b, c') -> R(a, b, c')
 	start.MustAdd(relation.Tuple{0, 1, 1})
 	start.MustAdd(relation.Tuple{7, 1, 2})
 	run := func(workers int) Result {
-		e, err := NewEngine(s, deps, Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 10000}), SemiNaive: true, Workers: workers})
+		e, err := NewEngine(s, deps, Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 10000}), Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,8 +343,8 @@ invent: R(a, b, c) & R(a', b, c') -> R(a*, b, c')
 	}
 	run := func(workers int) Result {
 		e, err := NewEngine(s, deps, Options{
-			Governor:  budget.New(nil, budget.Limits{Rounds: 4, Tuples: 4000}),
-			SemiNaive: true, Workers: workers, Trace: true,
+			Governor: budget.New(nil, budget.Limits{Rounds: 4, Tuples: 4000}),
+			Workers:  workers, Trace: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -396,9 +396,8 @@ func TestJoinStrategiesAgree(t *testing.T) {
 		{"full-not-implied", []*td.TD{join}, emb},
 		{"embedded", []*td.TD{emb}, goal},
 	} {
-		for _, semiNaive := range []bool{false, true} {
-			opt := DefaultOptions()
-			opt.SemiNaive = semiNaive
+		for _, naive := range []bool{true, false} {
+			opt := Options{Naive: naive}
 			opt.Join = JoinIndex
 			ri, err := Implies(tc.deps, tc.goal, opt)
 			if err != nil {
@@ -410,17 +409,17 @@ func TestJoinStrategiesAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			if ri.Verdict != rs.Verdict {
-				t.Errorf("%s (semiNaive=%v): index %v, scan %v", tc.name, semiNaive, ri.Verdict, rs.Verdict)
+				t.Errorf("%s (naive=%v): index %v, scan %v", tc.name, naive, ri.Verdict, rs.Verdict)
 			}
 			if ri.Stats.HomomorphismsSeen != rs.Stats.HomomorphismsSeen ||
 				ri.Stats.TriggersFired != rs.Stats.TriggersFired {
-				t.Errorf("%s (semiNaive=%v): stats %+v vs %+v", tc.name, semiNaive, ri.Stats, rs.Stats)
+				t.Errorf("%s (naive=%v): stats %+v vs %+v", tc.name, naive, ri.Stats, rs.Stats)
 			}
 			if ri.Instance.Len() != rs.Instance.Len() {
-				t.Errorf("%s (semiNaive=%v): %d vs %d tuples", tc.name, semiNaive, ri.Instance.Len(), rs.Instance.Len())
+				t.Errorf("%s (naive=%v): %d vs %d tuples", tc.name, naive, ri.Instance.Len(), rs.Instance.Len())
 			}
 			if !relation.Isomorphic(ri.Instance, rs.Instance) {
-				t.Errorf("%s (semiNaive=%v): fixpoints not isomorphic", tc.name, semiNaive)
+				t.Errorf("%s (naive=%v): fixpoints not isomorphic", tc.name, naive)
 			}
 		}
 	}
@@ -430,10 +429,10 @@ func TestNewEngineSchemaMismatch(t *testing.T) {
 	s := threeCol()
 	other := relation.MustSchema("X", "Y")
 	dep := td.MustParse(other, "R(x, y) -> R(x, y*)", "")
-	if _, err := NewEngine(s, []*td.TD{dep}, DefaultOptions()); err == nil {
+	if _, err := NewEngine(s, []*td.TD{dep}, Options{}); err == nil {
 		t.Error("schema mismatch accepted")
 	}
-	e, err := NewEngine(s, nil, DefaultOptions())
+	e, err := NewEngine(s, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +466,7 @@ func TestRestrictedTerminatesWhereObliviousDiverges(t *testing.T) {
 	start.MustAdd(relation.Tuple{0, 0, 0})
 	start.MustAdd(relation.Tuple{0, 1, 1})
 
-	eR, err := NewEngine(s, []*td.TD{dep}, DefaultOptions())
+	eR, err := NewEngine(s, []*td.TD{dep}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +481,7 @@ func TestRestrictedTerminatesWhereObliviousDiverges(t *testing.T) {
 		t.Error("restricted fixpoint violates the dependency")
 	}
 
-	eO, err := NewEngine(s, []*td.TD{dep}, Options{Governor: budget.New(nil, budget.Limits{Rounds: 10, Tuples: 10000}), Variant: Oblivious, SemiNaive: true})
+	eO, err := NewEngine(s, []*td.TD{dep}, Options{Governor: budget.New(nil, budget.Limits{Rounds: 10, Tuples: 10000}), Variant: Oblivious})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestCoreOfResultGarment(t *testing.T) {
 	// satisfies the dependency set and still witnesses the goal's
 	// conclusion pattern.
 	_, fig1 := td.GarmentExample()
-	res, err := Implies([]*td.TD{fig1}, fig1, DefaultOptions())
+	res, err := Implies([]*td.TD{fig1}, fig1, Options{})
 	if err != nil || res.Verdict != Implied {
 		t.Fatal("setup")
 	}
@@ -105,7 +105,7 @@ func TestCoreOfChaseFixpointStaysModel(t *testing.T) {
 	start := relation.NewInstance(s)
 	start.MustAdd(relation.Tuple{0, 0, 0})
 	start.MustAdd(relation.Tuple{0, 1, 1})
-	e, err := NewEngine(s, []*td.TD{join}, DefaultOptions())
+	e, err := NewEngine(s, []*td.TD{join}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,6 @@ func Decide(deps []*td.TD, d0 *td.TD, maxTuples int) (bool, error) {
 			Rounds: bound + 1,
 			Tuples: bound + frozen.Len() + 1,
 		}),
-		SemiNaive: true,
 	})
 	if err != nil {
 		return false, err

@@ -95,7 +95,7 @@ g3: R(a, b, c) & R(a', b, c') -> R(a', b, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Implies(deps, g, DefaultOptions())
+		res, err := Implies(deps, g, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

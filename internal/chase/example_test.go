@@ -12,7 +12,7 @@ func ExampleImplies() {
 	s := relation.MustSchema("A", "B", "C")
 	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
 	goal := td.MustParse(s, "R(a, b, c) & R(a, b', c') & R(a, b'', c'') -> R(a, b, c'')", "goal")
-	res, err := chase.Implies([]*td.TD{join}, goal, chase.DefaultOptions())
+	res, err := chase.Implies([]*td.TD{join}, goal, chase.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -24,7 +24,7 @@ func ExampleImplies_counterexample() {
 	s := relation.MustSchema("A", "B", "C")
 	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
 	goal := td.MustParse(s, "R(a, b, c) & R(a', b', c') -> R(a, b, c')", "goal")
-	res, err := chase.Implies([]*td.TD{join}, goal, chase.DefaultOptions())
+	res, err := chase.Implies([]*td.TD{join}, goal, chase.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -12,7 +12,7 @@ func TestProveImpliesValidates(t *testing.T) {
 	s := threeCol()
 	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
 	goal := td.MustParse(s, "R(a, b, c) & R(a, b', c') & R(a, b'', c'') -> R(a, b, c'')", "goal")
-	res, err := ProveImplies([]*td.TD{join}, goal, DefaultOptions())
+	res, err := ProveImplies([]*td.TD{join}, goal, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestProveImpliesValidates(t *testing.T) {
 
 func TestProveImpliesEmbedded(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	res, err := ProveImplies([]*td.TD{fig1}, fig1, DefaultOptions())
+	res, err := ProveImplies([]*td.TD{fig1}, fig1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestValidateTraceRejectsForgery(t *testing.T) {
 	s := threeCol()
 	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
 	goal := td.MustParse(s, "R(a, b, c) & R(a, b', c') & R(a, b'', c'') -> R(a, b, c'')", "goal")
-	opt := DefaultOptions()
+	opt := Options{}
 	opt.Trace = true
 	res, err := Implies([]*td.TD{join}, goal, opt)
 	if err != nil || res.Verdict != Implied {
@@ -88,7 +88,7 @@ func TestProveImpliesNotImpliedPassesThrough(t *testing.T) {
 	s := threeCol()
 	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
 	goal := td.MustParse(s, "R(a, b, c) & R(a', b', c') -> R(a, b, c')", "goal")
-	res, err := ProveImplies([]*td.TD{join}, goal, DefaultOptions())
+	res, err := ProveImplies([]*td.TD{join}, goal, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

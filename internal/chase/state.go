@@ -32,12 +32,12 @@ import (
 // bit-identical for every worker count. Variant is absent because snapshots
 // are restricted-chase only (stateEligible).
 type stateCfg struct {
-	semiNaive bool
-	join      JoinStrategy
+	naive bool
+	join  JoinStrategy
 }
 
 func (e *Engine) stateCfg() stateCfg {
-	return stateCfg{semiNaive: e.opt.SemiNaive, join: e.opt.Join}
+	return stateCfg{naive: e.opt.Naive, join: e.opt.Join}
 }
 
 // stateEligible reports whether this engine configuration can produce or

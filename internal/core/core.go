@@ -21,11 +21,11 @@
 //     observable rather than pretending to decide it.
 //
 // The adaptive portfolio (internal/portfolio) is the one front-end that
-// runs the engines side by side; this package supplies its budget
-// vocabulary (Budget, PortfolioOptions, VerdictOf) and the sequential
-// presentation pipeline (AnalyzePresentation and its iterative-deepening
-// wrapper), which returns the reduction's derivation and counter-model
-// proof objects.
+// runs the engines side by side. This package supplies the vocabulary it
+// shares with every front-end — Budget, the one configuration of a run,
+// and Verdict — and the sequential presentation pipeline
+// (AnalyzePresentation and its iterative-deepening wrapper), which returns
+// the reduction's derivation and counter-model proof objects.
 package core
 
 import (
@@ -44,27 +44,39 @@ import (
 	"templatedep/internal/words"
 )
 
-// Budget bundles the budgets of every sub-procedure.
+// Budget is the one configuration of an inference run. Its zero value is
+// the default every front-end runs: each engine under its DefaultLimits
+// and default windows, no parent pool, no sink.
+//
+// The adaptive portfolio (internal/portfolio) reads every field except
+// Closure: a governor in an engine's options sets that arm's hard
+// ceilings, and the portfolio swaps it for per-lease children. The
+// sequential presentation pipeline (AnalyzePresentation) reads every
+// field except FiniteDB and Certify.
 type Budget struct {
+	// Chase.Workers parallelizes the chase; results and traces are
+	// identical for every value.
 	Chase       chase.Options
 	Closure     words.ClosureOptions
 	ModelSearch search.Options
 	FiniteDB    finitemodel.Options
-	// Governor is the run-wide governor: its context (cancellation,
-	// deadline) is inherited by every sub-procedure whose options do not
-	// already carry a governor, via child governors metering under each
-	// engine's default limits. One SIGINT or deadline therefore stops the
-	// whole dual run, while each arm keeps its own meters.
+	// Completion bounds Knuth–Bendix completion: the portfolio's kb arm
+	// and the pipeline's refutation side-check.
+	Completion rewrite.CompletionOptions
+	// Governor is the run-wide governor: its context stops the whole run,
+	// certifying replay included, and engines without a governor of their
+	// own get children of it. In the portfolio any meter it caps is a pool
+	// shared by the arms. Nil means an unlimited background governor.
 	Governor *budget.Governor
-	// Sink receives the front-end's own events (which arm is running,
-	// arm outcomes, deepening rounds, the verdict) and is propagated to
-	// every sub-procedure whose options do not already carry a sink, so
-	// one sink observes the whole dual run. See docs/OBSERVABILITY.md.
+	// Sink receives the front-end's own events and is threaded into every
+	// engine that accepts one, so one sink observes the whole run. Nil
+	// disables emission. See docs/OBSERVABILITY.md.
 	Sink obs.Sink
-	// Certify is passed to the portfolio (PortfolioOptions): its definitive
-	// verdicts then carry a serializable certificate. The presentation
-	// pipeline does not read it — PresentationResult.Cert assembles one
-	// from the proof objects every run keeps anyway.
+	// Certify makes a portfolio verdict carry a checkable certificate
+	// (portfolio.Result.Cert). An Implied win without its own proof object
+	// (kb, an untraced chase lease) costs one traced chase replay. The
+	// pipeline ignores it: PresentationResult.Cert assembles a certificate
+	// from the proof objects every run keeps.
 	Certify bool
 }
 
@@ -77,6 +89,9 @@ func (b Budget) withSink() Budget {
 		}
 		if b.ModelSearch.Sink == nil {
 			b.ModelSearch.Sink = b.Sink
+		}
+		if b.Completion.Sink == nil {
+			b.Completion.Sink = b.Sink
 		}
 	}
 	return b
@@ -99,18 +114,10 @@ func (b Budget) withGovernor() Budget {
 	if b.ModelSearch.Governor == nil {
 		b.ModelSearch.Governor = b.Governor.Child(search.DefaultLimits)
 	}
-	return b
-}
-
-// completionGovernor builds the governor for the bounded Knuth–Bendix
-// fallback: tighter than rewrite.DefaultLimits because completion is a
-// side-check here, inheriting the run's context when one exists.
-func (b Budget) completionGovernor() *budget.Governor {
-	l := budget.Limits{Rules: 200, Rounds: 25}
-	if b.Governor != nil {
-		return b.Governor.Child(l)
+	if b.Completion.Governor == nil {
+		b.Completion.Governor = b.Governor.Child(rewrite.DefaultLimits)
 	}
-	return budget.New(nil, l)
+	return b
 }
 
 // emit sends e to the budget's sink with Src "core".
@@ -118,16 +125,6 @@ func (b Budget) emit(e obs.Event) {
 	if b.Sink != nil {
 		e.Src = "core"
 		b.Sink.Event(e)
-	}
-}
-
-// DefaultBudget returns moderate budgets suitable for interactive use.
-func DefaultBudget() Budget {
-	return Budget{
-		Chase:       chase.DefaultOptions(),
-		Closure:     words.DefaultClosureOptions(),
-		ModelSearch: search.DefaultOptions(),
-		FiniteDB:    finitemodel.DefaultOptions(),
 	}
 }
 
@@ -269,8 +266,7 @@ func AnalyzePresentation(p *words.Presentation, b Budget) (*PresentationResult, 
 		// can refute derivability even when A0's equational class is
 		// infinite.
 		sys := rewrite.FromPresentation(in.Pres)
-		copt := rewrite.CompletionOptions{Governor: b.completionGovernor(), Sink: b.Sink}
-		if cres, err := sys.Complete(copt); err == nil && cres.Confluent {
+		if cres, err := sys.Complete(b.Completion); err == nil && cres.Confluent {
 			if decided, err := sys.DecideGoal(); err == nil && !decided {
 				res.GoalRefuted = true
 			}

@@ -11,8 +11,8 @@ import (
 )
 
 func TestAnalyzePresentationImplied(t *testing.T) {
-	b := DefaultBudget()
-	b.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000}), SemiNaive: true}
+	b := Budget{}
+	b.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000})}
 	res, err := AnalyzePresentation(words.TwoStepPresentation(), b)
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func TestAnalyzePresentationImplied(t *testing.T) {
 }
 
 func TestAnalyzePresentationCounterexample(t *testing.T) {
-	res, err := AnalyzePresentation(words.PowerPresentation(), DefaultBudget())
+	res, err := AnalyzePresentation(words.PowerPresentation(), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestAnalyzePresentationCounterexample(t *testing.T) {
 
 func TestGoalRefutedFlag(t *testing.T) {
 	// power: the closure exhausts A0's singleton class — refuted directly.
-	res, err := AnalyzePresentation(words.PowerPresentation(), DefaultBudget())
+	res, err := AnalyzePresentation(words.PowerPresentation(), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestGoalRefutedFlag(t *testing.T) {
 	}
 	// gap: the class is infinite, but Knuth–Bendix completion succeeds and
 	// decides the word problem negatively.
-	b := DefaultBudget()
+	b := Budget{}
 	b.Closure = words.ClosureOptions{Governor: budget.New(nil, budget.Limits{Words: 200}), LengthCap: 8}
 	b.ModelSearch = search.Options{Orders: budget.Range{Lo: 2, Hi: 3}, Governor: budget.New(nil, budget.Limits{Nodes: 100000})}
 	res2, err := AnalyzePresentation(words.IdempotentGapPresentation(), b)
@@ -70,7 +70,7 @@ func TestGoalRefutedFlag(t *testing.T) {
 		t.Error("gap: completion should refute derivability")
 	}
 	// twostep: derivable — no refutation.
-	res3, err := AnalyzePresentation(words.TwoStepPresentation(), DefaultBudget())
+	res3, err := AnalyzePresentation(words.TwoStepPresentation(), Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestGoalRefutedFlag(t *testing.T) {
 func TestAnalyzePresentationUnknownGap(t *testing.T) {
 	// The idempotent-gap instance lies in NEITHER set; with finite budgets
 	// the result must be Unknown.
-	b := DefaultBudget()
+	b := Budget{}
 	b.Closure = words.ClosureOptions{Governor: budget.New(nil, budget.Limits{Words: 300}), LengthCap: 8}
 	b.ModelSearch = search.Options{Orders: budget.Range{Lo: 2, Hi: 4}, Governor: budget.New(nil, budget.Limits{Nodes: 200000})}
 	res, err := AnalyzePresentation(words.IdempotentGapPresentation(), b)
@@ -95,11 +95,11 @@ func TestAnalyzePresentationUnknownGap(t *testing.T) {
 }
 
 func TestAnalyzeTMHalting(t *testing.T) {
-	b := DefaultBudget()
+	b := Budget{}
 	b.Closure = words.ClosureOptions{Governor: budget.New(nil, budget.Limits{Words: 200000})}
 	// Skip the chase confirmation for the TM instance (its schema is wide);
 	// the derivation alone certifies direction (A).
-	b.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 1, Tuples: 50}), SemiNaive: true}
+	b.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 1, Tuples: 50})}
 	res, err := AnalyzeTM(tm.WriteOneAndHalt(), nil, b)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 func ExampleAnalyzePresentation() {
 	// The two-step instance: A0 = b·c = 0 is derivable, so by Reduction
 	// Theorem (A) the generated dependency set implies D0.
-	res, err := core.AnalyzePresentation(words.TwoStepPresentation(), core.DefaultBudget())
+	res, err := core.AnalyzePresentation(words.TwoStepPresentation(), core.Budget{})
 	if err != nil {
 		panic(err)
 	}
@@ -26,7 +26,7 @@ func ExampleAnalyzePresentation() {
 func ExampleAnalyzePresentation_counterexample() {
 	// {A0·A0 = B}: falsified by a finite cancellation semigroup, so by
 	// part (B) a finite database separates D from D0.
-	res, err := core.AnalyzePresentation(words.PowerPresentation(), core.DefaultBudget())
+	res, err := core.AnalyzePresentation(words.PowerPresentation(), core.Budget{})
 	if err != nil {
 		panic(err)
 	}

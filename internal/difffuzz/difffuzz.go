@@ -210,8 +210,7 @@ func gov(l budget.Limits) *budget.Governor { return budget.New(nil, l) }
 
 func (opt Options) chaseOptions() chase.Options {
 	return chase.Options{
-		Governor:  gov(budget.Limits{Rounds: opt.Limits.Rounds, Tuples: opt.Limits.Tuples}),
-		SemiNaive: true,
+		Governor: gov(budget.Limits{Rounds: opt.Limits.Rounds, Tuples: opt.Limits.Tuples}),
 	}
 }
 
@@ -225,7 +224,7 @@ func (opt Options) eidOptions() eid.Options {
 // completion, and model-search arms carry presentation instances, and the
 // chase confirmation simply reports unknown when it cannot finish.
 func (opt Options) presChaseOptions() chase.Options {
-	return chase.Options{Governor: gov(budget.Limits{Rounds: 1, Tuples: 50}), SemiNaive: true}
+	return chase.Options{Governor: gov(budget.Limits{Rounds: 1, Tuples: 50})}
 }
 
 func (opt Options) finiteDBOptions() finitemodel.Options {
@@ -314,7 +313,7 @@ func runTD(in corpus.Instance, opt Options) ([]engineOut, error) {
 	// database for FCEX and, for Implied, a chase trace from a traced
 	// replay of the untraced winning lease.
 	if err := run("portfolio", func() (string, *cert.Certificate, error) {
-		res, err := portfolio.Infer(in.Deps, in.Goal, portfolio.Options{
+		res, err := portfolio.Infer(in.Deps, in.Goal, core.Budget{
 			Chase:    opt.chaseOptions(),
 			FiniteDB: opt.finiteDBOptions(),
 			Certify:  true,
@@ -349,6 +348,7 @@ func runPresentation(in corpus.Instance, opt Options) ([]engineOut, error) {
 			Chase:       opt.presChaseOptions(),
 			Closure:     opt.closureOptions(),
 			ModelSearch: opt.modelSearchOptions(),
+			Completion:  opt.completionOptions(),
 		})
 		if err != nil {
 			return "", nil, err
@@ -363,7 +363,7 @@ func runPresentation(in corpus.Instance, opt Options) ([]engineOut, error) {
 		// floors, and on a wide presentation reduction that replay does
 		// not terminate in fuzzing time. seq is the designated
 		// certificate producer for presentation instances.
-		res, err := portfolio.AnalyzePresentation(in.Pres, portfolio.Options{
+		res, err := portfolio.AnalyzePresentation(in.Pres, core.Budget{
 			Chase:       opt.presChaseOptions(),
 			ModelSearch: opt.modelSearchOptions(),
 			Completion:  opt.completionOptions(),

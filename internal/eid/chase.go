@@ -27,9 +27,6 @@ type Options struct {
 // tuples.
 var DefaultLimits = budget.Limits{Rounds: 64, Tuples: 100000}
 
-// DefaultOptions returns moderate defaults.
-func DefaultOptions() Options { return Options{} }
-
 // Verdict is the three-valued implication outcome.
 type Verdict int
 

@@ -10,7 +10,7 @@ import (
 
 func TestEIDImpliesSelf(t *testing.T) {
 	_, e := PaperExample()
-	res, err := Implies([]*EID{e}, e, DefaultOptions())
+	res, err := Implies([]*EID{e}, e, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestEIDImpliesItsTDProjections(t *testing.T) {
 	projA := FromTD(td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(x, b, c)", "projA"))
 	projB := FromTD(td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(y, b, c')", "projB"))
 	for _, goal := range []*EID{projA, projB} {
-		res, err := Implies([]*EID{e}, goal, DefaultOptions())
+		res, err := Implies([]*EID{e}, goal, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestTDProjectionsDoNotImplyEID(t *testing.T) {
 
 func TestEIDChaseFixpointCounterexample(t *testing.T) {
 	_, e := PaperExample()
-	res, err := Implies(nil, e, DefaultOptions())
+	res, err := Implies(nil, e, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestEIDChaseClosureSatisfies(t *testing.T) {
 	start := relation.NewInstance(s)
 	start.MustAdd(relation.Tuple{0, 0, 0})
 	start.MustAdd(relation.Tuple{0, 1, 1})
-	res, err := Chase([]*EID{e}, start, nil, DefaultOptions())
+	res, err := Chase([]*EID{e}, start, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestEIDChaseSchemaMismatch(t *testing.T) {
 	_, e := PaperExample()
 	other := relation.MustSchema("X", "Y")
 	start := relation.NewInstance(other)
-	if _, err := Chase([]*EID{e}, start, nil, DefaultOptions()); err == nil {
+	if _, err := Chase([]*EID{e}, start, nil, Options{}); err == nil {
 		t.Error("schema mismatch accepted")
 	}
 }
@@ -106,7 +106,7 @@ func TestEIDChaseSchemaMismatch(t *testing.T) {
 func TestEIDTrivialGoal(t *testing.T) {
 	s := relation.MustSchema("A", "B")
 	goal := MustParse(s, "R(a, b) -> R(a, b)", "trivial")
-	res, err := Implies(nil, goal, DefaultOptions())
+	res, err := Implies(nil, goal, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

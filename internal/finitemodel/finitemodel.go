@@ -37,10 +37,6 @@ type Options struct {
 	// enumerated — a structural coordinate, not a meter. A zero Lo means
 	// 1; a zero (or too-small) Hi means DefaultSizes.Hi.
 	Sizes budget.Range
-	// ValuesPerColumn caps the active domain per attribute; <= 0 means
-	// Sizes.Hi (more values than tuples never helps: each tuple
-	// contributes one value per column).
-	ValuesPerColumn int
 	// Governor bounds the enumeration: its nodes meter caps search nodes,
 	// and its context is polled every checkInterval nodes. Nil resolves to
 	// DefaultLimits.
@@ -54,9 +50,6 @@ type Options struct {
 	// identical for every value as long as the node budget is not
 	// exhausted mid-run.
 	Workers int
-	// SplitDepth forces the prefix depth at which each size's decision
-	// tree is split into subtree tasks; 0 grows the split adaptively.
-	SplitDepth int
 	// Prune selects symmetry breaking: psearch.PruneSymmetry (the zero
 	// value) enumerates canonical instances only (lex-increasing tuples,
 	// first-occurrence value order per column); psearch.PruneNone
@@ -70,9 +63,6 @@ var DefaultSizes = budget.Range{Lo: 1, Hi: 4}
 
 // DefaultLimits is the node budget an ungoverned enumeration runs under.
 var DefaultLimits = budget.Limits{Nodes: 2_000_000}
-
-// DefaultOptions returns conservative defaults for narrow schemas.
-func DefaultOptions() Options { return Options{Sizes: DefaultSizes} }
 
 // checkInterval is how many search nodes pass between governor
 // checkpoints: the same batch width as psearch.DefaultBatch, keeping the
@@ -123,9 +113,6 @@ func FindCounterexample(deps []*td.TD, d0 *td.TD, opt Options) (Result, error) {
 		if opt.Sizes.Hi < opt.Sizes.Lo {
 			opt.Sizes.Hi = opt.Sizes.Lo
 		}
-	}
-	if opt.ValuesPerColumn <= 0 || opt.ValuesPerColumn > opt.Sizes.Hi {
-		opt.ValuesPerColumn = opt.Sizes.Hi
 	}
 	schema := d0.Schema()
 	for i, d := range deps {
@@ -256,14 +243,7 @@ func (s *searcher) searchSize(n int) (*relation.Instance, error) {
 	root := &instState{tup: make(relation.Tuple, width), used: make([]int, width)}
 	frontier := []*instState{root}
 	depth := 0
-	for s.remaining > 0 {
-		if s.opt.SplitDepth > 0 {
-			if depth >= s.opt.SplitDepth {
-				break
-			}
-		} else if len(frontier) >= taskTarget {
-			break
-		}
+	for s.remaining > 0 && len(frontier) < taskTarget {
 		expandable := false
 		next := make([]*instState, 0, len(frontier))
 		for _, st := range frontier {
@@ -376,8 +356,10 @@ func (s *searcher) branch(st *instState, n int, visit func() bool) {
 	// appear in first-occurrence order: the next value may exceed the
 	// largest used so far by at most one (fresh values are interchangeable
 	// by a column-wise renaming, so only the least fresh one is tried).
+	// At most Sizes.Hi values per column: each tuple contributes one value
+	// per column, so more values than tuples never helps.
 	col := st.col
-	limit := s.opt.ValuesPerColumn - 1
+	limit := s.opt.Sizes.Hi - 1
 	if s.opt.Prune == psearch.PruneSymmetry && st.used[col] < limit {
 		limit = st.used[col]
 	}

@@ -18,7 +18,7 @@ func TestFindCounterexampleBasic(t *testing.T) {
 	// has 2 tuples (a shared supplier, two styles/sizes, nobody covering
 	// the cross).
 	_, fig1 := td.GarmentExample()
-	res, err := FindCounterexample(nil, fig1, DefaultOptions())
+	res, err := FindCounterexample(nil, fig1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSchemaMismatch(t *testing.T) {
 	other := relation.MustSchema("X", "Y", "Z")
 	d := td.MustParse(s, "R(a, b) -> R(a, b')", "")
 	g := td.MustParse(other, "R(x, y, z) -> R(x, y, z')", "")
-	if _, err := FindCounterexample([]*td.TD{d}, g, DefaultOptions()); err == nil {
+	if _, err := FindCounterexample([]*td.TD{d}, g, Options{}); err == nil {
 		t.Error("schema mismatch accepted")
 	}
 }
@@ -123,7 +123,7 @@ func TestAgreesWithDecideProperty(t *testing.T) {
 			return true // bound refusal etc.; vacuous
 		}
 		// Chase counterexample size bounds the enumeration needed.
-		cres, err := chase.Implies([]*td.TD{dep}, goal, chase.DefaultOptions())
+		cres, err := chase.Implies([]*td.TD{dep}, goal, chase.Options{})
 		if err != nil {
 			t.Log(err)
 			return false

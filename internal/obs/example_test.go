@@ -28,7 +28,7 @@ func ExampleSink() {
 	goal := td.MustParse(s, "R(a, b0, c0) & R(a, b1, c1) -> R(a, b0, c1)", "goal")
 
 	fired := firedCount{}
-	opt := chase.DefaultOptions()
+	opt := chase.Options{}
 	opt.Sink = fired
 
 	res, err := chase.Implies([]*td.TD{join}, goal, opt)
@@ -50,7 +50,7 @@ func ExampleCounters() {
 	goal := td.MustParse(s, "R(a, b0, c0) & R(a, b1, c1) -> R(a, b0, c1)", "goal")
 
 	ctrs := obs.NewCounters()
-	opt := chase.DefaultOptions()
+	opt := chase.Options{}
 	opt.Sink = obs.NewCounterSink(ctrs)
 	if _, err := chase.Implies([]*td.TD{join}, goal, opt); err != nil {
 		panic(err)

@@ -6,6 +6,7 @@ import (
 	"templatedep/internal/budget"
 	"templatedep/internal/cert"
 	"templatedep/internal/chase"
+	"templatedep/internal/core"
 	"templatedep/internal/finitemodel"
 	"templatedep/internal/reduction"
 	"templatedep/internal/rewrite"
@@ -55,7 +56,7 @@ func rateHealth(rate float64, last *float64, has *bool) armHealth {
 // re-done: the System keeps its progress between leases). A confluent
 // system that decides the goal wins Implied; a confluent system that
 // refutes it retires the arm with the definitive GoalRefuted flag.
-func kbArm(sys *rewrite.System, opt Options, res *Result, scale int) *arm {
+func kbArm(sys *rewrite.System, b core.Budget, res *Result, scale int) *arm {
 	a := &arm{
 		name:  "kb",
 		meter: budget.Rules,
@@ -64,13 +65,13 @@ func kbArm(sys *rewrite.System, opt Options, res *Result, scale int) *arm {
 		// and a completion that converges typically adds a fraction of the
 		// seed before simplification shrinks it back.
 		cur: budget.Limits{Rules: 2*len(sys.Rules) + 32*scale, Rounds: 6 * scale},
-		max: armCeilings(opt.Completion.Governor, rewrite.DefaultLimits),
+		max: armCeilings(b.Completion.Governor, rewrite.DefaultLimits),
 	}
 	var lastRate float64
 	var hasRate bool
 	a.run = func(g *budget.Governor) (leaseResult, error) {
 		before := len(sys.Rules)
-		cres, err := sys.Complete(rewrite.CompletionOptions{Governor: g, Sink: opt.Sink})
+		cres, err := sys.Complete(rewrite.CompletionOptions{Governor: g, Sink: b.Sink})
 		if err != nil {
 			return leaseResult{}, err
 		}
@@ -80,7 +81,7 @@ func kbArm(sys *rewrite.System, opt Options, res *Result, scale int) *arm {
 				return leaseResult{}, err
 			}
 			if decided {
-				return leaseResult{win: Implied, verdict: "implied"}, nil
+				return leaseResult{win: core.Implied, verdict: "implied"}, nil
 			}
 			res.GoalRefuted = true
 			return leaseResult{done: true, note: "refuted", verdict: "goal-refuted"}, nil
@@ -105,14 +106,14 @@ func kbArm(sys *rewrite.System, opt Options, res *Result, scale int) *arm {
 // history options make snapshots ineligible, in which case every lease
 // re-runs cold under the bigger cumulative cap — same verdicts, more
 // wall-clock.
-func chaseArm(deps []*td.TD, d0 *td.TD, opt Options, res *Result, scale int) *arm {
+func chaseArm(deps []*td.TD, d0 *td.TD, b core.Budget, res *Result, scale int) *arm {
 	a := &arm{
 		name:  "chase",
 		meter: budget.Rounds,
 		cur:   budget.Limits{Rounds: 2 * scale, Tuples: 8192 * scale},
-		max:   armCeilings(opt.Chase.Governor, chase.DefaultLimits),
+		max:   armCeilings(b.Chase.Governor, chase.DefaultLimits),
 	}
-	carry := opt.Chase.WarmState
+	carry := b.Chase.WarmState
 	// A carried state is only reusable under a lease whose budget class
 	// strictly dominates the one it stopped under; grow the opening grant
 	// until it does (or the ceiling makes warm reuse impossible, in which
@@ -138,10 +139,9 @@ func chaseArm(deps []*td.TD, d0 *td.TD, opt Options, res *Result, scale int) *ar
 	var lastRate float64
 	var hasRate bool
 	a.run = func(g *budget.Governor) (leaseResult, error) {
-		co := opt.Chase
+		co := b.Chase
 		co.Governor = g
-		co.Workers = opt.Workers
-		co.Sink = opt.Sink
+		co.Sink = b.Sink
 		co.WarmState = carry
 		co.CaptureState = true
 		cres, err := chase.Implies(deps, d0, co)
@@ -154,10 +154,10 @@ func chaseArm(deps []*td.TD, d0 *td.TD, opt Options, res *Result, scale int) *ar
 		}
 		switch cres.Verdict {
 		case chase.Implied:
-			return leaseResult{win: Implied, verdict: "implied"}, nil
+			return leaseResult{win: core.Implied, verdict: "implied"}, nil
 		case chase.NotImplied:
 			res.Counterexample = cres.Instance
-			return leaseResult{win: FiniteCounterexample, verdict: "not-implied"}, nil
+			return leaseResult{win: core.FiniteCounterexample, verdict: "not-implied"}, nil
 		}
 		dr := cres.Stats.Rounds - prevRounds
 		dt := cres.Stats.TuplesAdded - prevTuples
@@ -182,8 +182,8 @@ func chaseArm(deps []*td.TD, d0 *td.TD, opt Options, res *Result, scale int) *ar
 // stalling. Workers is pinned to 1: a parallel search stopped by a budget
 // commits a scheduling-dependent node count, which would leak
 // nondeterminism into the reallocation sequence.
-func modelSearchArm(p *words.Presentation, in *reduction.Instance, opt Options, res *Result, scale int) *arm {
-	window := opt.ModelSearch.Orders
+func modelSearchArm(p *words.Presentation, in *reduction.Instance, b core.Budget, res *Result, scale int) *arm {
+	window := b.ModelSearch.Orders
 	if window.Lo < 2 {
 		window.Lo = 2
 	}
@@ -194,14 +194,14 @@ func modelSearchArm(p *words.Presentation, in *reduction.Instance, opt Options, 
 		name:  "model-search",
 		meter: budget.Nodes,
 		cur:   budget.Limits{Nodes: 2048 * scale},
-		max:   armCeilings(opt.ModelSearch.Governor, search.DefaultLimits),
+		max:   armCeilings(b.ModelSearch.Governor, search.DefaultLimits),
 	}
 	curHi := window.Lo
 	a.run = func(g *budget.Governor) (leaseResult, error) {
-		so := opt.ModelSearch
+		so := b.ModelSearch
 		so.Governor = g
 		so.Workers = 1
-		so.Sink = opt.Sink
+		so.Sink = b.Sink
 		so.Orders = budget.Range{Lo: window.Lo, Hi: curHi}
 		sres, err := search.FindCounterModel(p, so)
 		if err != nil {
@@ -217,7 +217,7 @@ func modelSearchArm(p *words.Presentation, in *reduction.Instance, opt Options, 
 			}
 			res.Witness = sres.Interpretation
 			res.CounterModel = cm
-			return leaseResult{win: FiniteCounterexample, verdict: sres.Status()}, nil
+			return leaseResult{win: core.FiniteCounterexample, verdict: sres.Status()}, nil
 		}
 		if !sres.Budget.Stopped() {
 			if curHi >= window.Hi {
@@ -234,8 +234,8 @@ func modelSearchArm(p *words.Presentation, in *reduction.Instance, opt Options, 
 // finiteDBArm runs the finite-database enumerator over a growing size
 // window, with the same window mechanics and Workers = 1 pinning as the
 // model search.
-func finiteDBArm(deps []*td.TD, d0 *td.TD, opt Options, res *Result, scale int) *arm {
-	window := opt.FiniteDB.Sizes
+func finiteDBArm(deps []*td.TD, d0 *td.TD, b core.Budget, res *Result, scale int) *arm {
+	window := b.FiniteDB.Sizes
 	if window.Lo < 1 {
 		window.Lo = 1
 	}
@@ -246,14 +246,14 @@ func finiteDBArm(deps []*td.TD, d0 *td.TD, opt Options, res *Result, scale int) 
 		name:  "finite-db",
 		meter: budget.Nodes,
 		cur:   budget.Limits{Nodes: 2048 * scale},
-		max:   armCeilings(opt.FiniteDB.Governor, finitemodel.DefaultLimits),
+		max:   armCeilings(b.FiniteDB.Governor, finitemodel.DefaultLimits),
 	}
 	curHi := window.Lo
 	a.run = func(g *budget.Governor) (leaseResult, error) {
-		fo := opt.FiniteDB
+		fo := b.FiniteDB
 		fo.Governor = g
 		fo.Workers = 1
-		fo.Sink = opt.Sink
+		fo.Sink = b.Sink
 		fo.Sizes = budget.Range{Lo: window.Lo, Hi: curHi}
 		fres, err := finitemodel.FindCounterexample(deps, d0, fo)
 		if err != nil {
@@ -261,7 +261,7 @@ func finiteDBArm(deps []*td.TD, d0 *td.TD, opt Options, res *Result, scale int) 
 		}
 		if fres.Instance != nil {
 			res.Counterexample = fres.Instance
-			return leaseResult{win: FiniteCounterexample, verdict: fres.Status()}, nil
+			return leaseResult{win: core.FiniteCounterexample, verdict: fres.Status()}, nil
 		}
 		if !fres.Budget.Stopped() {
 			if curHi >= window.Hi {
@@ -275,35 +275,34 @@ func finiteDBArm(deps []*td.TD, d0 *td.TD, opt Options, res *Result, scale int) 
 	return a
 }
 
-// scaleOf resolves Options.TickScale.
-func scaleOf(opt Options) int {
-	if opt.TickScale > 0 {
-		return opt.TickScale
-	}
-	return 1
-}
-
 // AnalyzePresentation runs the presentation-level portfolio: Knuth–Bendix
 // completion, the finite counter-model search, and the chase on the
 // reduction's (D, D0), in that fixed scheduling order. Completion leads
 // because a confluent system settles the word problem in one decision
 // procedure call — the cheapest possible win when it exists — and the
 // moment it completes, every other arm is retired in the same tick.
-func AnalyzePresentation(p *words.Presentation, opt Options) (*Result, error) {
+func AnalyzePresentation(p *words.Presentation, b core.Budget) (*Result, error) {
+	return analyzePresentation(p, b, 1)
+}
+
+// analyzePresentation is AnalyzePresentation with every arm's opening
+// grants multiplied by scale. Verdicts are invariant under the scale
+// (leases grow geometrically either way); traces are not, since lease
+// boundaries move.
+func analyzePresentation(p *words.Presentation, b core.Budget, scale int) (*Result, error) {
 	in, err := reduction.Build(p)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Instance: in}
-	scale := scaleOf(opt)
 	arms := []*arm{
-		kbArm(rewrite.FromPresentation(in.Pres), opt, res, scale),
-		modelSearchArm(p, in, opt, res, scale),
-		chaseArm(in.D, in.D0, opt, res, scale),
+		kbArm(rewrite.FromPresentation(in.Pres), b, res, scale),
+		modelSearchArm(p, in, b, res, scale),
+		chaseArm(in.D, in.D0, b, res, scale),
 	}
-	out, err := run(arms, opt, res)
-	if err == nil && opt.Certify {
-		certify(opt.Governor, out, cert.PresentationProblem(p), in.D, in.D0)
+	out, err := run(arms, b, res)
+	if err == nil && b.Certify {
+		certify(b.Governor, out, cert.PresentationProblem(p), in.D, in.D0)
 	}
 	return out, err
 }
@@ -312,16 +311,15 @@ func AnalyzePresentation(p *words.Presentation, opt Options) (*Result, error) {
 // enumerator, in that fixed scheduling order. The chase leads because it
 // is the only arm that can certify Implied with a proof trace and the
 // only one that can snapshot across leases.
-func Infer(deps []*td.TD, d0 *td.TD, opt Options) (*Result, error) {
+func Infer(deps []*td.TD, d0 *td.TD, b core.Budget) (*Result, error) {
 	res := &Result{}
-	scale := scaleOf(opt)
 	arms := []*arm{
-		chaseArm(deps, d0, opt, res, scale),
-		finiteDBArm(deps, d0, opt, res, scale),
+		chaseArm(deps, d0, b, res, 1),
+		finiteDBArm(deps, d0, b, res, 1),
 	}
-	out, err := run(arms, opt, res)
-	if err == nil && opt.Certify {
-		certify(opt.Governor, out, cert.TDProblem(d0.Schema(), deps, d0), deps, d0)
+	out, err := run(arms, b, res)
+	if err == nil && b.Certify {
+		certify(b.Governor, out, cert.TDProblem(d0.Schema(), deps, d0), deps, d0)
 	}
 	return out, err
 }

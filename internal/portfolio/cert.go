@@ -4,6 +4,7 @@ import (
 	"templatedep/internal/budget"
 	"templatedep/internal/cert"
 	"templatedep/internal/chase"
+	"templatedep/internal/core"
 	"templatedep/internal/td"
 )
 
@@ -22,17 +23,17 @@ import (
 // certify writes res.cert for a definitive verdict. doc must describe the
 // problem (deps, d0) the run answered; for presentation runs it embeds the
 // ORIGINAL presentation and (deps, d0) are the reduction's. parent is the
-// run's parent pool (Options.Governor).
+// run's parent pool (Budget.Governor).
 func certify(parent *budget.Governor, res *Result, doc cert.Problem, deps []*td.TD, d0 *td.TD) {
 	switch res.Verdict {
-	case Implied:
+	case core.Implied:
 		if res.Winner == "chase" && res.Chase != nil && len(res.Chase.Trace) > 0 {
 			res.cert = cert.NewChase(doc, res.Chase.Trace)
 			return
 		}
 		ctx := budget.Resolve(parent, budget.Limits{}).Context()
 		res.cert = cert.CertifyImplied(ctx, doc, deps, d0, replayLimits(res))
-	case FiniteCounterexample:
+	case core.FiniteCounterexample:
 		if res.CounterModel != nil {
 			res.cert = cert.NewFiniteModel(doc, res.CounterModel.Instance, res.Witness)
 			return

@@ -3,7 +3,9 @@
 // between the arms as live progress signals come in.
 //
 // It is the repository's one inference front-end: tdinfer, tdserve and the
-// differential fuzzer's TD certificate producer all run through it. Rather
+// differential fuzzer's TD certificate producer all run through it, each
+// configuring the run with one core.Budget (its zero value runs every arm
+// under its engine's default ceilings with no parent pool). Rather
 // than give each engine a fixed budget up front, or grow every budget on
 // one schedule whether the engine is converging or thrashing, it governs
 // the engines as a portfolio:
@@ -40,8 +42,8 @@
 // meters (tuples-per-round delta rate for the chases, rules-per-sweep rate
 // for completion, window coverage for the backtracking searches), so the
 // whole decision sequence — and therefore the whole trace — is a pure
-// function of the input and the options. Re-running with the same options
-// yields a byte-identical trace for any Workers value: the chase arm's
+// function of the input and the budget. Re-running with the same budget
+// yields a byte-identical trace for any Chase.Workers value: the chase arm's
 // merge-phase emission is deterministic under Workers > 1, and the two
 // backtracking-search arms are pinned to Workers = 1 inside the portfolio
 // because a parallel search stopped by a budget is the one engine run in
@@ -77,51 +79,20 @@ import (
 	"templatedep/internal/budget"
 	"templatedep/internal/cert"
 	"templatedep/internal/chase"
-	"templatedep/internal/finitemodel"
+	"templatedep/internal/core"
 	"templatedep/internal/obs"
 	"templatedep/internal/reduction"
 	"templatedep/internal/relation"
-	"templatedep/internal/rewrite"
-	"templatedep/internal/search"
 	"templatedep/internal/semigroup"
 )
-
-// Verdict is the three-valued outcome of a portfolio run. The values and
-// strings mirror core.Verdict so front-ends can map between the two
-// layers by name.
-type Verdict int
-
-const (
-	// Unknown means every arm retired or the parent budget stopped the
-	// run before any arm produced a definitive answer.
-	Unknown Verdict = iota
-	// Implied means D logically implies D0 (won by the chase or a
-	// confluent completion that decides the goal).
-	Implied
-	// FiniteCounterexample means a finite database satisfies D and
-	// violates D0 (won by a chase fixpoint, the finite-database
-	// enumerator, or a verified finite counter-model).
-	FiniteCounterexample
-)
-
-func (v Verdict) String() string {
-	switch v {
-	case Implied:
-		return "implied"
-	case FiniteCounterexample:
-		return "finite-counterexample"
-	default:
-		return "unknown"
-	}
-}
 
 // Scheduling constants. They are part of the determinism contract: the
 // reallocation sequence depends only on these and on the arms' meters.
 const (
-	// DefaultMaxTicks caps scheduler passes when no arm answers and no
-	// arm manages to retire — far above what geometric lease growth needs
-	// to reach every arm's ceiling.
-	DefaultMaxTicks = 64
+	// maxTicks caps scheduler passes when no arm answers and no arm
+	// manages to retire — far above what geometric lease growth needs to
+	// reach every arm's ceiling.
+	maxTicks = 64
 	// stallThreshold is the hysteresis: an arm is starved only after this
 	// many consecutive stalling leases, so one noisy lease cannot starve
 	// a converging arm.
@@ -135,49 +106,6 @@ const (
 	growSteady = 2
 	growFed    = 4
 )
-
-// Options configures a portfolio run. The zero value runs every arm under
-// its engine's default ceilings with no parent pool.
-type Options struct {
-	// Governor is the parent pool: its context cancels the whole
-	// portfolio at the next lease boundary, and any meter it caps becomes
-	// a shared pool whose Remaining headroom clamps every arm's grants.
-	// Nil resolves to an unlimited background governor.
-	Governor *budget.Governor
-	// Sink receives the portfolio's own events (arm_start / arm_result
-	// per lease, portfolio_realloc per decision, cancelled, verdict, all
-	// with Src "portfolio") and is threaded into each arm engine that
-	// accepts a sink. Nil disables emission.
-	Sink obs.Sink
-	// Workers parallelizes the chase arm (merge-phase emission stays
-	// deterministic). The two backtracking-search arms always run with
-	// Workers = 1 — their committed-node counts under a budget stop are
-	// the one scheduling-dependent statistic in the repository, and the
-	// portfolio's reallocation policy feeds on exact meter readings.
-	Workers int
-	// TickScale multiplies every arm's opening grants; <= 0 means 1.
-	// Verdicts are invariant under TickScale (leases grow geometrically
-	// either way); traces are not, since lease boundaries move.
-	TickScale int
-	// MaxTicks caps scheduler passes; <= 0 means DefaultMaxTicks.
-	MaxTicks int
-	// Certify makes a definitive verdict carry a serializable certificate
-	// (Result.Cert): native proof objects (a validated chase trace, the
-	// verified counter-model) serialize directly, and Implied wins from
-	// arms without one (kb, an untraced chase lease) are certified by
-	// a deterministic traced chase replay. Off by default — the replay
-	// costs one extra chase run on some wins.
-	Certify bool
-
-	// Per-engine options. Governors inside them contribute their meter
-	// limits as the arm's hard ceilings (engine defaults otherwise); the
-	// portfolio replaces the governor itself with per-lease children and
-	// overrides Sink and Workers per the portfolio contract.
-	Chase       chase.Options
-	ModelSearch search.Options
-	FiniteDB    finitemodel.Options
-	Completion  rewrite.CompletionOptions
-}
 
 // Decision is one reallocation decision, mirrored 1:1 by a
 // portfolio_realloc event on the sink.
@@ -218,7 +146,7 @@ type ArmReport struct {
 
 // Result reports a portfolio run.
 type Result struct {
-	Verdict Verdict
+	Verdict core.Verdict
 	// Winner names the arm that produced the verdict; "" for Unknown.
 	Winner string
 	// GoalRefuted reports that Knuth–Bendix completion became confluent
@@ -253,8 +181,8 @@ type Result struct {
 }
 
 // Cert returns the run's serializable certificate: non-nil for definitive
-// verdicts of runs with Options.Certify set whose winning verdict could be
-// certified (see the Certify doc), nil otherwise.
+// verdicts of runs with Budget.Certify set whose winning verdict could be
+// certified (see core.Budget.Certify), nil otherwise.
 func (r *Result) Cert() *cert.Certificate { return r.cert }
 
 // armHealth is an arm's self-reported progress classification for one
@@ -277,7 +205,7 @@ const (
 type leaseResult struct {
 	// win, when not Unknown, is the definitive verdict; the arm has
 	// already written its certificates into the shared Result.
-	win Verdict
+	win core.Verdict
 	// done retires the arm for the structural reason in note.
 	done bool
 	note string
@@ -362,16 +290,12 @@ func (a *arm) grown(parent *budget.Governor, mult int) budget.Limits {
 // run is the portfolio scheduler: a sequential, deterministic time-slicer
 // over the arms. res arrives with mode-specific fields (Instance) already
 // set; the arms write their certificates into it through closures.
-func run(arms []*arm, opt Options, res *Result) (*Result, error) {
-	parent := budget.Resolve(opt.Governor, budget.Limits{})
-	maxTicks := opt.MaxTicks
-	if maxTicks <= 0 {
-		maxTicks = DefaultMaxTicks
-	}
+func run(arms []*arm, b core.Budget, res *Result) (*Result, error) {
+	parent := budget.Resolve(b.Governor, budget.Limits{})
 	emit := func(e obs.Event) {
-		if opt.Sink != nil {
+		if b.Sink != nil {
 			e.Src = "portfolio"
-			opt.Sink.Event(e)
+			b.Sink.Event(e)
 		}
 	}
 	decide := func(tick int, a *arm, meter budget.Resource, old, now int, signal string) {
@@ -487,7 +411,7 @@ func run(arms []*arm, opt Options, res *Result) (*Result, error) {
 			}
 			emit(obs.Event{Type: obs.EvArmResult, Arm: a.name, Verdict: lr.verdict, Round: tick})
 
-			if lr.win != Unknown {
+			if lr.win != core.Unknown {
 				res.Verdict = lr.win
 				res.Winner = a.name
 				a.done, a.note = true, "won"
@@ -525,6 +449,6 @@ func run(arms []*arm, opt Options, res *Result) (*Result, error) {
 			}
 		}
 	}
-	res.Verdict = Unknown
+	res.Verdict = core.Unknown
 	return finish(tick)
 }

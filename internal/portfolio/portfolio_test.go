@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"templatedep/internal/budget"
+	"templatedep/internal/core"
 	"templatedep/internal/obs"
 	"templatedep/internal/td"
 	"templatedep/internal/words"
@@ -22,9 +23,9 @@ func mustPreset(t *testing.T, name string) *words.Presentation {
 	return p
 }
 
-func analyze(t *testing.T, name string, opt Options) *Result {
+func analyze(t *testing.T, name string, b core.Budget) *Result {
 	t.Helper()
-	res, err := AnalyzePresentation(mustPreset(t, name), opt)
+	res, err := AnalyzePresentation(mustPreset(t, name), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,41 +38,41 @@ func analyze(t *testing.T, name string, opt Options) *Result {
 // the round-five blow-up keeps every lease short, the same reason the CLI
 // smoke runs gap under a deadline. Every arm still runs several leases,
 // stalls, and retires, which is exactly what the gap tests exercise.
-func tight() Options {
-	opt := Options{}
-	opt.Chase.Governor = budget.New(nil, budget.Limits{Rounds: 16, Tuples: 1500})
-	opt.ModelSearch.Governor = budget.New(nil, budget.Limits{Nodes: 50000})
-	return opt
+func tight() core.Budget {
+	b := core.Budget{}
+	b.Chase.Governor = budget.New(nil, budget.Limits{Rounds: 16, Tuples: 1500})
+	b.ModelSearch.Governor = budget.New(nil, budget.Limits{Nodes: 50000})
+	return b
 }
 
 func TestAnalyzeVerdicts(t *testing.T) {
 	for _, tc := range []struct {
 		preset string
-		want   Verdict
+		want   core.Verdict
 	}{
-		{"twostep", Implied},
-		{"chain:3", Implied},
-		{"power", FiniteCounterexample},
-		{"collapse:4", Implied},
-		{"gap", Unknown},
+		{"twostep", core.Implied},
+		{"chain:3", core.Implied},
+		{"power", core.FiniteCounterexample},
+		{"collapse:4", core.Implied},
+		{"gap", core.Unknown},
 	} {
-		opt := Options{}
+		b := core.Budget{}
 		if tc.preset == "gap" {
-			opt = tight()
+			b = tight()
 		}
-		res := analyze(t, tc.preset, opt)
+		res := analyze(t, tc.preset, b)
 		if res.Verdict != tc.want {
 			t.Errorf("%s: verdict %v (winner %q), want %v", tc.preset, res.Verdict, res.Winner, tc.want)
 		}
-		if res.Verdict != Unknown && res.Winner == "" {
+		if res.Verdict != core.Unknown && res.Winner == "" {
 			t.Errorf("%s: definitive verdict with no winner", tc.preset)
 		}
 	}
 }
 
 func TestAnalyzeCertificates(t *testing.T) {
-	res := analyze(t, "power", Options{})
-	if res.Verdict != FiniteCounterexample {
+	res := analyze(t, "power", core.Budget{})
+	if res.Verdict != core.FiniteCounterexample {
 		t.Fatalf("verdict %v", res.Verdict)
 	}
 	if res.Winner != "model-search" {
@@ -87,7 +88,7 @@ func TestAnalyzeCertificates(t *testing.T) {
 
 func TestGapRefutedButUnknown(t *testing.T) {
 	res := analyze(t, "gap", tight())
-	if res.Verdict != Unknown {
+	if res.Verdict != core.Unknown {
 		t.Fatalf("gap must stay Unknown, got %v (winner %q)", res.Verdict, res.Winner)
 	}
 	if !res.GoalRefuted {
@@ -107,8 +108,8 @@ func TestGapRefutedButUnknown(t *testing.T) {
 // arm gets a lease, and each is retired with a preempted decision in the
 // same tick.
 func TestKBWinPreemptsInSameTick(t *testing.T) {
-	res := analyze(t, "collapse:4", Options{})
-	if res.Verdict != Implied || res.Winner != "kb" {
+	res := analyze(t, "collapse:4", core.Budget{})
+	if res.Verdict != core.Implied || res.Winner != "kb" {
 		t.Fatalf("want kb to win Implied, got %v winner %q", res.Verdict, res.Winner)
 	}
 	if res.Ticks != 1 {
@@ -139,12 +140,12 @@ func TestKBWinPreemptsInSameTick(t *testing.T) {
 	}
 }
 
-func traceOf(t *testing.T, name string, opt Options) (*Result, []byte) {
+func traceOf(t *testing.T, name string, b core.Budget) (*Result, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := obs.NewJSONLSink(&buf)
-	opt.Sink = sink
-	res, err := AnalyzePresentation(mustPreset(t, name), opt)
+	b.Sink = sink
+	res, err := AnalyzePresentation(mustPreset(t, name), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +161,12 @@ func traceOf(t *testing.T, name string, opt Options) (*Result, []byte) {
 // replayable evidence.
 func TestTraceDeterminism(t *testing.T) {
 	for _, preset := range []string{"power", "gap"} {
-		base := Options{}
+		base := core.Budget{}
 		if preset == "gap" {
 			base = tight()
 		}
 		o1 := base
-		o1.Workers = 1
+		o1.Chase.Workers = 1
 		res1, trace1 := traceOf(t, preset, o1)
 		res2, trace2 := traceOf(t, preset, o1)
 		if !bytes.Equal(trace1, trace2) {
@@ -175,7 +176,7 @@ func TestTraceDeterminism(t *testing.T) {
 			t.Errorf("%s: re-run results differ", preset)
 		}
 		o4 := base
-		o4.Workers = 4
+		o4.Chase.Workers = 4
 		res4, trace4 := traceOf(t, preset, o4)
 		if !bytes.Equal(trace1, trace4) {
 			t.Errorf("%s: Workers=4 trace differs from Workers=1", preset)
@@ -190,15 +191,18 @@ func TestTraceDeterminism(t *testing.T) {
 // changes the trace but never the answer.
 func TestVerdictInvariantUnderTickScale(t *testing.T) {
 	for _, preset := range []string{"twostep", "power", "chain:3"} {
-		var want Verdict
+		var want core.Verdict
 		for i, scale := range []int{1, 2, 3} {
-			res := analyze(t, preset, Options{TickScale: scale})
+			res, err := analyzePresentation(mustPreset(t, preset), core.Budget{}, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if i == 0 {
 				want = res.Verdict
 				continue
 			}
 			if res.Verdict != want {
-				t.Errorf("%s: TickScale %d verdict %v, want %v", preset, scale, res.Verdict, want)
+				t.Errorf("%s: tick scale %d verdict %v, want %v", preset, scale, res.Verdict, want)
 			}
 		}
 	}
@@ -252,12 +256,12 @@ func TestTraceReplayMatchesDecisions(t *testing.T) {
 // exponentially, so with completion capped below its confluence point the
 // search arm stalls lease after lease — the canonical starvation victim.
 func TestStarvedArmStillProbes(t *testing.T) {
-	opt := Options{}
-	opt.Completion.Governor = budget.New(nil, budget.Limits{Rules: 100, Rounds: 50})
-	opt.Chase.Governor = budget.New(nil, budget.Limits{Rounds: 2, Tuples: 200})
-	opt.ModelSearch.Governor = budget.New(nil, budget.Limits{Nodes: 200000})
-	opt.ModelSearch.Orders = budget.Range{Lo: 2, Hi: 2}
-	res := analyze(t, "collapse:4", opt)
+	b := core.Budget{}
+	b.Completion.Governor = budget.New(nil, budget.Limits{Rules: 100, Rounds: 50})
+	b.Chase.Governor = budget.New(nil, budget.Limits{Rounds: 2, Tuples: 200})
+	b.ModelSearch.Governor = budget.New(nil, budget.Limits{Nodes: 200000})
+	b.ModelSearch.Orders = budget.Range{Lo: 2, Hi: 2}
+	res := analyze(t, "collapse:4", b)
 	withheld := 0
 	probes := 0
 	for _, d := range res.Decisions {
@@ -278,22 +282,22 @@ func TestStarvedArmStillProbes(t *testing.T) {
 
 func TestInferTDLevel(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	res, err := Infer([]*td.TD{fig1}, fig1, Options{})
+	res, err := Infer([]*td.TD{fig1}, fig1, core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict != Implied || res.Winner != "chase" {
+	if res.Verdict != core.Implied || res.Winner != "chase" {
 		t.Errorf("self-implication: verdict %v winner %q", res.Verdict, res.Winner)
 	}
 	if res.Chase == nil {
 		t.Error("missing chase result")
 	}
 
-	res, err = Infer(nil, fig1, Options{})
+	res, err = Infer(nil, fig1, core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict != FiniteCounterexample {
+	if res.Verdict != core.FiniteCounterexample {
 		t.Errorf("empty-D: verdict %v", res.Verdict)
 	}
 	if res.Counterexample == nil {
@@ -306,15 +310,15 @@ func TestInferTDLevel(t *testing.T) {
 // Unknown instead of burning the engines' defaults.
 func TestArmCeilingsRespected(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	opt := Options{}
-	opt.Chase.Governor = budget.New(nil, budget.Limits{Rounds: 1, Tuples: 2})
-	opt.FiniteDB.Governor = budget.New(nil, budget.Limits{Nodes: 5})
-	opt.FiniteDB.Sizes = budget.Range{Lo: 1, Hi: 1}
-	res, err := Infer([]*td.TD{fig1}, fig1, opt)
+	b := core.Budget{}
+	b.Chase.Governor = budget.New(nil, budget.Limits{Rounds: 1, Tuples: 2})
+	b.FiniteDB.Governor = budget.New(nil, budget.Limits{Nodes: 5})
+	b.FiniteDB.Sizes = budget.Range{Lo: 1, Hi: 1}
+	res, err := Infer([]*td.TD{fig1}, fig1, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict != Unknown {
+	if res.Verdict != core.Unknown {
 		t.Fatalf("verdict %v under starvation ceilings", res.Verdict)
 	}
 	for _, d := range res.Decisions {
@@ -328,15 +332,15 @@ func TestArmCeilingsRespected(t *testing.T) {
 // the pool.
 func TestParentPoolClampsGrants(t *testing.T) {
 	const pool = 20000
-	opt := tight()
-	opt.Governor = budget.New(nil, budget.Limits{Tuples: pool})
-	res := analyze(t, "gap", opt)
+	b := tight()
+	b.Governor = budget.New(nil, budget.Limits{Tuples: pool})
+	res := analyze(t, "gap", b)
 	for _, d := range res.Decisions {
 		if d.Meter == budget.Tuples && d.New > pool {
 			t.Errorf("tick %d %s: tuples grant %d exceeds pool %d", d.Tick, d.Arm, d.New, pool)
 		}
 	}
-	if res.Verdict != Unknown {
+	if res.Verdict != core.Unknown {
 		t.Errorf("verdict %v", res.Verdict)
 	}
 }
@@ -352,12 +356,12 @@ func TestParentPoolClampsGrants(t *testing.T) {
 func TestDeadlineOvershootBounded(t *testing.T) {
 	g, cancel := budget.ForDuration(150*time.Millisecond, budget.Limits{})
 	defer cancel()
-	opt := Options{Governor: g}
-	opt.Chase.Governor = budget.New(nil, budget.Limits{Rounds: 1 << 20, Tuples: 1 << 30})
+	b := core.Budget{Governor: g}
+	b.Chase.Governor = budget.New(nil, budget.Limits{Rounds: 1 << 20, Tuples: 1 << 30})
 	start := time.Now()
-	res := analyze(t, "gap", opt)
+	res := analyze(t, "gap", b)
 	elapsed := time.Since(start)
-	if res.Verdict != Unknown || res.Winner != "" {
+	if res.Verdict != core.Unknown || res.Winner != "" {
 		t.Errorf("verdict %v winner %q, want unknown with no winner", res.Verdict, res.Winner)
 	}
 	if res.Stop.Code != budget.CodeDeadline {
@@ -381,15 +385,15 @@ func (f cancelOnVerdict) Event(e obs.Event) {
 // The certifying replay shares the parent pool's context: a run cancelled
 // once its verdict is in keeps the verdict and ships no certificate.
 func TestCertifyReplayStopsWithParent(t *testing.T) {
-	res := analyze(t, "twostep", Options{Certify: true})
-	if res.Verdict != Implied || res.Cert() == nil {
+	res := analyze(t, "twostep", core.Budget{Certify: true})
+	if res.Verdict != core.Implied || res.Cert() == nil {
 		t.Fatalf("uncancelled run: verdict %v, cert %v; want implied with a certificate", res.Verdict, res.Cert() != nil)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res = analyze(t, "twostep", Options{Certify: true,
+	res = analyze(t, "twostep", core.Budget{Certify: true,
 		Governor: budget.New(ctx, budget.Limits{}), Sink: cancelOnVerdict(cancel)})
-	if res.Verdict != Implied {
+	if res.Verdict != core.Implied {
 		t.Fatalf("verdict %v, want implied", res.Verdict)
 	}
 	if res.Cert() != nil {

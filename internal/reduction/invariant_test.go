@@ -19,12 +19,12 @@ func TestDirectionAInductionInvariant(t *testing.T) {
 	p := words.TwoStepPresentation()
 	in := MustBuild(p)
 
-	dres := words.DeriveGoal(in.Pres, words.DefaultClosureOptions())
+	dres := words.DeriveGoal(in.Pres, words.ClosureOptions{})
 	if dres.Verdict != words.Derivable {
 		t.Fatal("setup: goal not derivable")
 	}
 
-	cres, err := chase.Implies(in.D, in.D0, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000}), SemiNaive: true})
+	cres, err := chase.Implies(in.D, in.D0, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDirectionAInductionInvariant(t *testing.T) {
 func TestNonDerivableWordHasNoBridge(t *testing.T) {
 	p := words.TwoStepPresentation()
 	in := MustBuild(p)
-	cres, err := chase.Implies(in.D, in.D0, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 4, Tuples: 60000}), SemiNaive: true})
+	cres, err := chase.Implies(in.D, in.D0, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 4, Tuples: 60000})})
 	if err != nil {
 		t.Fatal(err)
 	}

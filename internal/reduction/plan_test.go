@@ -33,7 +33,7 @@ func TestChasePlanIsTraceSubsequence(t *testing.T) {
 		{"chain2", words.ChainPresentation(2)},
 	} {
 		in := MustBuild(tc.p)
-		dres := words.DeriveGoal(in.Pres, words.DefaultClosureOptions())
+		dres := words.DeriveGoal(in.Pres, words.ClosureOptions{})
 		if dres.Verdict != words.Derivable {
 			t.Fatalf("%s: setup", tc.name)
 		}
@@ -42,8 +42,8 @@ func TestChasePlanIsTraceSubsequence(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		res, err := chase.Implies(in.D, in.D0, chase.Options{
-			Governor:  budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000}),
-			SemiNaive: true, Trace: true,
+			Governor: budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000}),
+			Trace:    true,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -65,7 +65,7 @@ func TestChasePlanIsTraceSubsequence(t *testing.T) {
 func TestPlanChaseStepsShape(t *testing.T) {
 	p := words.TwoStepPresentation()
 	in := MustBuild(p)
-	dres := words.DeriveGoal(in.Pres, words.DefaultClosureOptions())
+	dres := words.DeriveGoal(in.Pres, words.ClosureOptions{})
 	plan, err := in.PlanChaseSteps(dres.Derivation)
 	if err != nil {
 		t.Fatal(err)

@@ -185,8 +185,8 @@ func TestD0AntecedentsAreA0Bridge(t *testing.T) {
 }
 
 func TestDirectionATwoStep(t *testing.T) {
-	rep, err := VerifyDirectionA(words.TwoStepPresentation(), words.DefaultClosureOptions(),
-		chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000}), SemiNaive: true})
+	rep, err := VerifyDirectionA(words.TwoStepPresentation(), words.ClosureOptions{},
+		chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +200,8 @@ func TestDirectionATwoStep(t *testing.T) {
 }
 
 func TestDirectionAChain1(t *testing.T) {
-	rep, err := VerifyDirectionA(words.ChainPresentation(1), words.DefaultClosureOptions(),
-		chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000}), SemiNaive: true})
+	rep, err := VerifyDirectionA(words.ChainPresentation(1), words.ClosureOptions{},
+		chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestDirectionAChainSweep(t *testing.T) {
 	// without being brittle.
 	for n := 1; n <= 3; n++ {
 		in := MustBuild(words.ChainPresentation(n))
-		res, err := chase.Implies(in.D, in.D0, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 3*n + 3, Tuples: 100000}), SemiNaive: true})
+		res, err := chase.Implies(in.D, in.D0, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 3*n + 3, Tuples: 100000})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestDirectionAChainSweep(t *testing.T) {
 }
 
 func TestDirectionANotApplicable(t *testing.T) {
-	_, err := VerifyDirectionA(words.PowerPresentation(), words.DefaultClosureOptions(), chase.DefaultOptions())
+	_, err := VerifyDirectionA(words.PowerPresentation(), words.ClosureOptions{}, chase.Options{})
 	if err == nil || !strings.Contains(err.Error(), "not derivable") {
 		t.Errorf("err = %v", err)
 	}
@@ -337,7 +337,7 @@ func TestDirectionBWithSearchedWitness(t *testing.T) {
 	// (B). The searched witness may be smaller than any hand-constructed
 	// one — for power it is the order-2 null semigroup.
 	p := words.PowerPresentation()
-	sres, err := search.FindCounterModel(p, search.DefaultOptions())
+	sres, err := search.FindCounterModel(p, search.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,6 +33,8 @@
 // backtracking tree at a prefix depth into independent subtree tasks run
 // through internal/psearch, first witness wins with a deterministic
 // lex-least tie-break, so the result is identical for every Workers value.
+//
+// The zero Options searches the DefaultOrders window under DefaultLimits.
 package search
 
 import (
@@ -49,7 +51,8 @@ import (
 type Options struct {
 	// Orders is the inclusive window of semigroup orders tried — a
 	// structural coordinate, not a meter. A zero Lo means 2 (the smallest
-	// identity-free order of interest); a Hi below Lo is raised to Lo.
+	// identity-free order of interest); a zero Hi means DefaultOrders.Hi,
+	// and a Hi below Lo is raised to Lo.
 	Orders budget.Range
 	// Governor bounds the search: its nodes meter caps the total number of
 	// backtracking nodes across all orders and assignments (committed and
@@ -102,11 +105,6 @@ var DefaultOrders = budget.Range{Lo: 2, Hi: 6}
 // DefaultLimits is the node budget an ungoverned search runs under.
 var DefaultLimits = budget.Limits{Nodes: 5_000_000}
 
-// DefaultOptions returns generous interactive defaults.
-func DefaultOptions() Options {
-	return Options{Orders: DefaultOrders}
-}
-
 // Result is the outcome of FindCounterModel.
 type Result struct {
 	// Interpretation witnesses Main Lemma failure for the ORIGINAL
@@ -149,6 +147,9 @@ func (r Result) Status() string {
 func FindCounterModel(p *words.Presentation, opt Options) (Result, error) {
 	if opt.Orders.Lo < 2 {
 		opt.Orders.Lo = 2
+	}
+	if opt.Orders.Hi == 0 {
+		opt.Orders.Hi = DefaultOrders.Hi
 	}
 	if opt.Orders.Hi < opt.Orders.Lo {
 		opt.Orders.Hi = opt.Orders.Lo

@@ -11,7 +11,7 @@ import (
 func TestFindCounterModelPower(t *testing.T) {
 	// {A0·A0 = B}: the null semigroup of order 2 (A0 -> x, B -> 0, x² = 0)
 	// is already a counterexample; the search must find order 2.
-	res, err := FindCounterModel(words.PowerPresentation(), DefaultOptions())
+	res, err := FindCounterModel(words.PowerPresentation(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestFindCounterModelPower(t *testing.T) {
 func TestFindCounterModelNilpotentSafe(t *testing.T) {
 	// B1 denotes A0², B2 denotes A0³; models where everything beyond A0
 	// collapses to zero exist at order 2 (A0 -> x, B1, B2 -> 0).
-	res, err := FindCounterModel(words.NilpotentSafePresentation(2), DefaultOptions())
+	res, err := FindCounterModel(words.NilpotentSafePresentation(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestFindCounterModelNormalizesLongEquations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := FindCounterModel(p, DefaultOptions())
+	res, err := FindCounterModel(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestFindCounterModelNormalizesLongEquations(t *testing.T) {
 }
 
 func TestQuotientFastPath(t *testing.T) {
-	opt := DefaultOptions()
+	opt := Options{}
 	opt.QuotientClasses = 3
 	res, err := FindCounterModel(words.PowerPresentation(), opt)
 	if err != nil {
@@ -154,7 +154,7 @@ func TestFoundModelsHaveCancellation(t *testing.T) {
 		words.PowerPresentation(),
 		words.NilpotentSafePresentation(1),
 	} {
-		res, err := FindCounterModel(p, DefaultOptions())
+		res, err := FindCounterModel(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,10 +3,10 @@ package serve
 import (
 	"container/list"
 
-	"templatedep/internal/budget"
 	"templatedep/internal/cert"
 	"templatedep/internal/chase"
 	"templatedep/internal/core"
+	"templatedep/internal/store"
 )
 
 // CachedVerdict is what the verdict cache stores per canonical key: the
@@ -48,10 +48,10 @@ type CachedVerdict struct {
 	// next hit and treated as a miss if the check fails.
 	CertOK bool
 	// Class is the budget class the cold run was answered under (the
-	// effective chase limits). An Unknown verdict only stands in for
+	// effective limits of its arms). An Unknown verdict only stands in for
 	// requests whose budget does not exceed this class — a larger-budget
 	// request re-runs and overwrites the entry.
-	Class budget.Limits
+	Class store.Class
 }
 
 // lru is a bounded most-recently-used verdict cache. It is NOT

@@ -35,8 +35,7 @@ func recordOf(key string, v CachedVerdict) store.Record {
 		Winner:  v.Winner,
 		Stop:    v.Stop,
 		ColdMS:  v.ColdMS,
-		Class: store.Class{Rounds: v.Class.Rounds, Tuples: v.Class.Tuples,
-			Nodes: v.Class.Nodes, Words: v.Class.Words},
+		Class:   v.Class,
 	}
 	if v.Cert != nil && v.CertOK {
 		if b, err := json.Marshal(v.Cert); err == nil {
@@ -61,11 +60,8 @@ func verdictOf(rec store.Record) (CachedVerdict, bool) {
 		Winner:  rec.Winner,
 		Stop:    rec.Stop,
 		ColdMS:  rec.ColdMS,
+		Class:   rec.Class,
 	}
-	v.Class.Rounds = rec.Class.Rounds
-	v.Class.Tuples = rec.Class.Tuples
-	v.Class.Nodes = rec.Class.Nodes
-	v.Class.Words = rec.Class.Words
 	if len(rec.Cert) > 0 {
 		var c cert.Certificate
 		if err := json.Unmarshal(rec.Cert, &c); err != nil {
@@ -93,7 +89,7 @@ func (s *Server) storeGet(p *Problem, sink obs.Sink) (CachedVerdict, bool) {
 	if !ok {
 		return CachedVerdict{}, false
 	}
-	if v.Verdict == core.Unknown && classExceeds(s.requestClass(p), v.Class) {
+	if v.Verdict == core.Unknown && s.requestClass(p).Exceeds(v.Class) {
 		// This request's budget exceeds the class the stored unknown was
 		// computed under — a live run may settle it (and will overwrite
 		// the record through the write-through path).

@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 	"time"
 
@@ -126,6 +129,91 @@ func TestStoreUnknownClassUpgradePersists(t *testing.T) {
 	rec, ok := st2.Get(big.Key)
 	if !ok || rec.Class.Rounds != 100000 {
 		t.Fatalf("class upgrade did not persist: %+v ok=%v", rec, ok)
+	}
+}
+
+// TestUnknownClassIsTheArmsNodeCeiling: an unknown's budget class records
+// the node ceiling its request's arms ran under — finite-db's default for a
+// TD instance, model-search's for a presentation. A repeat that brings
+// 3,000,000 nodes, above finite-db's 2,000,000 and below model-search's
+// 5,000,000, therefore re-runs the TD instance and not the presentation,
+// on the cache rung and, after a restart, on the store rung.
+func TestUnknownClassIsTheArmsNodeCeiling(t *testing.T) {
+	parse := func(req Request, nodes int) *Problem {
+		t.Helper()
+		req.Nodes = nodes
+		p, err := ParseRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	tdReq := Request{Schema: []string{"A", "B", "C"},
+		Deps: []string{"R(a,b,c) & R(a,b2,c2) -> R(a,b,c2)"}, Goal: goalSwapConcl}
+	for _, rung := range []string{"cache", "store"} {
+		for _, tc := range []struct {
+			name   string
+			req    Request
+			source string
+			runs   int
+		}{
+			{"td", tdReq, "cold", 1},
+			{"presentation", Request{Preset: "gap"}, rung, 0},
+		} {
+			dir := t.TempDir()
+			st := tempVerdictStore(t, dir)
+			r := &gatedRunner{verdict: core.Unknown}
+			s := New(Config{Store: st, Runner: r.run})
+			if resp, err := s.Infer(parse(tc.req, 0)); err != nil || resp.Source != "cold" {
+				t.Fatalf("%s/%s: first request: source=%v err=%v", rung, tc.name, resp.Source, err)
+			}
+			if rung == "store" {
+				s.Shutdown(context.Background())
+				st.Close()
+				r = &gatedRunner{verdict: core.Unknown}
+				s = New(Config{Store: tempVerdictStore(t, dir), Runner: r.run})
+			}
+			before := r.count()
+			resp, err := s.Infer(parse(tc.req, 3_000_000))
+			if err != nil || resp.Source != tc.source {
+				t.Errorf("%s/%s: repeat at 3,000,000 nodes: source=%v err=%v, want %s",
+					rung, tc.name, resp.Source, err, tc.source)
+			}
+			if got := r.count() - before; got != tc.runs {
+				t.Errorf("%s/%s: repeat ran %d engines, want %d", rung, tc.name, got, tc.runs)
+			}
+			s.Shutdown(context.Background())
+		}
+	}
+}
+
+// TestStoreLoadsRecordsWithRetiredWordsClass: a log written while the
+// budget class still carried a words meter reopens, and its unknown
+// answers a same-class request from the store — the store's decoder
+// ignores the retired "words" class key.
+func TestStoreLoadsRecordsWithRetiredWordsClass(t *testing.T) {
+	dir := t.TempDir()
+	p := presetProblem(t, "gap")
+	payload, err := json.Marshal(map[string]any{"key": p.Key, "verdict": "unknown",
+		"class": map[string]int{"rounds": 64, "tuples": 100000, "nodes": 5000000, "words": 100000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The append-log framing: magic, then per record its length and
+	// CRC-32 (little-endian uint32s) before the JSON payload.
+	log := []byte("TDVSTOR1")
+	log = binary.LittleEndian.AppendUint32(log, uint32(len(payload)))
+	log = binary.LittleEndian.AppendUint32(log, crc32.ChecksumIEEE(payload))
+	log = append(log, payload...)
+	if err := os.WriteFile(store.DefaultPath(dir), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := &gatedRunner{verdict: core.Unknown}
+	s := New(Config{Store: tempVerdictStore(t, dir), Runner: r.run})
+	defer s.Shutdown(context.Background())
+	if resp, err := s.Infer(p); err != nil || resp.Source != "store" || r.count() != 0 {
+		t.Fatalf("old-format record: source=%v err=%v engine runs=%d, want a store hit",
+			resp.Source, err, r.count())
 	}
 }
 

@@ -73,7 +73,7 @@ type Config struct {
 	// Limits are the server-wide per-request meter limits. Each request
 	// derives its arm governors from them; zero fields fall back to the
 	// owning engine's defaults, so Limits{} means "the budgets tdinfer
-	// would use".
+	// would use". No served arm meters words, so Words has no effect.
 	Limits budget.Limits
 	// RequestTimeout bounds each cold run's wall clock (0 = meters only).
 	RequestTimeout time.Duration
@@ -175,15 +175,16 @@ type Request struct {
 	Schema []string `json:"schema,omitempty"`
 	Deps   []string `json:"deps,omitempty"`
 	Goal   string   `json:"goal,omitempty"`
-	// Rounds/Tuples/Nodes/Words override the server-wide meter limits for
-	// this request only (0 = server default). A request whose budget class
-	// exceeds the one a cached Unknown verdict was computed under re-runs
-	// the engines and overwrites the entry — bigger budgets may settle
-	// what smaller ones could not.
+	// Rounds/Tuples/Nodes override the server-wide meter limits for this
+	// request only (0 = server default): the chase's rounds and tuples, and
+	// the node ceiling of the search arm the request runs (finite-db for a
+	// TD instance, model-search for a presentation). A request whose
+	// budget class exceeds the one a cached Unknown verdict was computed
+	// under re-runs the engines and overwrites the entry — bigger budgets
+	// may settle what smaller ones could not.
 	Rounds int `json:"rounds,omitempty"`
 	Tuples int `json:"tuples,omitempty"`
 	Nodes  int `json:"nodes,omitempty"`
-	Words  int `json:"words,omitempty"`
 }
 
 // Response is the JSON body of a successful POST /infer.
@@ -359,9 +360,6 @@ func (s *Server) limitsFor(p *Problem) budget.Limits {
 	if p.Limits.Nodes > 0 {
 		l.Nodes = p.Limits.Nodes
 	}
-	if p.Limits.Words > 0 {
-		l.Words = p.Limits.Words
-	}
 	return l
 }
 
@@ -376,23 +374,25 @@ func (s *Server) chaseLimits(p *Problem) budget.Limits {
 	}
 }
 
-// requestClass is the fully resolved budget class of a request: every
-// meter at its effective value (override, server config, or engine
-// default). Stored with Unknown verdicts so a later, strictly larger
-// request is treated as a miss (classExceeds) and overwrites the entry.
-func (s *Server) requestClass(p *Problem) budget.Limits {
-	l := s.limitsFor(p)
-	c := s.chaseLimits(p)
-	c.Nodes = pick(l.Nodes, search.DefaultLimits.Nodes)
-	c.Words = pick(l.Words, words.DefaultLimits.Words)
-	return c
+// nodesFor resolves the node ceiling of the request's node-metered arm:
+// the finite-database enumerator's for a TD instance, the counter-model
+// search's for a presentation, each defaulting to its engine's limits.
+func (s *Server) nodesFor(p *Problem) int {
+	def := search.DefaultLimits.Nodes
+	if p.Pres == nil {
+		def = finitemodel.DefaultLimits.Nodes
+	}
+	return pick(s.limitsFor(p).Nodes, def)
 }
 
-// classExceeds reports whether budget class a exceeds b on any meter —
-// the condition under which a may settle a problem b answered Unknown.
-func classExceeds(a, b budget.Limits) bool {
-	return a.Rounds > b.Rounds || a.Tuples > b.Tuples ||
-		a.Nodes > b.Nodes || a.Words > b.Words
+// requestClass is the fully resolved budget class of a request: each
+// meter at the effective value its arms run under (override, server
+// config, or engine default). Stored with Unknown verdicts so a later,
+// strictly larger request is treated as a miss (store.Class.Exceeds) and
+// overwrites the entry.
+func (s *Server) requestClass(p *Problem) store.Class {
+	c := s.chaseLimits(p)
+	return store.Class{Rounds: c.Rounds, Tuples: c.Tuples, Nodes: s.nodesFor(p)}
 }
 
 // budgetFor builds the per-request core budget: one request-scoped
@@ -401,18 +401,20 @@ func classExceeds(a, b budget.Limits) bool {
 // sink threaded through every layer. Certify is always on — the service
 // never stores a definitive verdict without a checkable proof.
 func (s *Server) budgetFor(p *Problem, sink obs.Sink) (core.Budget, *budget.Governor, context.CancelFunc) {
-	l := s.limitsFor(p)
-	g, cancel := budget.ForRequest(s.rootCtx, s.cfg.RequestTimeout, l)
+	g, cancel := budget.ForRequest(s.rootCtx, s.cfg.RequestTimeout, s.limitsFor(p))
 	b := core.Budget{Governor: g, Sink: sink, Certify: true}
-	b.Chase = chase.DefaultOptions()
 	b.Chase.Governor = g.Child(s.chaseLimits(p))
 	b.Chase.Workers = s.cfg.Workers
-	b.ModelSearch.Governor = g.Child(budget.Limits{
-		Nodes: pick(l.Nodes, search.DefaultLimits.Nodes),
-	})
-	b.FiniteDB.Governor = g.Child(budget.Limits{
-		Nodes: pick(l.Nodes, finitemodel.DefaultLimits.Nodes),
-	})
+	nodes := budget.Limits{Nodes: s.nodesFor(p)}
+	b.ModelSearch.Governor = g.Child(nodes)
+	b.FiniteDB.Governor = g.Child(nodes)
+	// kb stays below rewrite.DefaultLimits (500 rules, 100 sweeps). A
+	// certified kb win is re-proved by a chase replay floored at
+	// chase.DefaultLimits, and the chase buffers a whole round before its
+	// tuple meter can stop it: at 500 rules kb wins collapse:4, and that
+	// replay runs out of memory. Raise the cap once the chase's in-round
+	// memory is bounded.
+	b.Completion.Governor = g.Child(budget.Limits{Rules: 200, Rounds: 25})
 	return b, g, cancel
 }
 
@@ -422,18 +424,17 @@ func (s *Server) budgetFor(p *Problem, sink obs.Sink) (core.Budget, *budget.Gove
 // unchanged — the chase arm threads the request's warm state into its
 // first lease and its final lease's snapshot back out.
 func PortfolioRunner(_ context.Context, p *Problem, b core.Budget) (CachedVerdict, error) {
-	opt := b.PortfolioOptions()
 	var res *portfolio.Result
 	var err error
 	if p.Pres != nil {
-		res, err = portfolio.AnalyzePresentation(p.Pres, opt)
+		res, err = portfolio.AnalyzePresentation(p.Pres, b)
 	} else {
-		res, err = portfolio.Infer(p.Deps, p.Goal, opt)
+		res, err = portfolio.Infer(p.Deps, p.Goal, b)
 	}
 	if err != nil {
 		return CachedVerdict{}, err
 	}
-	v := CachedVerdict{Verdict: core.VerdictOf(res.Verdict), Winner: res.Winner, Cert: res.Cert()}
+	v := CachedVerdict{Verdict: res.Verdict, Winner: res.Winner, Cert: res.Cert()}
 	if res.Chase != nil {
 		v.State = res.Chase.State
 		// The portfolio warm-carries its own snapshots between leases;
@@ -451,8 +452,7 @@ func ParseRequest(req Request) (*Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.Limits = budget.Limits{Rounds: req.Rounds, Tuples: req.Tuples,
-		Nodes: req.Nodes, Words: req.Words}
+	p.Limits = budget.Limits{Rounds: req.Rounds, Tuples: req.Tuples, Nodes: req.Nodes}
 	p.Wire = req
 	return p, nil
 }
@@ -566,7 +566,7 @@ func (s *Server) Infer(p *Problem) (Response, error) {
 	rejectedKind := ""
 	if v, ok := s.cache.Get(p.Key); ok {
 		switch {
-		case v.Verdict == core.Unknown && classExceeds(s.requestClass(p), v.Class):
+		case v.Verdict == core.Unknown && s.requestClass(p).Exceeds(v.Class):
 			// A strictly larger budget may settle what this entry's class
 			// could not: treat the hit as a miss and let the cold run
 			// overwrite it.

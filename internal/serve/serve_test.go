@@ -342,6 +342,7 @@ func TestHTTPSurface(t *testing.T) {
 		`{"preset":"power","goal":"(x)->(x)"}`,
 		`{"schema":["A"],"deps":[],"goal":""}`,
 		`{"unknown_field":1}`,
+		`{"preset":"power","words":1}`,
 	} {
 		resp, _ := post(bad)
 		if resp.StatusCode != http.StatusBadRequest {

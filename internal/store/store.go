@@ -101,14 +101,12 @@ type Class struct {
 	Rounds int `json:"rounds,omitempty"`
 	Tuples int `json:"tuples,omitempty"`
 	Nodes  int `json:"nodes,omitempty"`
-	Words  int `json:"words,omitempty"`
 }
 
 // Exceeds reports whether c exceeds d on any meter — the condition under
 // which a run under c may settle what a run under d answered unknown.
 func (c Class) Exceeds(d Class) bool {
-	return c.Rounds > d.Rounds || c.Tuples > d.Tuples ||
-		c.Nodes > d.Nodes || c.Words > d.Words
+	return c.Rounds > d.Rounds || c.Tuples > d.Tuples || c.Nodes > d.Nodes
 }
 
 // definitive reports whether the record's verdict is permanent.

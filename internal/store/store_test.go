@@ -55,7 +55,7 @@ func TestPutGetSupersession(t *testing.T) {
 	// A definitive verdict beats any unknown, and is never demoted back.
 	mustPut(t, s, Record{Key: "k1", Verdict: "implied", Winner: "chase",
 		Cert: json.RawMessage(`{"v":1}`)})
-	wrote, err = s.Put(Record{Key: "k1", Verdict: "unknown", Class: Class{Rounds: 99, Tuples: 99, Nodes: 99, Words: 99}})
+	wrote, err = s.Put(Record{Key: "k1", Verdict: "unknown", Class: Class{Rounds: 99, Tuples: 99, Nodes: 99}})
 	if err != nil || wrote {
 		t.Fatalf("unknown over definitive: wrote=%v err=%v, want skip", wrote, err)
 	}

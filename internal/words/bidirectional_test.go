@@ -10,7 +10,7 @@ import (
 func TestBidirectionalChain(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 8} {
 		p := ChainPresentation(n)
-		res := DeriveGoalBidirectional(p, DefaultClosureOptions())
+		res := DeriveGoalBidirectional(p, ClosureOptions{})
 		if res.Verdict != Derivable {
 			t.Fatalf("Chain(%d): verdict %v", n, res.Verdict)
 		}
@@ -25,7 +25,7 @@ func TestBidirectionalChain(t *testing.T) {
 
 func TestBidirectionalTwoStep(t *testing.T) {
 	p := TwoStepPresentation()
-	res := DeriveGoalBidirectional(p, DefaultClosureOptions())
+	res := DeriveGoalBidirectional(p, ClosureOptions{})
 	if res.Verdict != Derivable {
 		t.Fatalf("verdict %v", res.Verdict)
 	}
@@ -41,7 +41,7 @@ func TestBidirectionalNotDerivable(t *testing.T) {
 	// Power: the class of A0 is the singleton {A0}; the forward frontier
 	// exhausts and no meeting happens.
 	p := PowerPresentation()
-	res := DeriveGoalBidirectional(p, DefaultClosureOptions())
+	res := DeriveGoalBidirectional(p, ClosureOptions{})
 	if res.Verdict != NotDerivable {
 		t.Fatalf("verdict %v", res.Verdict)
 	}
@@ -58,11 +58,11 @@ func TestBidirectionalBudget(t *testing.T) {
 func TestBidirectionalReflexiveAndEmpty(t *testing.T) {
 	p := PowerPresentation()
 	w := W(p.Alphabet.A0())
-	res := DeriveBidirectional(p, w, w, DefaultClosureOptions())
+	res := DeriveBidirectional(p, w, w, ClosureOptions{})
 	if res.Verdict != Derivable || res.Derivation.Len() != 0 {
 		t.Errorf("reflexive: %v", res.Verdict)
 	}
-	if res := DeriveBidirectional(p, Word{}, w, DefaultClosureOptions()); res.Verdict != NotDerivable {
+	if res := DeriveBidirectional(p, Word{}, w, ClosureOptions{}); res.Verdict != NotDerivable {
 		t.Errorf("empty: %v", res.Verdict)
 	}
 }
@@ -125,8 +125,8 @@ func TestBidirectionalInteriorWords(t *testing.T) {
 	a := p.Alphabet
 	from := W(a.A0())
 	to := W(a.MustSymbol("s7"))
-	uni := Derive(p, from, to, DefaultClosureOptions())
-	bi := DeriveBidirectional(p, from, to, DefaultClosureOptions())
+	uni := Derive(p, from, to, ClosureOptions{})
+	bi := DeriveBidirectional(p, from, to, ClosureOptions{})
 	if uni.Verdict != Derivable || bi.Verdict != Derivable {
 		t.Fatalf("verdicts %v %v", uni.Verdict, bi.Verdict)
 	}
@@ -146,8 +146,8 @@ func TestBidirectionalZeroEndpointCost(t *testing.T) {
 	// A·0 and 0·A), so for the A0 = 0 goal the bidirectional search can be
 	// strictly WORSE than the forward-only search. Both must still agree.
 	p := bushPresentation(6, 4)
-	uni := DeriveGoal(p, DefaultClosureOptions())
-	bi := DeriveGoalBidirectional(p, DefaultClosureOptions())
+	uni := DeriveGoal(p, ClosureOptions{})
+	bi := DeriveGoalBidirectional(p, ClosureOptions{})
 	if uni.Verdict != Derivable || bi.Verdict != Derivable {
 		t.Fatalf("verdicts %v %v", uni.Verdict, bi.Verdict)
 	}

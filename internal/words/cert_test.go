@@ -7,7 +7,7 @@ import (
 
 func TestCertificateRoundTrip(t *testing.T) {
 	for _, p := range []*Presentation{TwoStepPresentation(), ChainPresentation(3)} {
-		res := DeriveGoal(p, DefaultClosureOptions())
+		res := DeriveGoal(p, ClosureOptions{})
 		if res.Verdict != Derivable {
 			t.Fatal("setup")
 		}
@@ -27,7 +27,7 @@ func TestCertificateRoundTrip(t *testing.T) {
 
 func TestCertificateRejectsTampering(t *testing.T) {
 	p := TwoStepPresentation()
-	res := DeriveGoal(p, DefaultClosureOptions())
+	res := DeriveGoal(p, ClosureOptions{})
 	text := res.Derivation.MarshalText(p)
 
 	// Tamper: change an equation index.
@@ -58,7 +58,7 @@ func TestCertificateRejectsTampering(t *testing.T) {
 
 func TestCertificateComments(t *testing.T) {
 	p := TwoStepPresentation()
-	res := DeriveGoal(p, DefaultClosureOptions())
+	res := DeriveGoal(p, ClosureOptions{})
 	text := "# a comment\n" + res.Derivation.MarshalText(p) + "\n# trailing\n"
 	if _, err := ParseDerivation(p, text); err != nil {
 		t.Error(err)

@@ -65,11 +65,6 @@ type ClosureOptions struct {
 // EquivalenceClass.
 var DefaultLimits = budget.Limits{Words: 100000}
 
-// DefaultClosureOptions are generous defaults for interactive use.
-func DefaultClosureOptions() ClosureOptions {
-	return ClosureOptions{}
-}
-
 // Step records one rewrite in a derivation: equation Eq of the presentation
 // applied at position Pos of the previous word; Forward means LHS -> RHS.
 type Step struct {

@@ -11,7 +11,7 @@ import (
 func TestDeriveChain(t *testing.T) {
 	for _, n := range []int{1, 2, 5} {
 		p := ChainPresentation(n)
-		res := DeriveGoal(p, DefaultClosureOptions())
+		res := DeriveGoal(p, ClosureOptions{})
 		if res.Verdict != Derivable {
 			t.Fatalf("Chain(%d): verdict %v", n, res.Verdict)
 		}
@@ -26,7 +26,7 @@ func TestDeriveChain(t *testing.T) {
 
 func TestDeriveTwoStep(t *testing.T) {
 	p := TwoStepPresentation()
-	res := DeriveGoal(p, DefaultClosureOptions())
+	res := DeriveGoal(p, ClosureOptions{})
 	if res.Verdict != Derivable {
 		t.Fatalf("verdict %v", res.Verdict)
 	}
@@ -52,7 +52,7 @@ func TestDeriveNotDerivable(t *testing.T) {
 	// and no RHS except... A0·A0 = B requires two symbols. So the class of
 	// the single-symbol word A0 is {A0} alone: definitively NotDerivable.
 	p := PowerPresentation()
-	res := DeriveGoal(p, DefaultClosureOptions())
+	res := DeriveGoal(p, ClosureOptions{})
 	if res.Verdict != NotDerivable {
 		t.Fatalf("verdict %v (explored %d)", res.Verdict, res.WordsExplored)
 	}
@@ -85,7 +85,7 @@ func TestDeriveLengthCapTruncates(t *testing.T) {
 func TestDeriveReflexive(t *testing.T) {
 	p := PowerPresentation()
 	w := W(p.Alphabet.A0())
-	res := Derive(p, w, w, DefaultClosureOptions())
+	res := Derive(p, w, w, ClosureOptions{})
 	if res.Verdict != Derivable || res.Derivation.Len() != 0 {
 		t.Fatalf("reflexive derivation wrong: %v", res)
 	}
@@ -96,14 +96,14 @@ func TestDeriveReflexive(t *testing.T) {
 
 func TestDeriveEmptyWords(t *testing.T) {
 	p := PowerPresentation()
-	if res := Derive(p, Word{}, W(0), DefaultClosureOptions()); res.Verdict != NotDerivable {
+	if res := Derive(p, Word{}, W(0), ClosureOptions{}); res.Verdict != NotDerivable {
 		t.Errorf("empty source: %v", res.Verdict)
 	}
 }
 
 func TestDerivationValidateRejectsCorruption(t *testing.T) {
 	p := ChainPresentation(1)
-	res := DeriveGoal(p, DefaultClosureOptions())
+	res := DeriveGoal(p, ClosureOptions{})
 	if res.Verdict != Derivable {
 		t.Fatal("setup failed")
 	}
@@ -139,7 +139,7 @@ func TestDerivationValidateRejectsCorruption(t *testing.T) {
 
 func TestDerivationFormat(t *testing.T) {
 	p := TwoStepPresentation()
-	res := DeriveGoal(p, DefaultClosureOptions())
+	res := DeriveGoal(p, ClosureOptions{})
 	s := res.Derivation.Format(p)
 	if !strings.Contains(s, "A0") || !strings.Contains(s, "eq ") {
 		t.Errorf("Format = %q", s)

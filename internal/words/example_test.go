@@ -8,7 +8,7 @@ import (
 
 func ExampleDeriveGoal() {
 	p := words.TwoStepPresentation() // b·c = A0 and b·c = 0
-	res := words.DeriveGoal(p, words.DefaultClosureOptions())
+	res := words.DeriveGoal(p, words.ClosureOptions{})
 	fmt.Println(res.Verdict)
 	for _, w := range res.Derivation.Words() {
 		fmt.Println(w.Format(p.Alphabet))

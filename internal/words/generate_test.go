@@ -39,10 +39,10 @@ func TestNilpotentSafePresentation(t *testing.T) {
 }
 
 func TestPowerAndTwoStepAndGap(t *testing.T) {
-	if got := DeriveGoal(PowerPresentation(), DefaultClosureOptions()).Verdict; got != NotDerivable {
+	if got := DeriveGoal(PowerPresentation(), ClosureOptions{}).Verdict; got != NotDerivable {
 		t.Errorf("power: %v", got)
 	}
-	if got := DeriveGoal(TwoStepPresentation(), DefaultClosureOptions()).Verdict; got != Derivable {
+	if got := DeriveGoal(TwoStepPresentation(), ClosureOptions{}).Verdict; got != Derivable {
 		t.Errorf("two-step: %v", got)
 	}
 	if got := DeriveGoal(IdempotentGapPresentation(), ClosureOptions{Governor: budget.New(nil, budget.Limits{Words: 300})}).Verdict; got != Unknown {

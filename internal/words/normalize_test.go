@@ -122,7 +122,7 @@ func TestNormalizeAliases(t *testing.T) {
 	if !n.Presentation.IsTwoOne() {
 		t.Fatal("not (2,1)")
 	}
-	res := DeriveGoal(n.Presentation, DefaultClosureOptions())
+	res := DeriveGoal(n.Presentation, ClosureOptions{})
 	if res.Verdict != Derivable {
 		t.Fatalf("goal should remain derivable after aliasing; got %v", res.Verdict)
 	}
@@ -152,7 +152,7 @@ func TestNormalizeGoalForced(t *testing.T) {
 	if !n.Presentation.IsTwoOne() {
 		t.Fatal("not (2,1)")
 	}
-	res := DeriveGoal(n.Presentation, DefaultClosureOptions())
+	res := DeriveGoal(n.Presentation, ClosureOptions{})
 	if res.Verdict != Derivable {
 		t.Fatalf("goal must be derivable via the gadget; got %v", res.Verdict)
 	}

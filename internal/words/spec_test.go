@@ -21,7 +21,7 @@ b c = 0
 	if err := p.CheckZeroEquations(); err != nil {
 		t.Error(err)
 	}
-	if got := DeriveGoal(p, DefaultClosureOptions()).Verdict; got != Derivable {
+	if got := DeriveGoal(p, ClosureOptions{}).Verdict; got != Derivable {
 		t.Errorf("verdict %v", got)
 	}
 }

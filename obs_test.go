@@ -28,7 +28,7 @@ func TestTraceReplayMatchesStats(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			in := reduction.MustBuild(tc.p)
 			var buf bytes.Buffer
-			opt := chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000}), SemiNaive: true,
+			opt := chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000}),
 				Sink: obs.NewJSONLSink(&buf)}
 			res, err := chase.Implies(in.D, in.D0, opt)
 			if err != nil {
@@ -84,8 +84,7 @@ tail:   R(a, b, c) & R(a', b', c) -> R(a, b', c)
 			start.MustAdd(relation.Tuple{relation.Value(i % 2), relation.Value(i % 3), relation.Value(i)})
 		}
 		var buf bytes.Buffer
-		e, err := chase.NewEngine(s, deps, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 20000}),
-			SemiNaive: true, Workers: workers, Sink: obs.NewJSONLSink(&buf)})
+		e, err := chase.NewEngine(s, deps, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 20000}), Workers: workers, Sink: obs.NewJSONLSink(&buf)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,8 +116,8 @@ func TestNopSinkAllocParity(t *testing.T) {
 	run := func(sink obs.Sink) float64 {
 		return testing.AllocsPerRun(10, func() {
 			e, err := chase.NewEngine(s, []*td.TD{join}, chase.Options{
-				Governor:  budget.New(nil, budget.Limits{Rounds: 50, Tuples: 10000}),
-				SemiNaive: true, Sink: sink})
+				Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 10000}),
+				Sink:     sink})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,7 +23,7 @@ import (
 func warmCase(t *testing.T, in *reduction.Instance, producer, consumer budget.Limits, workers int) {
 	t.Helper()
 	prod, err := chase.Implies(in.D, in.D0, chase.Options{
-		SemiNaive: true, Workers: workers, CaptureState: true,
+		Workers: workers, CaptureState: true,
 		Governor: budget.New(nil, producer)})
 	if err != nil {
 		t.Fatal(err)
@@ -32,13 +32,13 @@ func warmCase(t *testing.T, in *reduction.Instance, producer, consumer budget.Li
 		t.Fatal("producer run captured no state")
 	}
 	warm, err := chase.Implies(in.D, in.D0, chase.Options{
-		SemiNaive: true, Workers: workers, WarmState: prod.State,
+		Workers: workers, WarmState: prod.State,
 		Governor: budget.New(nil, consumer)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cold, err := chase.Implies(in.D, in.D0, chase.Options{
-		SemiNaive: true, Workers: workers,
+		Workers:  workers,
 		Governor: budget.New(nil, consumer)})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestStoppedStateBudgetClassRule(t *testing.T) {
 	in := reduction.MustBuild(words.IdempotentGapPresentation())
 	producer := budget.Limits{Rounds: 3, Tuples: 100000}
 	prod, err := chase.Implies(in.D, in.D0, chase.Options{
-		SemiNaive: true, CaptureState: true, Governor: budget.New(nil, producer)})
+		CaptureState: true, Governor: budget.New(nil, producer)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +119,8 @@ func TestStoppedStateBudgetClassRule(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			warm, err := chase.Implies(in.D, in.D0, chase.Options{
-				SemiNaive: true, WarmState: prod.State,
-				Governor: budget.New(nil, tc.limits)})
+				WarmState: prod.State,
+				Governor:  budget.New(nil, tc.limits)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +128,7 @@ func TestStoppedStateBudgetClassRule(t *testing.T) {
 				t.Errorf("WarmStarted = %v, want %v", warm.WarmStarted, tc.reusable)
 			}
 			cold, err := chase.Implies(in.D, in.D0, chase.Options{
-				SemiNaive: true, Governor: budget.New(nil, tc.limits)})
+				Governor: budget.New(nil, tc.limits)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +160,7 @@ func TestWarmTraceReplayMatchesStats(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			in := reduction.MustBuild(tc.p)
 			prod, err := chase.Implies(in.D, in.D0, chase.Options{
-				SemiNaive: true, CaptureState: true, Governor: budget.New(nil, tc.producer)})
+				CaptureState: true, Governor: budget.New(nil, tc.producer)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,9 +169,9 @@ func TestWarmTraceReplayMatchesStats(t *testing.T) {
 			}
 			var buf bytes.Buffer
 			res, err := chase.Implies(in.D, in.D0, chase.Options{
-				SemiNaive: true, WarmState: prod.State,
-				Governor: budget.New(nil, tc.consumer),
-				Sink:     obs.NewJSONLSink(&buf)})
+				WarmState: prod.State,
+				Governor:  budget.New(nil, tc.consumer),
+				Sink:      obs.NewJSONLSink(&buf)})
 			if err != nil {
 				t.Fatal(err)
 			}
