@@ -21,7 +21,9 @@
 #                   finite-db arm held to size 1, and the portfolio's
 #                   finite-db answer at the default sizes);
 #                   tdserve under a duplicate-heavy tdbench -loadjson
-#                   burst with graceful-drain assertions
+#                   burst, a served collapse:4 derivation certificate
+#                   checked by tdcheck (needs jq), and graceful-drain
+#                   assertions
 #   shard   (300) — the multi-replica tier: 3 tdserve replicas with disk
 #                   stores and a consistent-hash ring,
 #                   certificate-verified peer fills under a burst, then a
@@ -330,6 +332,28 @@ stage_smoke() {
     }
     "$smoke/tdbench" -loadjson "$smoke/load.json" -loadserver "http://$serve_addr" \
         -loadn 40 -loadc 8
+    # Served derivation certificate: kb settles collapse:4 at its default
+    # ceiling, and its derivation of A0 = 0 is the certificate. tdcheck
+    # must accept it and reject a copy with one step's position moved.
+    curl -sf -d '{"preset":"collapse:4"}' "http://$serve_addr/infer?cert=1" >"$smoke/collapse4.json" || {
+        echo "ci: serve smoke: POST /infer?cert=1 for collapse:4 failed" >&2
+        exit 1
+    }
+    [[ "$(jq -r '.verdict + " " + .cert.kind' "$smoke/collapse4.json")" == "implied derivation" ]] || {
+        echo "ci: serve smoke: collapse:4 should be implied with a derivation certificate, got:" >&2
+        head -c 400 "$smoke/collapse4.json" >&2
+        exit 1
+    }
+    jq '.cert' "$smoke/collapse4.json" >"$smoke/collapse4.cert.json"
+    "$smoke/tdcheck" -verify "$smoke/collapse4.cert.json" >/dev/null || {
+        echo "ci: serve smoke: served collapse:4 certificate rejected" >&2
+        exit 1
+    }
+    jq '.derivation.steps[0].pos += 1' "$smoke/collapse4.cert.json" >"$smoke/collapse4.tampered.json"
+    if "$smoke/tdcheck" -verify "$smoke/collapse4.tampered.json" >/dev/null 2>&1; then
+        echo "ci: serve smoke: a derivation with a moved step was accepted" >&2
+        exit 1
+    fi
     kill -TERM "$srv_pid"
     wait "$srv_pid" || {
         echo "ci: serve smoke: tdserve exited nonzero:" >&2

@@ -134,7 +134,7 @@ func main() {
 			fmt.Printf("completion stopped by budget: %s\n", res.Budget)
 		}
 		if res.Confluent {
-			ok, err := s.DecideGoal()
+			ok, _, err := s.DecideGoal()
 			if err != nil {
 				fatal(err)
 			}

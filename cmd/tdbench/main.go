@@ -201,11 +201,11 @@ func e1() {
 
 	// Growth curve for chain3: canonical-database size per round.
 	in := reduction.MustBuild(words.ChainPresentation(3))
-	gres, err := chase.Implies(in.D, in.D0, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000}), KeepHistory: true})
+	gres, err := chase.Implies(in.D, in.D0, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000})})
 	check(err)
 	fmt.Print("chain3 growth (round: tuples):")
-	for _, h := range gres.History {
-		fmt.Printf(" %d:%d", h.Round, h.TuplesAfter)
+	for round, n := range gres.Bounds()[1:] {
+		fmt.Printf(" %d:%d", round+1, n)
 	}
 	fmt.Println()
 }

@@ -3,9 +3,9 @@
 // reallocated from live progress signals) on a grid of presets and writes
 // one JSON document (BENCH_portfolio.json in-repo) recording, per preset,
 // the time per run, the verdict, the winning arm and the scheduler's work,
-// and once for the whole grid the arms' hard ceilings. The ceilings are
-// not tdserve's: tdserve caps kb at 200 rules / 25 sweeps, so it answers
-// collapse:4 unknown where this grid's kb, at the engine default, wins.
+// and once for the whole grid the arms' hard ceilings. kb runs at the
+// engine default, as in tdserve and every other front-end, so a zero-config
+// tdserve settles the grid with the same verdicts and winners.
 //
 // The grid covers each arm that settles presentations:
 //

@@ -25,7 +25,8 @@
 // Observability: -trace FILE writes the structured event stream (JSONL, see
 // docs/OBSERVABILITY.md) of the whole run; -progress keeps a live one-line
 // status on stderr; -depstats prints a per-dependency work table; -proof
-// prints the chase proof trace when the verdict is "implied" and the
+// prints the winning chase lease's proof — every tuple it added, with its
+// round and dependency — when the verdict is "implied" and the
 // counter-database (plus, for -preset runs, the witness semigroup's
 // multiplication table when one exists) when it is "finite-counterexample".
 //
@@ -76,7 +77,7 @@ func main() {
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the chase; the portfolio runs the counterexample enumeration serially (results are identical for every value; 1 = serial)")
 		pruneFlag  = flag.String("prune", "symmetry", "counterexample enumeration symmetry breaking: symmetry|none")
 		deadline   = flag.Duration("deadline", 0, "wall-clock budget for the whole run (0 = none)")
-		proof      = flag.Bool("proof", false, "print the proof object: the chase trace for implied, the counter-database and witness table for finite-counterexample")
+		proof      = flag.Bool("proof", false, "print the proof object: the winning chase lease's added tuples for implied, the counter-database and witness table for finite-counterexample")
 		certFile   = flag.String("cert", "", "write the verdict's verifiable certificate (JSON) to FILE; re-check with tdcheck -verify FILE")
 		traceFile  = flag.String("trace", "", "write the structured event stream to FILE as JSONL (see docs/OBSERVABILITY.md)")
 		progress   = flag.Bool("progress", false, "live progress line on stderr")
@@ -155,10 +156,9 @@ func main() {
 
 	b := core.Budget{}
 	b.Governor = budget.New(ctx, budget.Limits{})
-	b.Certify = *certFile != "" || *proof
 	b.Chase = chase.Options{
-		Governor: b.Governor.Child(budget.Limits{Rounds: *rounds, Tuples: *tuples}),
-		Trace:    *proof, PerDepStats: *depStats,
+		Governor:    b.Governor.Child(budget.Limits{Rounds: *rounds, Tuples: *tuples}),
+		PerDepStats: *depStats,
 	}
 	b.FiniteDB.Sizes = budget.Range{Lo: 1, Hi: *fmTuples}
 	b.Chase.Workers = *workers
@@ -227,20 +227,9 @@ func main() {
 		}
 	}
 	if *proof && res.Verdict == core.Implied {
-		switch {
-		case res.Chase != nil && len(res.Chase.Trace) > 0:
-			fmt.Println("proof trace:")
-			for _, f := range res.Chase.Trace {
-				fmt.Printf("  round %d: %s adds %v\n", f.Round, depSet[f.Dep].Name(), f.Tuple)
-			}
-		case res.Cert() != nil && res.Cert().Chase != nil:
-			// The winning arm ran untraced (the adaptive portfolio's chase
-			// keeps its snapshots warm-state eligible); the certifying
-			// replay's trace is the proof.
-			fmt.Println("proof trace (from certificate replay):")
-			for _, s := range res.Cert().Chase.Steps {
-				fmt.Printf("  %s adds %v\n", depSet[s.Dep].Name(), s.Tuple)
-			}
+		fmt.Println("proof trace:")
+		for _, f := range res.Chase.Proof() {
+			fmt.Printf("  round %d: %s adds %v\n", f.Round, depSet[f.Dep].Name(), f.Tuple)
 		}
 	}
 	if res.Counterexample != nil {

@@ -29,6 +29,11 @@
 //     assignment) the database was built from; the checker re-validates
 //     the witness as a Main Lemma failure model when present.
 //
+// A certificate serializes the proof the winning engine already found —
+// kb's derivation of A0 = 0 (rewrite.System.DecideGoal), a chase run's
+// own sequence (chase.Result.Proof), a search's database — never a second
+// proof.
+//
 // Check (check.go) never trusts engine internals: it re-parses the
 // embedded problem, deterministically rebuilds the Gurevich–Lewis
 // reduction for presentation problems, and re-validates the payload with
@@ -116,8 +121,7 @@ type DerivStep struct {
 }
 
 // Chase is the chase-trace payload. Steps replay in order from the goal's
-// frozen antecedents; the restricted chase only ever adds new tuples, so
-// the Added flag of the in-memory trace is implied and not serialized.
+// frozen antecedents, each adding a new tuple.
 type Chase struct {
 	Steps []ChaseStep `json:"steps"`
 }
@@ -180,23 +184,16 @@ func NewDerivation(doc Problem, pres *words.Presentation, d *words.Derivation) *
 	return &Certificate{Version: Version, Kind: KindDerivation, Verdict: "implied", Problem: doc, Derivation: cd}
 }
 
-// NewChase builds a chase certificate from a validated trace.
-func NewChase(doc Problem, trace []chase.Fired) *Certificate {
-	// A zero-step trace is a valid proof of a TRIVIAL implication: the
+// NewChase builds a chase certificate from the proof of an Implied chase
+// run (chase.Result.Proof).
+func NewChase(doc Problem, proof []chase.Fired) *Certificate {
+	// A zero-step proof is a valid proof of a TRIVIAL implication: the
 	// goal's conclusion is already satisfiable in its own frozen
 	// antecedents, and the checker verifies exactly that (the witness
 	// check of an empty replay). Random fuzzing generates such goals
 	// routinely, so they must be certifiable too.
 	cc := &Chase{}
-	for _, f := range trace {
-		// Non-adding firings (a duplicate conclusion, common when the
-		// dependency set itself contains duplicates) leave the instance
-		// unchanged, so the proof does not need them. Dropping them here
-		// also keeps the wire format free of an Added flag: the checker
-		// replays every recorded step as a strict addition.
-		if !f.Added {
-			continue
-		}
+	for _, f := range proof {
 		t := make([]int, len(f.Tuple))
 		for i, v := range f.Tuple {
 			t[i] = int(v)

@@ -1,16 +1,12 @@
 package cert_test
 
 import (
-	"context"
 	"strings"
 	"testing"
-	"time"
 
-	"templatedep/internal/budget"
 	"templatedep/internal/cert"
 	"templatedep/internal/core"
 	"templatedep/internal/portfolio"
-	"templatedep/internal/reduction"
 	"templatedep/internal/td"
 	"templatedep/internal/words"
 )
@@ -84,7 +80,7 @@ func TestFiniteModelCertRoundTrip(t *testing.T) {
 
 func TestChaseCertRoundTripTD(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	res, err := portfolio.Infer([]*td.TD{fig1}, fig1, core.Budget{Certify: true})
+	res, err := portfolio.Infer([]*td.TD{fig1}, fig1, core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +98,7 @@ func TestChaseCertRoundTripTD(t *testing.T) {
 
 func TestFiniteModelCertRoundTripTD(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	res, err := portfolio.Infer(nil, fig1, core.Budget{Certify: true})
+	res, err := portfolio.Infer(nil, fig1, core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,56 +108,6 @@ func TestFiniteModelCertRoundTripTD(t *testing.T) {
 	c := roundTrip(t, res.Cert())
 	if err := cert.Check(c); err != nil {
 		t.Fatalf("valid TD finite-model certificate rejected: %v", err)
-	}
-}
-
-func TestCertifyImpliedReplay(t *testing.T) {
-	// An untraced win (as from the kb portfolio arm) certifies by
-	// deterministic chase replay.
-	p := words.TwoStepPresentation()
-	res, err := core.AnalyzePresentation(p, core.Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := res.Instance
-	c := cert.CertifyImplied(context.Background(), cert.PresentationProblem(p), in.D, in.D0, budget.Limits{})
-	if c == nil {
-		t.Fatal("replay failed to certify a sound implied verdict")
-	}
-	if err := cert.Check(roundTrip(t, c)); err != nil {
-		t.Fatalf("replayed certificate rejected: %v", err)
-	}
-}
-
-// The replay runs under the caller's context, not a fresh background one:
-// a request past its deadline, or on a draining server, gets no
-// certificate instead of a replay running on to the chase.DefaultLimits
-// floors.
-func TestCertifyImpliedHonoursCancellation(t *testing.T) {
-	p := words.TwoStepPresentation()
-	in := reduction.MustBuild(p)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if c := cert.CertifyImplied(ctx, cert.PresentationProblem(p), in.D, in.D0, budget.Limits{}); c != nil {
-		t.Fatal("a cancelled replay returned a certificate")
-	}
-
-	// Cancellation mid-replay: the gap instance never reaches its goal and
-	// roughly squares every round, so only the chase's in-round
-	// checkpoints can stop it before the default floors. A generous CI
-	// margin still catches a replay that ignores ctx.
-	gap := words.IdempotentGapPresentation()
-	gin := reduction.MustBuild(gap)
-	ctx, cancel = context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	c := cert.CertifyImplied(ctx, cert.PresentationProblem(gap), gin.D, gin.D0, budget.Limits{})
-	elapsed := time.Since(start)
-	if c != nil {
-		t.Fatal("an expired replay of an unimplied goal returned a certificate")
-	}
-	if elapsed > 5*time.Second {
-		t.Errorf("replay overshot its 30ms context by %v", elapsed)
 	}
 }
 
@@ -178,9 +124,26 @@ func wantCheckError(t *testing.T, c *cert.Certificate, substr string) {
 	}
 }
 
+// A chase step may put only a new value (a labelled null) at an
+// existential conclusion position. Reusing an existing constant asserts an
+// equality the dependency does not imply: here a trivial dependency would
+// "prove" a goal that a two-tuple database refutes.
+func TestRejectChaseStepReusingAConstant(t *testing.T) {
+	c := &cert.Certificate{Version: cert.Version, Kind: cert.KindChase, Verdict: "implied",
+		Problem: cert.Problem{Schema: []string{"A", "B", "C"},
+			Deps: []string{"R(a, b, c) -> R(a', b, c')"},
+			Goal: "R(a, b, c) & R(a, b', c') -> R(a'', b, c')"},
+		Chase: &cert.Chase{Steps: []cert.ChaseStep{{Dep: 0, Tuple: []int{0, 0, 1}}}}}
+	wantCheckError(t, c, "not a new value")
+	// The same step with new values at the existential positions is a
+	// legal chase step, but it no longer witnesses the goal.
+	c.Chase.Steps[0].Tuple = []int{5, 0, 5}
+	wantCheckError(t, c, "does not witness the goal")
+}
+
 func TestRejectCorruptedChaseStep(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	res, err := portfolio.Infer([]*td.TD{fig1}, fig1, core.Budget{Certify: true})
+	res, err := portfolio.Infer([]*td.TD{fig1}, fig1, core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,9 +190,8 @@ func checkDerivation(p *words.Presentation, d *Derivation) error {
 
 // checkChase replays the recorded steps from the goal's frozen antecedents
 // with chase.ValidateTrace — every step must be justified by an antecedent
-// homomorphism, and the final instance must witness the goal's conclusion.
-// The restricted chase only records genuinely new tuples, so every replayed
-// step is required to add its tuple.
+// homomorphism and add a new tuple, and the final instance must witness the
+// goal's conclusion.
 func checkChase(deps []*td.TD, goal *td.TD, cc *Chase) error {
 	// Zero steps are allowed: the replay then just checks the witness on
 	// the frozen antecedents, which is the sound proof of a trivial
@@ -205,7 +204,7 @@ func checkChase(deps []*td.TD, goal *td.TD, cc *Chase) error {
 		for i, v := range s.Tuple {
 			tup[i] = relation.Value(v)
 		}
-		trace = append(trace, chase.Fired{Dep: s.Dep, Tuple: tup, Added: true})
+		trace = append(trace, chase.Fired{Dep: s.Dep, Tuple: tup})
 	}
 	frozen, as := goal.FrozenAntecedents()
 	concl := goal.Conclusion()

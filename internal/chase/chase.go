@@ -15,7 +15,8 @@
 // general: TD inference is undecidable. The engine therefore runs in fair
 // rounds under explicit budgets and returns a three-valued verdict:
 //
-//   - Implied: the conclusion appeared; the trace is a proof.
+//   - Implied: the conclusion appeared; the run's chase sequence
+//     (Result.Proof) is a proof.
 //   - NotImplied: a fixpoint was reached without the conclusion; the final
 //     instance is a finite counterexample database satisfying D and
 //     violating D0.
@@ -24,6 +25,10 @@
 // Fairness (round-robin over dependencies, breadth-first over trigger
 // generations) makes the procedure complete in the limit: every logically
 // implied conclusion is found given enough budget.
+//
+// Every run records its own proof: the per-round boundaries and the
+// dependency that added each tuple (Result.Proof, Result.Bounds), carried
+// by warm-start snapshots too.
 //
 // The zero Options is the configuration every front-end runs: the
 // semi-naive restricted chase with the index join, under DefaultLimits.
@@ -104,8 +109,6 @@ type Options struct {
 	// more joins. It is the reference the semi-naive chase is tested
 	// against.
 	Naive bool
-	// Trace records every fired trigger.
-	Trace bool
 	// Workers > 1 enumerates triggers in parallel goroutines within each
 	// round: across dependencies, and — on semi-naive rounds with the index
 	// join — across contiguous shards of the delta within a single
@@ -117,9 +120,6 @@ type Options struct {
 	// Join selects index-driven (default) or naive-scan homomorphism
 	// enumeration.
 	Join JoinStrategy
-	// KeepHistory records per-round statistics in Result.History; used by
-	// the experiment harness to plot canonical-database growth.
-	KeepHistory bool
 	// Sink receives structured observability events (round boundaries,
 	// per-dependency firings, delta sizes, nulls, the verdict). Nil — the
 	// default — skips every emission; the engine only ever emits from its
@@ -136,12 +136,12 @@ type Options struct {
 	ProfileLabels bool
 	// WarmState, when non-nil, warm-starts the run from a snapshot captured
 	// by an earlier run over the same dependency set and start instance
-	// (see State). Verdicts, Stats, and tuple identity match a cold run
-	// exactly; only wall-clock changes. Incompatible or ineligible states
-	// (config mismatch, different start, budget-class rule, or an engine
-	// configuration outside stateEligible) silently fall back to a cold
-	// run. Warm starts take effect through Engine.Implies — a plain Chase
-	// has no prefix-goal predicate to replay with — and Result.WarmStarted
+	// (see State). Verdicts, Stats, tuple identity and the proof match a
+	// cold run exactly; only wall-clock changes. Incompatible states (config
+	// mismatch, different start, a dependency with no twin here, budget
+	// class) and ineligible engines silently fall back to a cold run. Warm
+	// starts take effect through Engine.Implies — a plain Chase has no
+	// prefix-goal predicate to replay with — and Result.WarmStarted
 	// reports whether the snapshot was actually used.
 	WarmState *State
 	// CaptureState asks the run to snapshot its last completed round into
@@ -150,18 +150,6 @@ type Options struct {
 	// complete a round. Capture costs one prefix clone of the final
 	// instance, paid once at the end of the run.
 	CaptureState bool
-}
-
-// RoundStats snapshots one fair round for growth analysis.
-type RoundStats struct {
-	Round         int
-	TriggersFired int
-	TuplesAfter   int
-	// TuplesAdded counts tuples new to the instance this round (fired
-	// minus duplicates under the oblivious variant).
-	TuplesAdded int
-	// NullsCreated counts labeled nulls invented this round.
-	NullsCreated int
 }
 
 // DefaultLimits are the meter caps an ungoverned chase runs under: 64 fair
@@ -180,7 +168,7 @@ type Verdict int
 const (
 	// Unknown means budgets ran out before an answer.
 	Unknown Verdict = iota
-	// Implied means D logically implies D0 (certified by the chase trace).
+	// Implied means D logically implies D0 (certified by Result.Proof).
 	Implied
 	// NotImplied means the chase reached a fixpoint without witnessing the
 	// conclusion: the fixpoint is a finite counterexample.
@@ -198,17 +186,15 @@ func (v Verdict) String() string {
 	}
 }
 
-// Fired records one chase step for proof traces.
+// Fired is one step of a chase proof: dependency Dep added Tuple, new to
+// the instance, in fair round Round.
 type Fired struct {
 	// Dep is the index of the dependency in the input set.
 	Dep int
 	// Round is the fair round in which the trigger fired (1-based).
 	Round int
-	// Tuple is the tuple added (for Restricted, always new; for Oblivious it
-	// may duplicate an existing tuple, in which case Added is false).
+	// Tuple is the tuple the step added.
 	Tuple relation.Tuple
-	// Added reports whether the tuple was new to the instance.
-	Added bool
 }
 
 // Stats reports work performed by a chase run.
@@ -252,10 +238,6 @@ type Result struct {
 	// — partial — either way.
 	Budget budget.Outcome
 	Stats  Stats
-	// Trace is non-nil when Options.Trace was set.
-	Trace []Fired
-	// History is non-nil when Options.KeepHistory was set.
-	History []RoundStats
 	// State is the run's reusable snapshot when Options.CaptureState was
 	// set and the configuration was eligible; nil otherwise. A warm-started
 	// run that learned nothing new returns the snapshot it consumed.
@@ -263,6 +245,35 @@ type Result struct {
 	// WarmStarted reports that the run reused Options.WarmState instead of
 	// chasing from round 1.
 	WarmStarted bool
+
+	// bounds is Bounds(); labels[j] is the index of the dependency that
+	// added tuple bounds[0]+j. The instance is append-only, so the two are
+	// the run's whole chase sequence.
+	bounds []int
+	labels []int
+}
+
+// Bounds returns the per-round instance boundaries: Bounds()[i] is the
+// instance size after fair round i, and Bounds()[0] the start instance's
+// size. A round cut short by the budget has no boundary.
+func (r *Result) Bounds() []int { return r.bounds }
+
+// Proof returns the run's chase sequence: every tuple the run added to its
+// start instance, in insertion order, with the dependency whose firing
+// added it and its round. For an Implied verdict it is a proof of the
+// implication, which ValidateTrace accepts against the start instance and
+// the goal. The tuples alias Instance's rows.
+func (r *Result) Proof() []Fired {
+	out := make([]Fired, len(r.labels))
+	round := 1
+	for j, dep := range r.labels {
+		p := r.bounds[0] + j
+		for round < len(r.bounds) && p >= r.bounds[round] {
+			round++
+		}
+		out[j] = Fired{Dep: dep, Round: round, Tuple: r.Instance.Tuple(p)}
+	}
+	return out
 }
 
 // Engine runs chases of a fixed dependency set over one schema.
@@ -352,7 +363,7 @@ func (e *Engine) Chase(start *relation.Instance, goal func(*relation.Instance) b
 // after round i" from a snapshot without materializing each prefix.
 func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) bool, pgoal func(*relation.Instance, int) bool) Result {
 	inst := start.Clone()
-	res := Result{Instance: inst}
+	res := Result{Instance: inst, bounds: []int{inst.Len()}}
 	sink := e.opt.Sink
 	// Resolved per run, not per engine, so a reused engine never carries an
 	// exhausted meter pool between chases. The tuple cap is fetched once
@@ -401,8 +412,9 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 	startRound := 1
 
 	capturing := e.opt.CaptureState && e.stateEligible()
-	var capBounds []int
-	var capCum []Stats
+	// cum[i] is the cumulative Stats through round i, kept beside
+	// res.bounds for a captured State.
+	cum := []Stats{{}}
 
 	// Warm-start path: replay a compatible snapshot's round boundaries
 	// against this run's goal and budget, then answer directly or resume the
@@ -414,9 +426,9 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 	// have cut the producing run mid-round) falls back to a cold run
 	// instead.
 	warm := e.opt.WarmState
-	if warm != nil && !(pgoal != nil && e.stateEligible() &&
-		warm.compatibleWith(e, start) &&
-		warm.ReusableUnder(budget.Limits{Rounds: roundsCap, Tuples: tupleCap})) {
+	depMap, ok := warm.compatibleWith(e, start)
+	if !ok || pgoal == nil || !e.stateEligible() ||
+		!warm.ReusableUnder(budget.Limits{Rounds: roundsCap, Tuples: tupleCap}) {
 		warm = nil
 	}
 	if warm != nil {
@@ -438,6 +450,8 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 		finishReplay := func(i int) {
 			res.Stats = warm.cum[i]
 			res.Instance = warm.inst.ClonePrefix(warm.bounds[i])
+			res.bounds = warm.bounds[: i+1 : i+1]
+			res.labels = warm.labelsFor(i, depMap)
 			g.Add(budget.Rounds, i)
 			g.Add(budget.Tuples, warm.cum[i].TuplesAdded)
 			if capturing {
@@ -495,6 +509,8 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			}
 			res.Stats = warm.final
 			res.Instance = warm.inst.Clone()
+			res.bounds = warm.bounds
+			res.labels = warm.labelsFor(k, depMap)
 			res.FixpointReached = true
 			res.Verdict = NotImplied
 			g.Add(budget.Rounds, k+1)
@@ -511,6 +527,8 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			// continue chasing from the next round.
 			inst = warm.inst.Clone()
 			res.Instance = inst
+			res.bounds = append([]int(nil), warm.bounds...)
+			res.labels = warm.labelsFor(k, depMap)
 			prevLen = warm.bounds[k-1]
 			lastLen = warm.bounds[k]
 			res.Stats = warm.cum[k]
@@ -518,15 +536,8 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			g.Add(budget.Rounds, k)
 			g.Add(budget.Tuples, warm.cum[k].TuplesAdded)
 			emitWarm(k, warm.cum[k], warm.bounds[k])
-			if capturing {
-				capBounds = append([]int(nil), warm.bounds...)
-				capCum = append([]Stats(nil), warm.cum...)
-			}
+			cum = append([]Stats(nil), warm.cum...)
 		}
-	}
-	if capturing && capBounds == nil {
-		capBounds = []int{inst.Len()}
-		capCum = []Stats{{}}
 	}
 	// captureAt snapshots the last completed round boundary into
 	// Result.State. ClonePrefix (never a plain Clone) renormalizes the
@@ -537,14 +548,16 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 		if !capturing {
 			return
 		}
-		k := len(capBounds) - 1
+		k := len(res.bounds) - 1
 		if k == 0 && !complete {
 			return
 		}
 		st := &State{
-			inst:        inst.ClonePrefix(capBounds[k]),
-			bounds:      capBounds,
-			cum:         capCum,
+			inst:        inst.ClonePrefix(res.bounds[k]),
+			bounds:      res.bounds,
+			labels:      res.labels[:res.bounds[k]-res.bounds[0]],
+			deps:        e.deps,
+			cum:         cum,
 			complete:    complete,
 			stopped:     res.Budget.Code == budget.CodeExhausted,
 			classRounds: roundsCap,
@@ -902,6 +915,7 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 				res.Stats.TuplesAdded++
 				addedRound++
 				curAdded++
+				res.labels = append(res.labels, p.dep)
 			}
 			if res.Stats.PerDep != nil {
 				res.Stats.PerDep[p.dep].Fired++
@@ -909,28 +923,14 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 					res.Stats.PerDep[p.dep].Added++
 				}
 			}
-			if e.opt.Trace {
-				res.Trace = append(res.Trace, Fired{Dep: p.dep, Round: round, Tuple: p.tup.Clone(), Added: added})
-			}
 		}
 		flushDep()
 		emitRoundTail()
 		g.Add(budget.Tuples, addedRound)
 		prevLen = lastLen
 		lastLen = inst.Len()
-		if capturing {
-			capBounds = append(capBounds, lastLen)
-			capCum = append(capCum, res.Stats)
-		}
-		if e.opt.KeepHistory {
-			res.History = append(res.History, RoundStats{
-				Round:         round,
-				TriggersFired: len(adds),
-				TuplesAfter:   inst.Len(),
-				TuplesAdded:   addedRound,
-				NullsCreated:  nullsRound,
-			})
-		}
+		res.bounds = append(res.bounds, lastLen)
+		cum = append(cum, res.Stats)
 		if goal != nil && goal(inst) {
 			res.Verdict = Implied
 			captureAt(false)

@@ -230,21 +230,20 @@ func TestChaseClosureSatisfiesDeps(t *testing.T) {
 
 func TestTraceRecordsSteps(t *testing.T) {
 	_, fig1 := td.GarmentExample()
-	opt := Options{}
-	opt.Trace = true
-	res, err := Implies([]*td.TD{fig1}, fig1, opt)
+	res, err := Implies([]*td.TD{fig1}, fig1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Verdict != Implied {
 		t.Fatal("setup")
 	}
-	if len(res.Trace) == 0 {
-		t.Fatal("no trace recorded")
+	proof := res.Proof()
+	if len(proof) == 0 {
+		t.Fatal("no proof recorded")
 	}
-	f := res.Trace[0]
-	if f.Dep != 0 || f.Round != 1 || !f.Added {
-		t.Errorf("trace entry %+v", f)
+	f := proof[0]
+	if f.Dep != 0 || f.Round != 1 {
+		t.Errorf("proof step %+v", f)
 	}
 	// The traced tuple must be in the final instance.
 	if !res.Instance.Contains(f.Tuple) {
@@ -252,14 +251,14 @@ func TestTraceRecordsSteps(t *testing.T) {
 	}
 }
 
-func TestKeepHistory(t *testing.T) {
+func TestRoundBoundaries(t *testing.T) {
 	s := threeCol()
 	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
 	start := relation.NewInstance(s)
 	start.MustAdd(relation.Tuple{0, 0, 0})
 	start.MustAdd(relation.Tuple{0, 1, 1})
 	start.MustAdd(relation.Tuple{0, 2, 2})
-	e, err := NewEngine(s, []*td.TD{join}, Options{Governor: budget.New(nil, budget.Limits{Rounds: 20, Tuples: 1000}), KeepHistory: true})
+	e, err := NewEngine(s, []*td.TD{join}, Options{Governor: budget.New(nil, budget.Limits{Rounds: 20, Tuples: 1000})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,19 +266,20 @@ func TestKeepHistory(t *testing.T) {
 	if !res.FixpointReached {
 		t.Fatal("no fixpoint")
 	}
-	if len(res.History) == 0 {
-		t.Fatal("no history recorded")
+	bounds := res.Bounds()
+	if len(bounds) < 2 || bounds[0] != start.Len() {
+		t.Fatalf("round boundaries %v", bounds)
 	}
 	// Tuple counts are non-decreasing and end at the final size.
 	prev := start.Len()
-	for _, h := range res.History {
-		if h.TuplesAfter < prev {
-			t.Errorf("round %d: tuples decreased %d -> %d", h.Round, prev, h.TuplesAfter)
+	for round, n := range bounds[1:] {
+		if n < prev {
+			t.Errorf("round %d: tuples decreased %d -> %d", round+1, prev, n)
 		}
-		prev = h.TuplesAfter
+		prev = n
 	}
 	if prev != res.Instance.Len() {
-		t.Errorf("history ends at %d, instance has %d", prev, res.Instance.Len())
+		t.Errorf("boundaries end at %d, instance has %d", prev, res.Instance.Len())
 	}
 }
 
@@ -344,7 +344,7 @@ invent: R(a, b, c) & R(a', b, c') -> R(a*, b, c')
 	run := func(workers int) Result {
 		e, err := NewEngine(s, deps, Options{
 			Governor: budget.New(nil, budget.Limits{Rounds: 4, Tuples: 4000}),
-			Workers:  workers, Trace: true,
+			Workers:  workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -367,13 +367,14 @@ invent: R(a, b, c) & R(a', b, c') -> R(a*, b, c')
 		if !reflect.DeepEqual(got.Stats, ref.Stats) {
 			t.Errorf("workers=%d: stats %+v, want %+v", workers, got.Stats, ref.Stats)
 		}
-		if len(got.Trace) != len(ref.Trace) {
-			t.Fatalf("workers=%d: trace length %d, want %d", workers, len(got.Trace), len(ref.Trace))
+		gotProof, refProof := got.Proof(), ref.Proof()
+		if len(gotProof) != len(refProof) {
+			t.Fatalf("workers=%d: proof length %d, want %d", workers, len(gotProof), len(refProof))
 		}
-		for i := range ref.Trace {
-			if got.Trace[i].Dep != ref.Trace[i].Dep || got.Trace[i].Round != ref.Trace[i].Round ||
-				!got.Trace[i].Tuple.Equal(ref.Trace[i].Tuple) || got.Trace[i].Added != ref.Trace[i].Added {
-				t.Fatalf("workers=%d: trace[%d] = %+v, want %+v", workers, i, got.Trace[i], ref.Trace[i])
+		for i := range refProof {
+			if gotProof[i].Dep != refProof[i].Dep || gotProof[i].Round != refProof[i].Round ||
+				!gotProof[i].Tuple.Equal(refProof[i].Tuple) {
+				t.Fatalf("workers=%d: proof[%d] = %+v, want %+v", workers, i, gotProof[i], refProof[i])
 			}
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // start instance and checks that every recorded step is justified: the
 // fired dependency's antecedents must match the instance built so far by a
 // homomorphism whose universal conclusion positions agree with the added
-// tuple. A valid trace whose final instance witnesses goal is an
+// tuple, and the tuple must be new. A valid trace whose final instance witnesses goal is an
 // independently checkable PROOF of implication — the chase-side analogue of
 // words.Derivation.Validate.
 //
@@ -35,8 +35,8 @@ func ValidateTrace(deps []*td.TD, start *relation.Instance, trace []Fired, goal 
 		if err != nil {
 			return fmt.Errorf("chase: step %d: %w", i, err)
 		}
-		if added != f.Added {
-			return fmt.Errorf("chase: step %d: Added flag recorded %v, replay says %v", i, f.Added, added)
+		if !added {
+			return fmt.Errorf("chase: step %d: tuple %v is already present", i, f.Tuple)
 		}
 	}
 	if goal != nil && !goal(inst) {
@@ -47,25 +47,21 @@ func ValidateTrace(deps []*td.TD, start *relation.Instance, trace []Fired, goal 
 
 // justify checks that tup is a legal conclusion of d against inst: some
 // homomorphism of d's antecedents binds every universal conclusion position
-// to tup's value there. Existential positions may hold any value (the
-// engine used fresh nulls; validation does not care which).
+// to tup's value there, and every existential position holds a value new
+// to its column — a labelled null, as the engine invents. Which new value
+// does not matter; an existing one would assert an equality the
+// dependency does not imply.
 func justify(d *td.TD, inst *relation.Instance, tup relation.Tuple) error {
-	concl := d.Conclusion()
+	// Seed every conclusion variable with the tuple's value: existential
+	// ones occur in no antecedent row, so only the universal ones constrain
+	// the match.
 	seed := tableau.NewAssignment(d.Tableau())
-	// Bind conclusion variables that are universal (shared with the
-	// antecedents) to the added tuple's values; tableau renumbering
-	// guarantees antecedent variables come first per column.
-	counts := make([]int, d.Schema().Width())
-	for ri := 0; ri < d.NumAntecedents(); ri++ {
-		for a, v := range d.Antecedent(ri) {
-			if int(v)+1 > counts[a] {
-				counts[a] = int(v) + 1
-			}
-		}
+	for a, v := range d.Conclusion() {
+		seed[a][v] = tup[a]
 	}
-	for a, v := range concl {
-		if int(v) < counts[a] {
-			seed[a][v] = tup[a]
+	for _, a := range d.ExistentialColumns() {
+		if len(inst.Matching(a, tup[a])) > 0 {
+			return fmt.Errorf("existential position %s holds %d, which is not a new value", d.Schema().Name(a), tup[a])
 		}
 	}
 	found := false
@@ -77,26 +73,4 @@ func justify(d *td.TD, inst *relation.Instance, tup relation.Tuple) error {
 		return fmt.Errorf("no antecedent match justifies tuple %v", tup)
 	}
 	return nil
-}
-
-// ProveImplies runs Implies with tracing enabled and, on an Implied
-// verdict, independently validates the proof before returning it.
-func ProveImplies(deps []*td.TD, d0 *td.TD, opt Options) (Result, error) {
-	opt.Trace = true
-	res, err := Implies(deps, d0, opt)
-	if err != nil {
-		return res, err
-	}
-	if res.Verdict != Implied {
-		return res, nil
-	}
-	frozen, as := d0.FrozenAntecedents()
-	concl := d0.Conclusion()
-	goal := func(inst *relation.Instance) bool {
-		return tableau.RowSatisfiable(concl, as, inst)
-	}
-	if err := ValidateTrace(deps, frozen, res.Trace, goal); err != nil {
-		return res, fmt.Errorf("chase: internal error: proof failed validation: %w", err)
-	}
-	return res, nil
 }

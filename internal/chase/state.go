@@ -1,8 +1,11 @@
 package chase
 
 import (
+	"slices"
+
 	"templatedep/internal/budget"
 	"templatedep/internal/relation"
+	"templatedep/internal/td"
 )
 
 // Warm-start snapshots. For a fixed dependency set, start instance, and
@@ -11,13 +14,15 @@ import (
 // The instance is append-only and every round appends a contiguous range of
 // tuples, so recording the instance together with the per-round length
 // boundaries and cumulative Stats captures every intermediate state of the
-// run at once. A later query over the same prefix replays those boundaries
-// (checking its own goal against each prefix via
-// tableau.RowSatisfiableWithin) and, when the snapshot is not complete,
-// resumes the round loop exactly where the producing run left off — with
-// identical verdicts, Stats, and tuple identity to a cold run, because the
-// restored loop state (instance, delta frontier, fresh-value counters,
-// cumulative meters) is byte-for-byte what the cold run would have held.
+// run at once — and, with the dependency label of every added tuple, its
+// whole chase sequence, so a resumed run keeps its proof. A later query
+// over the same prefix replays those boundaries (checking its own goal
+// against each prefix via tableau.RowSatisfiableWithin) and, when the
+// snapshot is not complete, resumes the round loop exactly where the
+// producing run left off — with identical verdicts, Stats, tuple identity
+// and proof to a cold run, because the restored loop state (instance,
+// delta frontier, fresh-value counters, cumulative meters) is
+// byte-for-byte what the cold run would have held.
 //
 // Snapshots only ever describe CLEAN round boundaries: a run cut mid-round
 // (tuple-cap or cancellation during materialization) truncates its snapshot
@@ -42,11 +47,11 @@ func (e *Engine) stateCfg() stateCfg {
 
 // stateEligible reports whether this engine configuration can produce or
 // consume warm-start snapshots. The oblivious variant would need its fired
-// set restored; Trace, KeepHistory, and PerDepStats demand per-step or
-// per-dependency detail a boundary snapshot does not retain. All of them
-// fall back to a cold run rather than approximate.
+// set restored, and PerDepStats demands per-dependency detail a boundary
+// snapshot does not retain. Both fall back to a cold run rather than
+// approximate.
 func (e *Engine) stateEligible() bool {
-	return e.opt.Variant == Restricted && !e.opt.Trace && !e.opt.KeepHistory && !e.opt.PerDepStats
+	return e.opt.Variant == Restricted && !e.opt.PerDepStats
 }
 
 // State is a reusable snapshot of a chase computation, produced under
@@ -62,6 +67,10 @@ type State struct {
 	// instance size. Every intermediate instance of the producing run is
 	// the prefix inst[:bounds[i]].
 	bounds []int
+	// labels[j] indexes into deps the dependency that added tuple
+	// bounds[0]+j (Result.Proof).
+	labels []int
+	deps   []*td.TD
 	// cum[i] is the cumulative Stats through round i (cum[0] is zero).
 	cum []Stats
 	// final is the producing run's Stats including the empty fixpoint
@@ -136,26 +145,43 @@ func (s *State) Extends(old *State) bool {
 	return s.Rounds() > old.Rounds()
 }
 
+// labelsFor returns a copy of the dependency labels of the tuples added
+// through round i, in the consuming engine's indices (depMap; nil is the
+// identity).
+func (s *State) labelsFor(i int, depMap []int) []int {
+	out := append([]int(nil), s.labels[:s.bounds[i]-s.bounds[0]]...)
+	for j := 0; depMap != nil && j < len(out); j++ {
+		out[j] = depMap[out[j]]
+	}
+	return out
+}
+
 // compatibleWith reports whether the snapshot describes the computation
 // this engine would run from start: same config fingerprint, same schema,
-// and the same start instance tuple-for-tuple. The prefix comparison makes
-// a state key collision (or caller misuse) degrade to a cold run instead
-// of a wrong answer.
-func (s *State) compatibleWith(e *Engine, start *relation.Instance) bool {
-	if s == nil || s.inst == nil || len(s.bounds) == 0 || len(s.cum) != len(s.bounds) {
-		return false
+// and the same start instance tuple-for-tuple, so a state key collision
+// (or caller misuse) degrades to a cold run instead of a wrong answer.
+// depMap sends each producing dependency's index to the first of e's with
+// an identical tableau (nil: the identity), for the labels: a state key
+// may ignore dependency order and duplicates (serve.CanonChaseState). A
+// producing dependency with no counterpart is incompatible.
+func (s *State) compatibleWith(e *Engine, start *relation.Instance) (depMap []int, ok bool) {
+	if s == nil || s.inst == nil || len(s.bounds) == 0 || len(s.cum) != len(s.bounds) ||
+		!s.complete && len(s.bounds) < 2 || s.cfg != e.stateCfg() || !s.inst.Schema().Equal(e.schema) ||
+		s.bounds[0] != start.Len() || !s.inst.EqualPrefix(start, start.Len()) {
+		return nil, false
 	}
-	if !s.complete && len(s.bounds) < 2 {
-		return false
+	if slices.Equal(s.deps, e.deps) {
+		return nil, true
 	}
-	if s.cfg != e.stateCfg() {
-		return false
+	first := make(map[string]int, len(e.deps))
+	for j := len(e.deps) - 1; j >= 0; j-- {
+		first[e.deps[j].Format()] = j
 	}
-	if !s.inst.Schema().Equal(e.schema) {
-		return false
+	depMap = make([]int, len(s.deps))
+	for i, d := range s.deps {
+		if depMap[i], ok = first[d.Format()]; !ok {
+			return nil, false
+		}
 	}
-	if s.bounds[0] != start.Len() {
-		return false
-	}
-	return s.inst.EqualPrefix(start, start.Len())
+	return depMap, true
 }

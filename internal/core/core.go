@@ -11,7 +11,8 @@
 // be done is run a semi-procedure for each set side by side under explicit
 // budgets:
 //
-//   - the chase semidecides IMPL (a proof trace certifies membership);
+//   - the chase semidecides IMPL (its chase sequence certifies
+//     membership);
 //   - finite-database / finite-semigroup search semidecides FCEX (a
 //     counterexample certifies membership);
 //   - on instances in neither set — they exist, e.g. the reduction of
@@ -37,9 +38,11 @@ import (
 	"templatedep/internal/finitemodel"
 	"templatedep/internal/obs"
 	"templatedep/internal/reduction"
+	"templatedep/internal/relation"
 	"templatedep/internal/rewrite"
 	"templatedep/internal/search"
 	"templatedep/internal/semigroup"
+	"templatedep/internal/tableau"
 	"templatedep/internal/tm"
 	"templatedep/internal/words"
 )
@@ -52,7 +55,9 @@ import (
 // Closure: a governor in an engine's options sets that arm's hard
 // ceilings, and the portfolio swaps it for per-lease children. The
 // sequential presentation pipeline (AnalyzePresentation) reads every
-// field except FiniteDB and Certify.
+// field except FiniteDB. Neither needs a setting to certify: every
+// definitive verdict keeps the proof its winning engine found, and Cert
+// serializes it on demand.
 type Budget struct {
 	// Chase.Workers parallelizes the chase; results and traces are
 	// identical for every value.
@@ -61,23 +66,18 @@ type Budget struct {
 	ModelSearch search.Options
 	FiniteDB    finitemodel.Options
 	// Completion bounds Knuth–Bendix completion: the portfolio's kb arm
-	// and the pipeline's refutation side-check.
+	// and the pipeline's refutation side-check. Every front-end, tdserve
+	// included, leaves it at rewrite.DefaultLimits.
 	Completion rewrite.CompletionOptions
 	// Governor is the run-wide governor: its context stops the whole run,
-	// certifying replay included, and engines without a governor of their
-	// own get children of it. In the portfolio any meter it caps is a pool
-	// shared by the arms. Nil means an unlimited background governor.
+	// and engines without a governor of their own get children of it. In
+	// the portfolio any meter it caps is a pool shared by the arms. Nil
+	// means an unlimited background governor.
 	Governor *budget.Governor
 	// Sink receives the front-end's own events and is threaded into every
 	// engine that accepts one, so one sink observes the whole run. Nil
 	// disables emission. See docs/OBSERVABILITY.md.
 	Sink obs.Sink
-	// Certify makes a portfolio verdict carry a checkable certificate
-	// (portfolio.Result.Cert). An Implied win without its own proof object
-	// (kb, an untraced chase lease) costs one traced chase replay. The
-	// pipeline ignores it: PresentationResult.Cert assembles a certificate
-	// from the proof objects every run keeps.
-	Certify bool
 }
 
 // withSink propagates b.Sink into sub-procedure options that have none,
@@ -198,10 +198,8 @@ type PresentationResult struct {
 // Cert assembles the run's serializable certificate from the proof
 // objects the pipeline already carries, embedding the ORIGINAL
 // presentation (the checker rebuilds the reduction deterministically):
-// an equational derivation or a chase trace for Implied, the
-// counter-database plus the semigroup witness for FiniteCounterexample.
-// Nil for Unknown, and for definitive verdicts whose run kept no proof
-// object (an untraced chase win — certify those with cert.CertifyImplied).
+// the equational derivation for Implied, the counter-database plus the
+// semigroup witness for FiniteCounterexample. Nil for Unknown.
 func (r *PresentationResult) Cert() *cert.Certificate {
 	if r == nil || r.Instance == nil || r.Instance.Original == nil {
 		return nil
@@ -209,12 +207,7 @@ func (r *PresentationResult) Cert() *cert.Certificate {
 	doc := cert.PresentationProblem(r.Instance.Original)
 	switch r.Verdict {
 	case Implied:
-		if r.Derivation != nil {
-			return cert.NewDerivation(doc, r.Instance.Pres, r.Derivation)
-		}
-		if r.ChaseProof != nil {
-			return cert.NewChase(doc, r.ChaseProof.Trace)
-		}
+		return cert.NewDerivation(doc, r.Instance.Pres, r.Derivation)
 	case FiniteCounterexample:
 		if r.CounterModel != nil {
 			return cert.NewFiniteModel(doc, r.CounterModel.Instance, r.Witness)
@@ -247,13 +240,20 @@ func AnalyzePresentation(p *words.Presentation, b Budget) (*PresentationResult, 
 	if dres.Verdict == words.Derivable {
 		res.Verdict = Implied
 		res.Derivation = dres.Derivation
-		// Confirm with a traced chase run and validate the trace
-		// independently before exposing it as a proof.
-		cres, err := chase.ProveImplies(in.D, in.D0, b.Chase)
+		// Confirm with the chase and validate its proof independently
+		// before exposing it.
+		cres, err := chase.Implies(in.D, in.D0, b.Chase)
 		if err != nil {
 			return nil, err
 		}
 		if cres.Verdict == chase.Implied {
+			frozen, as := in.D0.FrozenAntecedents()
+			witness := func(inst *relation.Instance) bool {
+				return tableau.RowSatisfiable(in.D0.Conclusion(), as, inst)
+			}
+			if err := chase.ValidateTrace(in.D, frozen, cres.Proof(), witness); err != nil {
+				return nil, fmt.Errorf("core: chase proof failed validation: %w", err)
+			}
 			res.ChaseProof = &cres
 		}
 		return verdict()
@@ -267,7 +267,7 @@ func AnalyzePresentation(p *words.Presentation, b Budget) (*PresentationResult, 
 		// infinite.
 		sys := rewrite.FromPresentation(in.Pres)
 		if cres, err := sys.Complete(b.Completion); err == nil && cres.Confluent {
-			if decided, err := sys.DecideGoal(); err == nil && !decided {
+			if decided, _, err := sys.DecideGoal(); err == nil && !decided {
 				res.GoalRefuted = true
 			}
 		}

@@ -9,8 +9,9 @@
 //   - oracle agreement: on the decidable fragment, every definitive
 //     engine verdict must match the independent axiomatic decider;
 //   - certification: every certificate any engine produces must survive
-//     an Encode/Decode round trip and pass cert.Check, and a consensus
-//     definitive verdict must ship at least one such certificate;
+//     an Encode/Decode round trip and pass cert.Check, and every
+//     definitive portfolio verdict, like every definitive consensus, must
+//     ship one;
 //   - canon stability: the canonical key of an instance must be
 //     invariant under the renamings and reorderings the canon layer
 //     documents (symbol renaming, equation order and orientation for
@@ -308,15 +309,13 @@ func runTD(in corpus.Instance, opt Options) ([]engineOut, error) {
 	}); err != nil {
 		return nil, err
 	}
-	// portfolio is the designated certificate producer for TD instances:
-	// with Certify on, a definitive verdict carries the counterexample
-	// database for FCEX and, for Implied, a chase trace from a traced
-	// replay of the untraced winning lease.
+	// portfolio is the certificate producer for TD instances: a definitive
+	// verdict carries the counterexample database for FCEX and, for
+	// Implied, the winning chase lease's own chase sequence.
 	if err := run("portfolio", func() (string, *cert.Certificate, error) {
 		res, err := portfolio.Infer(in.Deps, in.Goal, core.Budget{
 			Chase:    opt.chaseOptions(),
 			FiniteDB: opt.finiteDBOptions(),
-			Certify:  true,
 		})
 		if err != nil {
 			return "", nil, err
@@ -340,9 +339,9 @@ func runPresentation(in corpus.Instance, opt Options) ([]engineOut, error) {
 		outs = append(outs, engineOut{name: name, verdict: verdict, cert: c, ns: time.Since(start).Nanoseconds()})
 		return nil
 	}
-	// seq is the designated certificate producer here: its definitive
-	// verdicts always carry a proof object (a derivation or a verified
-	// counter-model), so Cert() is structurally non-nil.
+	// Both engines certify here: seq's definitive verdicts carry a
+	// derivation or a verified counter-model, the portfolio's the proof of
+	// its winning arm (a kb derivation, a chase sequence, or a database).
 	if err := run("seq", func() (string, *cert.Certificate, error) {
 		res, err := core.AnalyzePresentation(in.Pres, core.Budget{
 			Chase:       opt.presChaseOptions(),
@@ -358,11 +357,6 @@ func runPresentation(in corpus.Instance, opt Options) ([]engineOut, error) {
 		return nil, err
 	}
 	if err := run("portfolio", func() (string, *cert.Certificate, error) {
-		// Certify stays off here: an Implied win from the kb arm would
-		// trigger a certifying chase replay at chase.DefaultLimits
-		// floors, and on a wide presentation reduction that replay does
-		// not terminate in fuzzing time. seq is the designated
-		// certificate producer for presentation instances.
 		res, err := portfolio.AnalyzePresentation(in.Pres, core.Budget{
 			Chase:       opt.presChaseOptions(),
 			ModelSearch: opt.modelSearchOptions(),
@@ -445,8 +439,8 @@ func runCase(in corpus.Instance, i int, opt Options) (Case, error) {
 	}
 
 	// Certification: every produced certificate must round-trip and pass
-	// the independent checker; a consensus definitive verdict must ship
-	// at least one that does.
+	// the independent checker, every definitive portfolio verdict must
+	// ship one, and a consensus definitive verdict must ship at least one.
 	certified := false
 	for _, o := range outs {
 		run := EngineRun{Engine: o.name, Verdict: o.verdict, NS: o.ns}
@@ -457,6 +451,8 @@ func runCase(in corpus.Instance, i int, opt Options) (Case, error) {
 				run.Certified = true
 				certified = true
 			}
+		} else if o.name == "portfolio" && definitive(o.verdict) {
+			problem("cert", "portfolio verdict %q shipped no certificate", o.verdict)
 		}
 		c.Engines = append(c.Engines, run)
 	}

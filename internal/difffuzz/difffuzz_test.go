@@ -6,6 +6,7 @@ import (
 
 	"templatedep/internal/corpus"
 	"templatedep/internal/obs"
+	"templatedep/internal/words"
 )
 
 // TestRunSmallCorpusClean runs a small mixed corpus through every engine
@@ -128,4 +129,38 @@ func engineVerdict(oracle string) string {
 		return "finite-counterexample"
 	}
 	return oracle
+}
+
+// A presentation instance that kb settles gives a certified portfolio run:
+// the kb arm's derivation of A0 = 0 is the certificate, so the portfolio
+// certifies presentation instances as it does TD ones.
+func TestPortfolioCertifiesKBWins(t *testing.T) {
+	for _, name := range []string{"twostep", "chain:2"} {
+		p, err := words.Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := corpus.Instance{ID: "preset/" + name, Family: corpus.FamilyRandom,
+			Kind: corpus.KindPresentation, Label: name, Pres: p}
+		res, err := Run([]corpus.Instance{in}, Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range res.Disagreements {
+			t.Errorf("disagreement: %s", d)
+		}
+		found := false
+		for _, e := range res.Cases[0].Engines {
+			if e.Engine != "portfolio" {
+				continue
+			}
+			found = true
+			if e.Verdict != "implied" || !e.Certified {
+				t.Errorf("%s: portfolio verdict %q, certified %v; want a certified implied", name, e.Verdict, e.Certified)
+			}
+		}
+		if !found {
+			t.Errorf("%s: the portfolio did not run", name)
+		}
+	}
 }

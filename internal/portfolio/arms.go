@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"templatedep/internal/budget"
-	"templatedep/internal/cert"
 	"templatedep/internal/chase"
 	"templatedep/internal/core"
 	"templatedep/internal/finitemodel"
@@ -54,8 +53,9 @@ func rateHealth(rate float64, last *float64, has *bool) armHealth {
 // cap reads cumulatively; sweeps are charged per call, so the rounds cap
 // is a per-lease sweep allowance (sweeps, unlike rules, are never
 // re-done: the System keeps its progress between leases). A confluent
-// system that decides the goal wins Implied; a confluent system that
-// refutes it retires the arm with the definitive GoalRefuted flag.
+// system that decides the goal wins Implied with its derivation of A0 = 0
+// (rewrite.System.DecideGoal); a confluent system that refutes it retires
+// the arm with the definitive GoalRefuted flag.
 func kbArm(sys *rewrite.System, b core.Budget, res *Result, scale int) *arm {
 	a := &arm{
 		name:  "kb",
@@ -76,11 +76,12 @@ func kbArm(sys *rewrite.System, b core.Budget, res *Result, scale int) *arm {
 			return leaseResult{}, err
 		}
 		if cres.Confluent {
-			decided, err := sys.DecideGoal()
+			decided, proof, err := sys.DecideGoal()
 			if err != nil {
 				return leaseResult{}, err
 			}
 			if decided {
+				res.derivation = proof
 				return leaseResult{win: core.Implied, verdict: "implied"}, nil
 			}
 			res.GoalRefuted = true
@@ -102,10 +103,10 @@ func kbArm(sys *rewrite.System, b core.Budget, res *Result, scale int) *arm {
 
 // chaseArm runs the TD chase with warm-state carry: each lease resumes
 // the previous lease's snapshot when the budget-class rule allows, so the
-// arm's meters stay cumulative without re-doing rounds. Tracing or
-// history options make snapshots ineligible, in which case every lease
-// re-runs cold under the bigger cumulative cap — same verdicts, more
-// wall-clock.
+// arm's meters stay cumulative without re-doing rounds, and the winning
+// lease's Proof covers the whole run. PerDepStats makes snapshots
+// ineligible, and then every lease re-runs cold under the bigger
+// cumulative cap — same verdicts, more wall-clock.
 func chaseArm(deps []*td.TD, d0 *td.TD, b core.Budget, res *Result, scale int) *arm {
 	a := &arm{
 		name:  "chase",
@@ -300,26 +301,18 @@ func analyzePresentation(p *words.Presentation, b core.Budget, scale int) (*Resu
 		modelSearchArm(p, in, b, res, scale),
 		chaseArm(in.D, in.D0, b, res, scale),
 	}
-	out, err := run(arms, b, res)
-	if err == nil && b.Certify {
-		certify(b.Governor, out, cert.PresentationProblem(p), in.D, in.D0)
-	}
-	return out, err
+	return run(arms, b, res)
 }
 
 // Infer runs the TD-level portfolio: the chase and the finite-database
 // enumerator, in that fixed scheduling order. The chase leads because it
-// is the only arm that can certify Implied with a proof trace and the
-// only one that can snapshot across leases.
+// is the only arm that can prove Implied and the only one that can
+// snapshot across leases.
 func Infer(deps []*td.TD, d0 *td.TD, b core.Budget) (*Result, error) {
-	res := &Result{}
+	res := &Result{deps: deps, d0: d0}
 	arms := []*arm{
 		chaseArm(deps, d0, b, res, 1),
 		finiteDBArm(deps, d0, b, res, 1),
 	}
-	out, err := run(arms, b, res)
-	if err == nil && b.Certify {
-		certify(b.Governor, out, cert.TDProblem(d0.Schema(), deps, d0), deps, d0)
-	}
-	return out, err
+	return run(arms, b, res)
 }

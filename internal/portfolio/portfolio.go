@@ -21,6 +21,10 @@
 //   - the first definitive verdict retires every other arm immediately,
 //     and a KB completion that decides the goal ends the run in the same
 //     tick it completes in;
+//   - the winning arm leaves its proof in the Result — kb its derivation
+//     of A0 = 0, the chase its own labelled instance, the searches their
+//     databases — and Result.Cert serializes it on demand, so a win is
+//     never proved a second time;
 //   - every decision — grants, withheld grants, retirements — is emitted
 //     as a typed portfolio_realloc observability event carrying the arm,
 //     the meter, the old and new cumulative grant, and the driving signal,
@@ -77,13 +81,14 @@ import (
 	"fmt"
 
 	"templatedep/internal/budget"
-	"templatedep/internal/cert"
 	"templatedep/internal/chase"
 	"templatedep/internal/core"
 	"templatedep/internal/obs"
 	"templatedep/internal/reduction"
 	"templatedep/internal/relation"
 	"templatedep/internal/semigroup"
+	"templatedep/internal/td"
+	"templatedep/internal/words"
 )
 
 // Scheduling constants. They are part of the determinism contract: the
@@ -157,7 +162,7 @@ type Result struct {
 	GoalRefuted bool
 	// Instance is the reduction's (D, D0); presentation runs only.
 	Instance *reduction.Instance
-	// Chase is the chase arm's final lease (its trace is the proof when
+	// Chase is the chase arm's final lease (its Proof is the proof when
 	// the chase won; its State warm-starts a later run).
 	Chase *chase.Result
 	// Counterexample is the finite database violating D0, when an arm
@@ -177,13 +182,12 @@ type Result struct {
 	// the run ended by verdict or by every arm retiring.
 	Stop budget.Outcome
 
-	cert *cert.Certificate
+	// derivation is a kb win's proof of A0 = 0 over Instance.Pres; deps
+	// and d0 are a TD run's problem.
+	derivation *words.Derivation
+	deps       []*td.TD
+	d0         *td.TD
 }
-
-// Cert returns the run's serializable certificate: non-nil for definitive
-// verdicts of runs with Budget.Certify set whose winning verdict could be
-// certified (see core.Budget.Certify), nil otherwise.
-func (r *Result) Cert() *cert.Certificate { return r.cert }
 
 // armHealth is an arm's self-reported progress classification for one
 // lease, computed from the arm's own meters only.
@@ -204,7 +208,7 @@ const (
 // leaseResult is what one arm lease reports back to the scheduler.
 type leaseResult struct {
 	// win, when not Unknown, is the definitive verdict; the arm has
-	// already written its certificates into the shared Result.
+	// already written its proof into the shared Result.
 	win core.Verdict
 	// done retires the arm for the structural reason in note.
 	done bool
@@ -289,7 +293,7 @@ func (a *arm) grown(parent *budget.Governor, mult int) budget.Limits {
 
 // run is the portfolio scheduler: a sequential, deterministic time-slicer
 // over the arms. res arrives with mode-specific fields (Instance) already
-// set; the arms write their certificates into it through closures.
+// set; the arms write their proofs into it through closures.
 func run(arms []*arm, b core.Budget, res *Result) (*Result, error) {
 	parent := budget.Resolve(b.Governor, budget.Limits{})
 	emit := func(e obs.Event) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"templatedep/internal/budget"
+	"templatedep/internal/cert"
 	"templatedep/internal/core"
 	"templatedep/internal/obs"
 	"templatedep/internal/td"
@@ -373,7 +374,7 @@ func TestDeadlineOvershootBounded(t *testing.T) {
 }
 
 // cancelOnVerdict cancels a context when the portfolio announces its
-// verdict — after the last lease, before the certifying replay.
+// verdict — after the last lease.
 type cancelOnVerdict context.CancelFunc
 
 func (f cancelOnVerdict) Event(e obs.Event) {
@@ -382,21 +383,71 @@ func (f cancelOnVerdict) Event(e obs.Event) {
 	}
 }
 
-// The certifying replay shares the parent pool's context: a run cancelled
-// once its verdict is in keeps the verdict and ships no certificate.
+// A certificate is the winning arm's own proof, so nothing runs after the
+// verdict: a run cancelled once its verdict is in keeps both the verdict
+// and a certificate that checks.
 func TestCertifyReplayStopsWithParent(t *testing.T) {
-	res := analyze(t, "twostep", core.Budget{Certify: true})
-	if res.Verdict != core.Implied || res.Cert() == nil {
-		t.Fatalf("uncancelled run: verdict %v, cert %v; want implied with a certificate", res.Verdict, res.Cert() != nil)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res = analyze(t, "twostep", core.Budget{Certify: true,
+	res := analyze(t, "twostep", core.Budget{
 		Governor: budget.New(ctx, budget.Limits{}), Sink: cancelOnVerdict(cancel)})
 	if res.Verdict != core.Implied {
 		t.Fatalf("verdict %v, want implied", res.Verdict)
 	}
-	if res.Cert() != nil {
-		t.Error("a replay under a cancelled parent returned a certificate")
+	if ctx.Err() == nil {
+		t.Fatal("the verdict event did not cancel the parent")
+	}
+	c := res.Cert()
+	if c == nil {
+		t.Fatal("a run cancelled after its verdict lost its certificate")
+	}
+	if err := cert.Check(c); err != nil {
+		t.Errorf("certificate rejected: %v", err)
+	}
+}
+
+// Every definitive verdict carries a certificate built from its winning
+// arm's own proof, and it checks: a kb win as a derivation, a chase or
+// search win as the chase sequence or the database. The presets run at the
+// zero budget and at a small serving class (gap only there: at default
+// chase limits its reduction outgrows memory).
+func TestEveryDefinitiveVerdictCarriesItsCertificate(t *testing.T) {
+	presets := []string{"power", "twostep", "chain:1", "chain:2", "chain:3", "chain:4", "chain:5", "chain:6",
+		"nilpotent:2", "nilpotent:3", "nilpotent:4", "nilpotent:5", "tower:1", "tower:2", "tower:3", "tower:4",
+		"collapse:2", "collapse:3", "collapse:4", "gap"}
+	small := func() core.Budget {
+		g := budget.New(nil, budget.Limits{Rounds: 24, Tuples: 500, Nodes: 150000})
+		b := core.Budget{Governor: g}
+		b.Chase.Governor = g.Child(budget.Limits{Rounds: 24, Tuples: 500})
+		b.ModelSearch.Governor = g.Child(budget.Limits{Nodes: 150000})
+		return b
+	}
+	for _, name := range presets {
+		for _, class := range []string{"zero", "small"} {
+			b := core.Budget{}
+			if class == "small" {
+				b = small()
+			} else if name == "gap" {
+				continue
+			}
+			res := analyze(t, name, b)
+			c := res.Cert()
+			if res.Verdict == core.Unknown {
+				if name != "gap" || c != nil {
+					t.Errorf("%s/%s: unknown (cert %v)", name, class, c != nil)
+				}
+				continue
+			}
+			if c == nil {
+				t.Errorf("%s/%s: %v won by %s has no certificate", name, class, res.Verdict, res.Winner)
+				continue
+			}
+			if err := cert.Check(c); err != nil {
+				t.Errorf("%s/%s: certificate rejected: %v", name, class, err)
+			}
+			if res.Winner == "kb" && c.Kind != cert.KindDerivation {
+				t.Errorf("%s/%s: kb win certified as %s, want derivation", name, class, c.Kind)
+			}
+		}
 	}
 }

@@ -43,7 +43,6 @@ func TestChasePlanIsTraceSubsequence(t *testing.T) {
 		}
 		res, err := chase.Implies(in.D, in.D0, chase.Options{
 			Governor: budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000}),
-			Trace:    true,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -51,8 +50,9 @@ func TestChasePlanIsTraceSubsequence(t *testing.T) {
 		if res.Verdict != chase.Implied {
 			t.Fatalf("%s: verdict %v", tc.name, res.Verdict)
 		}
-		fired := make([]int, len(res.Trace))
-		for i, f := range res.Trace {
+		proof := res.Proof()
+		fired := make([]int, len(proof))
+		for i, f := range proof {
 			fired[i] = f.Dep
 		}
 		if !isSubsequence(plan, fired) {

@@ -12,6 +12,11 @@
 //   - on presentations where both run to an answer, the rewriting decision
 //     and the equational-closure search of package words must agree (they
 //     are cross-checked in tests and benchmarked against each other).
+//
+// Every rule carries its own derivation over the equations of the
+// presentation the system was built from, so a positive decision comes
+// with its proof (DecideGoal): by Reduction Theorem (A), a derivation of
+// A0 = 0 certifies D ⊨ D0 without re-running anything.
 package rewrite
 
 import (
@@ -27,6 +32,11 @@ import (
 // Rule is an oriented rewrite rule LHS -> RHS with LHS shortlex-greater.
 type Rule struct {
 	LHS, RHS words.Word
+	// Proof derives LHS to RHS over the equations of the presentation the
+	// system was built from: one step for a seed rule of FromPresentation,
+	// the chain through its overlap word for a rule adopted by completion.
+	// Completion and DecideGoal expand it, so every rule must carry one.
+	Proof *words.Derivation
 }
 
 // Format renders the rule.
@@ -53,15 +63,18 @@ func Orient(e words.Equation) (Rule, bool) {
 	}
 }
 
-// FromPresentation orients every equation of p.
+// FromPresentation orients every equation of p; each rule's proof is the
+// one step applying its equation.
 func FromPresentation(p *words.Presentation) *System {
 	s := &System{Alphabet: p.Alphabet}
 	seen := make(map[string]bool)
-	for _, e := range p.Equations {
+	for i, e := range p.Equations {
 		if r, ok := Orient(e); ok {
 			k := r.LHS.Key() + ">" + r.RHS.Key()
 			if !seen[k] {
 				seen[k] = true
+				r.Proof = &words.Derivation{From: r.LHS, To: r.RHS, Steps: []words.Step{
+					{Eq: i, Forward: r.LHS.Equal(e.LHS), Result: r.RHS}}}
 				s.Rules = append(s.Rules, r)
 			}
 		}
@@ -72,8 +85,15 @@ func FromPresentation(p *words.Presentation) *System {
 // RewriteOnce applies the first applicable rule at the leftmost position;
 // returns the rewritten word and whether a rewrite happened.
 func (s *System) RewriteOnce(w words.Word) (words.Word, bool) {
+	next, _, _, ok := rewriteOnce(s.Rules, w)
+	return next, ok
+}
+
+// rewriteOnce is RewriteOnce over rules, also reporting the index of the
+// applied rule and the position it applied at.
+func rewriteOnce(rules []Rule, w words.Word) (next words.Word, ri, pos int, ok bool) {
 	for i := 0; i < len(w); i++ {
-		for _, r := range s.Rules {
+		for ri, r := range rules {
 			if i+len(r.LHS) > len(w) {
 				continue
 			}
@@ -85,11 +105,11 @@ func (s *System) RewriteOnce(w words.Word) (words.Word, bool) {
 				}
 			}
 			if match {
-				return w.ReplaceAt(i, len(r.LHS), r.RHS), true
+				return w.ReplaceAt(i, len(r.LHS), r.RHS), ri, i, true
 			}
 		}
 	}
-	return w, false
+	return w, 0, 0, false
 }
 
 // NormalForm rewrites w to an irreducible word. Because every rule is
@@ -97,37 +117,90 @@ func (s *System) RewriteOnce(w words.Word) (words.Word, bool) {
 // guards against a non-reducing rule sneaking in through direct Rules
 // manipulation.
 func (s *System) NormalForm(w words.Word) (words.Word, error) {
-	limit := 1000 + 100*len(w)*(len(s.Rules)+1)
+	return normalForm(s.Rules, w, nil)
+}
+
+// normalForm is NormalForm over rules, appending every rewrite's proof to
+// p when p is non-nil.
+func normalForm(rules []Rule, w words.Word, p *path) (words.Word, error) {
+	limit := 1000 + 100*len(w)*(len(rules)+1)
 	cur := w
 	for i := 0; i < limit; i++ {
-		next, changed := s.RewriteOnce(cur)
+		next, ri, pos, changed := rewriteOnce(rules, cur)
 		if !changed {
 			return cur, nil
+		}
+		if p != nil {
+			p.apply(rules[ri], pos, cur)
 		}
 		cur = next
 	}
 	return nil, fmt.Errorf("rewrite: normal form not reached within %d steps (non-reducing rule?)", limit)
 }
 
-// Joinable reports whether u and v rewrite to the same normal form.
-func (s *System) Joinable(u, v words.Word) (bool, error) {
-	nu, err := s.NormalForm(u)
-	if err != nil {
-		return false, err
+// path accumulates the derivation steps of a chain of rewrites, each
+// expanded into its rule's proof.
+type path []words.Step
+
+// apply appends rule r applied at pos of the word cur: r's proof, shifted
+// to pos, with every intermediate word inside cur's context.
+func (p *path) apply(r Rule, pos int, cur words.Word) {
+	u, v := cur[:pos], cur[pos+len(r.LHS):]
+	for _, st := range r.Proof.Steps {
+		st.Pos += len(u)
+		st.Result = u.Concat(st.Result).Concat(v)
+		*p = append(*p, st)
 	}
-	nv, err := s.NormalForm(v)
-	if err != nil {
-		return false, err
+}
+
+// reversed returns the steps of a derivation from `from`, read backwards:
+// the order reverses and each step flips direction; positions stay.
+func reversed(from words.Word, steps []words.Step) []words.Step {
+	out := make([]words.Step, len(steps))
+	prev := from
+	for i, st := range steps {
+		out[len(steps)-1-i] = words.Step{Eq: st.Eq, Pos: st.Pos, Forward: !st.Forward, Result: prev}
+		prev = st.Result
 	}
-	return nu.Equal(nv), nil
+	return out
+}
+
+// CriticalPair is an unresolved critical pair: the distinct normal forms
+// X and Y of two one-step rewrites of one overlap word.
+type CriticalPair struct {
+	X, Y words.Word
+	// overlap rewrites towards X by rule[0] at pos[0] and towards Y by
+	// rule[1] at pos[1], indices into the rules the pair was found against.
+	overlap   words.Word
+	rule, pos [2]int
+}
+
+// proof derives X = Y (or Y = X, when from is Y) over the source
+// presentation through the overlap word: the reverse of (overlap → x →*
+// X), then (overlap → y →* Y). rules must be the ones the pair was found
+// against.
+func (cp CriticalPair) proof(rules []Rule, from words.Word) *words.Derivation {
+	var sides [2]path
+	for i := range sides {
+		r, pos := rules[cp.rule[i]], cp.pos[i]
+		sides[i].apply(r, pos, cp.overlap)
+		if _, err := normalForm(rules, cp.overlap.ReplaceAt(pos, len(r.LHS), r.RHS), &sides[i]); err != nil {
+			return nil
+		}
+	}
+	x, y := cp.X, cp.Y
+	if !from.Equal(x) {
+		sides[0], sides[1], x, y = sides[1], sides[0], y, x
+	}
+	return &words.Derivation{From: x, To: y, Steps: append(reversed(cp.overlap, sides[0]), sides[1]...)}
 }
 
 // CriticalPairs returns the unresolved critical pairs of the system: pairs
 // of distinct words both reachable in one step from a common superposition
 // of two rule left sides, whose normal forms differ.
-func (s *System) CriticalPairs() ([][2]words.Word, error) {
-	var out [][2]words.Word
-	add := func(x, y words.Word) error {
+func (s *System) CriticalPairs() ([]CriticalPair, error) {
+	var out []CriticalPair
+	add := func(overlap, x, y words.Word, rule, pos [2]int) error {
 		nx, err := s.NormalForm(x)
 		if err != nil {
 			return err
@@ -137,17 +210,17 @@ func (s *System) CriticalPairs() ([][2]words.Word, error) {
 			return err
 		}
 		if !nx.Equal(ny) {
-			out = append(out, [2]words.Word{nx, ny})
+			out = append(out, CriticalPair{X: nx, Y: ny, overlap: overlap, rule: rule, pos: pos})
 		}
 		return nil
 	}
-	for _, r1 := range s.Rules {
-		for _, r2 := range s.Rules {
+	for i1, r1 := range s.Rules {
+		for i2, r2 := range s.Rules {
 			// Overlap type 1: r2.LHS occurs inside r1.LHS.
 			for _, pos := range r1.LHS.Occurrences(r2.LHS) {
 				x := r1.RHS
 				y := r1.LHS.ReplaceAt(pos, len(r2.LHS), r2.RHS)
-				if err := add(x, y); err != nil {
+				if err := add(r1.LHS, x, y, [2]int{i1, i2}, [2]int{0, pos}); err != nil {
 					return nil, err
 				}
 			}
@@ -168,7 +241,7 @@ func (s *System) CriticalPairs() ([][2]words.Word, error) {
 				super := r1.LHS.Concat(r2.LHS[k:])
 				x := r1.RHS.Concat(r2.LHS[k:])
 				y := super[:len(r1.LHS)-k].Concat(r2.RHS)
-				if err := add(x, y); err != nil {
+				if err := add(super, x, y, [2]int{i1, i2}, [2]int{0, len(r1.LHS) - k}); err != nil {
 					return nil, err
 				}
 			}
@@ -248,9 +321,13 @@ func (s *System) Complete(opt CompletionOptions) (CompletionResult, error) {
 			verdict("confluent")
 			return res, nil
 		}
+		// The pairs were found against the sweep's starting rules; adopted
+		// rules are appended behind them, so that prefix stays intact for
+		// deriving each adopted rule's proof.
+		found := s.Rules
 		added := 0
 		for _, p := range pairs {
-			r, ok := Orient(words.Eq(p[0], p[1]))
+			r, ok := Orient(words.Eq(p.X, p.Y))
 			if !ok {
 				continue
 			}
@@ -259,6 +336,7 @@ func (s *System) Complete(opt CompletionOptions) (CompletionResult, error) {
 				verdict("diverged")
 				return res, nil
 			}
+			r.Proof = p.proof(found, r.LHS)
 			s.Rules = append(s.Rules, r)
 			added++
 			if opt.Sink != nil {
@@ -292,7 +370,9 @@ func (s *System) simplify() {
 		others.Rules = append(others.Rules, s.Rules[i+1:]...)
 		if _, reducible := others.RewriteOnce(r.LHS); reducible {
 			// Check the rule is redundant: both sides joinable without it.
-			if ok, err := others.Joinable(r.LHS, r.RHS); err == nil && ok {
+			nl, errL := others.NormalForm(r.LHS)
+			nr, errR := others.NormalForm(r.RHS)
+			if errL == nil && errR == nil && nl.Equal(nr) {
 				s.Rules = append(s.Rules[:i:i], s.Rules[i+1:]...)
 				s.simplify()
 				return
@@ -304,8 +384,20 @@ func (s *System) simplify() {
 }
 
 // DecideGoal decides (when the system is confluent) whether A0 = 0 holds.
-func (s *System) DecideGoal() (bool, error) {
-	return s.Joinable(words.W(s.Alphabet.A0()), words.W(s.Alphabet.Zero()))
+// When it does, proof derives A0 →* n ←* 0 over the source presentation,
+// n the common normal form.
+func (s *System) DecideGoal() (decided bool, proof *words.Derivation, err error) {
+	a0, zero := words.W(s.Alphabet.A0()), words.W(s.Alphabet.Zero())
+	var left, right path
+	na, err := normalForm(s.Rules, a0, &left)
+	if err != nil {
+		return false, nil, err
+	}
+	nz, err := normalForm(s.Rules, zero, &right)
+	if err != nil || !na.Equal(nz) {
+		return false, nil, err
+	}
+	return true, &words.Derivation{From: a0, To: zero, Steps: append(left, reversed(zero, right)...)}, nil
 }
 
 // Format renders the system, one rule per line.

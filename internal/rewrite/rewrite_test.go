@@ -74,7 +74,7 @@ func TestCompleteChainDecides(t *testing.T) {
 		if !res.Confluent {
 			t.Fatalf("Chain(%d): completion not confluent after %d iterations", n, res.Iterations)
 		}
-		ok, err := s.DecideGoal()
+		ok, _, err := s.DecideGoal()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestCompletePowerDecidesNegative(t *testing.T) {
 	if !res.Confluent {
 		t.Fatal("power presentation should complete")
 	}
-	ok, err := s.DecideGoal()
+	ok, _, err := s.DecideGoal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCompleteTwoStep(t *testing.T) {
 	if !res.Confluent {
 		t.Fatal("two-step should complete")
 	}
-	ok, err := s.DecideGoal()
+	ok, _, err := s.DecideGoal()
 	if err != nil || !ok {
 		t.Errorf("goal decision = %v, %v", ok, err)
 	}
@@ -130,7 +130,7 @@ func TestRewriteAgreesWithClosure(t *testing.T) {
 		if err != nil || !res.Confluent {
 			return true // completion inconclusive; nothing to compare
 		}
-		decided, err := s.DecideGoal()
+		decided, _, err := s.DecideGoal()
 		if err != nil {
 			return true
 		}
@@ -195,8 +195,58 @@ func TestSimplifyShrinks(t *testing.T) {
 		t.Errorf("rules grew from %d to %d", before, len(s.Rules))
 	}
 	// Decision still works.
-	ok, err := s.DecideGoal()
+	ok, _, err := s.DecideGoal()
 	if err != nil || !ok {
 		t.Errorf("goal decision = %v, %v", ok, err)
+	}
+}
+
+// Every rule of a completed (or budget-stopped) system carries a derivation
+// of LHS = RHS over the source presentation, and a decided goal comes with
+// a derivation of A0 = 0.
+func TestRulesCarryDerivations(t *testing.T) {
+	for _, name := range []string{"twostep", "chain:1", "chain:2", "chain:3", "chain:4", "chain:5", "chain:6",
+		"collapse:2", "collapse:3", "collapse:4", "tower:4", "nilpotent:5"} {
+		p, err := words.Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := FromPresentation(p)
+		res, err := s.Complete(CompletionOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, r := range s.Rules {
+			if r.Proof == nil {
+				t.Fatalf("%s: rule %d (%s) has no proof", name, i, r.Format(p.Alphabet))
+			}
+			if !r.Proof.From.Equal(r.LHS) || !r.Proof.To.Equal(r.RHS) {
+				t.Fatalf("%s: rule %d proof derives %v = %v", name, i, r.Proof.From, r.Proof.To)
+			}
+			if err := r.Proof.Validate(p); err != nil {
+				t.Fatalf("%s: rule %d (%s): %v", name, i, r.Format(p.Alphabet), err)
+			}
+		}
+		if !res.Confluent {
+			if name != "nilpotent:5" {
+				t.Errorf("%s: completion did not converge", name)
+			}
+			continue
+		}
+		decided, d, err := s.DecideGoal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if decided != (d != nil) {
+			t.Fatalf("%s: decided %v but goal proof %v", name, decided, d)
+		}
+		if d != nil {
+			if err := d.Validate(p); err != nil {
+				t.Errorf("%s: goal proof: %v", name, err)
+			}
+			if goal := p.Goal(); !d.From.Equal(goal.LHS) || !d.To.Equal(goal.RHS) {
+				t.Errorf("%s: goal proof derives %v = %v", name, d.From, d.To)
+			}
+		}
 	}
 }

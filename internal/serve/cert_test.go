@@ -241,3 +241,39 @@ func TestHTTPCertOptIn(t *testing.T) {
 		t.Fatalf("budget override request failed: %v", m)
 	}
 }
+
+// A server with a zero config runs kb at rewrite.DefaultLimits, like every
+// other front-end, and settles -checkportfolio's grid with the grid's
+// verdicts and winners; collapse:4 needs more than 200 rules. Every answer
+// carries its winning arm's proof, and it checks.
+func TestZeroConfigServesPortfolioGrid(t *testing.T) {
+	s := New(Config{})
+	defer s.Shutdown(context.Background())
+	for _, g := range []struct {
+		preset  string
+		verdict core.Verdict
+		winner  string
+		kind    cert.Kind
+	}{
+		{"power", core.FiniteCounterexample, "model-search", cert.KindFiniteModel},
+		{"twostep", core.Implied, "kb", cert.KindDerivation},
+		{"chain:2", core.Implied, "kb", cert.KindDerivation},
+		{"collapse:4", core.Implied, "kb", cert.KindDerivation},
+	} {
+		resp, err := s.Infer(presetProblem(t, g.preset))
+		if err != nil {
+			t.Fatalf("%s: %v", g.preset, err)
+		}
+		if resp.Verdict != g.verdict || resp.Winner != g.winner {
+			t.Errorf("%s: %v won by %q, want %v won by %q", g.preset, resp.Verdict, resp.Winner, g.verdict, g.winner)
+			continue
+		}
+		if resp.Cert == nil || resp.Cert.Kind != g.kind {
+			t.Errorf("%s: certificate %v, want kind %s", g.preset, resp.Cert, g.kind)
+			continue
+		}
+		if err := cert.Check(resp.Cert); err != nil {
+			t.Errorf("%s: certificate rejected: %v", g.preset, err)
+		}
+	}
+}

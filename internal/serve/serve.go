@@ -397,24 +397,17 @@ func (s *Server) requestClass(p *Problem) store.Class {
 
 // budgetFor builds the per-request core budget: one request-scoped
 // governor rooted at the server context (budget.ForRequest), one child
-// governor per arm carrying the derived limits, and the request-stamping
-// sink threaded through every layer. Certify is always on — the service
-// never stores a definitive verdict without a checkable proof.
+// governor per arm carrying the derived limits (kb keeps
+// rewrite.DefaultLimits, as in every front-end), and the request-stamping
+// sink threaded through every layer.
 func (s *Server) budgetFor(p *Problem, sink obs.Sink) (core.Budget, *budget.Governor, context.CancelFunc) {
 	g, cancel := budget.ForRequest(s.rootCtx, s.cfg.RequestTimeout, s.limitsFor(p))
-	b := core.Budget{Governor: g, Sink: sink, Certify: true}
+	b := core.Budget{Governor: g, Sink: sink}
 	b.Chase.Governor = g.Child(s.chaseLimits(p))
 	b.Chase.Workers = s.cfg.Workers
 	nodes := budget.Limits{Nodes: s.nodesFor(p)}
 	b.ModelSearch.Governor = g.Child(nodes)
 	b.FiniteDB.Governor = g.Child(nodes)
-	// kb stays below rewrite.DefaultLimits (500 rules, 100 sweeps). A
-	// certified kb win is re-proved by a chase replay floored at
-	// chase.DefaultLimits, and the chase buffers a whole round before its
-	// tuple meter can stop it: at 500 rules kb wins collapse:4, and that
-	// replay runs out of memory. Raise the cap once the chase's in-round
-	// memory is bounded.
-	b.Completion.Governor = g.Child(budget.Limits{Rules: 200, Rounds: 25})
 	return b, g, cancel
 }
 

@@ -17,8 +17,8 @@ import (
 // a fixed (D, start) pair is one deterministic computation, and a snapshot
 // only changes where a run begins observing it. These tests pin that down
 // on the paper's own workloads: warm and cold runs must agree on the
-// verdict, every Stats field, and the tuple-for-tuple identity of the final
-// instance — for serial and parallel workers alike.
+// verdict, every Stats field, the tuple-for-tuple identity of the final
+// instance, and the chase proof — for serial and parallel workers alike.
 
 func warmCase(t *testing.T, in *reduction.Instance, producer, consumer budget.Limits, workers int) {
 	t.Helper()
@@ -63,6 +63,10 @@ func warmCase(t *testing.T, in *reduction.Instance, producer, consumer budget.Li
 		t.Errorf("instances differ: warm %d tuples, cold %d tuples",
 			warm.Instance.Len(), cold.Instance.Len())
 	}
+	if !reflect.DeepEqual(warm.Proof(), cold.Proof()) || !reflect.DeepEqual(warm.Bounds(), cold.Bounds()) {
+		t.Errorf("proofs differ: warm %d steps over rounds %v, cold %d steps over rounds %v",
+			len(warm.Proof()), warm.Bounds(), len(cold.Proof()), cold.Bounds())
+	}
 }
 
 func TestWarmVsColdIdentical(t *testing.T) {
@@ -75,6 +79,10 @@ func TestWarmVsColdIdentical(t *testing.T) {
 		// Chain runs complete (implied); the snapshot replays to the goal.
 		{"chain1", words.ChainPresentation(1), wide, budget.Limits{Rounds: 128, Tuples: 400000}},
 		{"chain2", words.ChainPresentation(2), wide, budget.Limits{Rounds: 128, Tuples: 400000}},
+		// A producer stopped before the goal: the consumer resumes it
+		// and its proof spans both runs.
+		{"chain2-resume", words.ChainPresentation(2), budget.Limits{Rounds: 3, Tuples: 100000},
+			budget.Limits{Rounds: 128, Tuples: 400000}},
 		// The gap instance diverges (round 5 is intractable — see
 		// budget_integration_test.go): the producer is stopped by its rounds
 		// meter at 3 and the consumer's strictly larger budget class resumes
