@@ -341,7 +341,8 @@ func BenchmarkDualSemidecision(b *testing.B) {
 	}
 }
 
-// Ablation: semi-naive vs naive trigger enumeration in the chase.
+// Ablation: the semi-naive engine against eid.Chase, the reference that
+// re-joins the whole instance every round, on one full-TD closure.
 func BenchmarkChaseSchedulers(b *testing.B) {
 	s := relation.MustSchema("A", "B", "C")
 	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
@@ -349,53 +350,34 @@ func BenchmarkChaseSchedulers(b *testing.B) {
 	for i := 0; i < 6; i++ {
 		start.MustAdd(relation.Tuple{0, relation.Value(i), relation.Value(i)})
 	}
-	for _, naive := range []bool{true, false} {
-		name := "semi-naive"
-		if naive {
-			name = "naive"
+	limits := budget.Limits{Rounds: 50, Tuples: 10000}
+	b.Run("semi-naive", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e, err := chase.NewEngine(s, []*td.TD{join}, chase.Options{Governor: budget.New(nil, limits)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			res := e.Chase(start, nil)
+			if !res.FixpointReached {
+				b.Fatal("no fixpoint")
+			}
+			b.ReportMetric(float64(res.Stats.HomomorphismsSeen), "homs")
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e, err := chase.NewEngine(s, []*td.TD{join}, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 10000}), Naive: naive})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res := e.Chase(start, nil)
-				if !res.FixpointReached {
-					b.Fatal("no fixpoint")
-				}
-				b.ReportMetric(float64(res.Stats.HomomorphismsSeen), "homs")
+	})
+	b.Run("eid", func(b *testing.B) {
+		b.ReportAllocs()
+		deps := []*eid.EID{eid.FromTD(join)}
+		for i := 0; i < b.N; i++ {
+			res, err := eid.Chase(deps, start, nil, eid.Options{Governor: budget.New(nil, limits)})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-}
-
-// Ablation: restricted vs oblivious chase variants on a terminating full-TD
-// workload.
-func BenchmarkChaseVariants(b *testing.B) {
-	s := relation.MustSchema("A", "B", "C")
-	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
-	start := relation.NewInstance(s)
-	for i := 0; i < 4; i++ {
-		start.MustAdd(relation.Tuple{0, relation.Value(i), relation.Value(i)})
-	}
-	for _, v := range []chase.Variant{chase.Restricted, chase.Oblivious} {
-		b.Run(v.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e, err := chase.NewEngine(s, []*td.TD{join}, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 10000}), Variant: v})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res := e.Chase(start, nil)
-				if !res.FixpointReached {
-					b.Fatal("no fixpoint")
-				}
-				b.ReportMetric(float64(res.Stats.TriggersFired), "fired")
+			if !res.FixpointReached {
+				b.Fatal("no fixpoint")
 			}
-		})
-	}
+		}
+	})
 }
 
 // Ablation: sequential vs parallel trigger enumeration within chase rounds.
@@ -427,71 +409,6 @@ tail:   R(a, b, c) & R(a', b', c) -> R(a, b', c)
 				}
 			}
 		})
-	}
-}
-
-// Ablation: index-driven homomorphism join vs the naive nested-loop scan,
-// on the Reduction Theorem implication workload (the F2/F3 bridge chases)
-// at growing derivation depth.
-func BenchmarkJoinStrategies(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		p    *words.Presentation
-	}{
-		{"chain1", words.ChainPresentation(1)},
-		{"chain2", words.ChainPresentation(2)},
-		{"chain3", words.ChainPresentation(3)},
-	} {
-		in := reduction.MustBuild(tc.p)
-		for _, join := range []chase.JoinStrategy{chase.JoinIndex, chase.JoinScan} {
-			b.Run(fmt.Sprintf("%s/%s", tc.name, join), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := chase.Implies(in.D, in.D0, chase.Options{
-						Governor: budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000}),
-						Join:     join,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Verdict != chase.Implied {
-						b.Fatalf("verdict %v", res.Verdict)
-					}
-					b.ReportMetric(float64(res.Instance.Len()), "tuples")
-				}
-			})
-		}
-	}
-}
-
-// Ablation: the same join comparison on a dense full-TD closure, where the
-// quadratic trigger space makes posting-list probing pay off most.
-func BenchmarkJoinClosure(b *testing.B) {
-	s := relation.MustSchema("A", "B", "C")
-	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
-	for _, n := range []int{8, 16, 32} {
-		start := relation.NewInstance(s)
-		for i := 0; i < n; i++ {
-			start.MustAdd(relation.Tuple{relation.Value(i % 2), relation.Value(i), relation.Value(i)})
-		}
-		for _, strat := range []chase.JoinStrategy{chase.JoinIndex, chase.JoinScan} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, strat), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					e, err := chase.NewEngine(s, []*td.TD{join}, chase.Options{
-						Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 10000}),
-						Join:     strat,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					res := e.Chase(start, nil)
-					if !res.FixpointReached {
-						b.Fatal("no fixpoint")
-					}
-				}
-			})
-		}
 	}
 }
 

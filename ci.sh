@@ -476,10 +476,10 @@ stage_bench() {
     "$smoke/tdbench" -checksearch "$smoke/BENCH_search.json"
 
     # The committed chase benchmark snapshot must stay structurally valid:
-    # parses, every workload present, the index/scan/parallel arms of each
-    # chase workload agree on the verdict, warm-repeat columns present with
-    # matching verdicts, and at least one workload shows the >=2x warm-start
-    # latency drop.
+    # parses, every workload present, the serial and parallel arms of each
+    # implication workload agree on the verdict, warm-repeat columns present
+    # with matching verdicts, and at least one workload shows the >=2x
+    # warm-start latency drop.
     "$smoke/tdbench" -checkbench BENCH_chase.json
 
     # The portfolio emitter: a fresh quick report (one timed run per preset)

@@ -488,17 +488,26 @@ func TestCLI(t *testing.T) {
 			{"missing-plain", "missing workload f1/roundtrip", func(rep map[string]any) {
 				drop(rep, "results", "name", "f1/roundtrip")
 			}},
-			{"missing-scan", "workload chase/decide_full missing a join arm (index present: true, scan present: false)", func(rep map[string]any) {
-				drop(rep, "results", "name", "chase/decide_full/scan")
+			{"missing-serial", "workload chase/decide_full: missing /serial arm", func(rep map[string]any) {
+				drop(rep, "results", "name", "chase/decide_full/serial")
 			}},
-			{"join-disagree", "workload chase/implies_chain2: join strategies disagree (index=implied scan=unknown)", func(rep map[string]any) {
-				result(rep, "chase/implies_chain2/scan")["verdict"] = "unknown"
+			{"missing-verdict", "workload chase/decide_full: missing verdict", func(rep map[string]any) {
+				delete(result(rep, "chase/decide_full/serial"), "verdict")
 			}},
 			{"missing-parallel", "workload chase/implies_chain3: missing /parallel arm", func(rep map[string]any) {
 				drop(rep, "results", "name", "chase/implies_chain3/parallel")
 			}},
-			{"warm-flip", "workload chase/implies_chain1/index: warm repeat flips the verdict", func(rep map[string]any) {
-				result(rep, "chase/implies_chain1/index")["warm_verdict"] = "unknown"
+			{"parallel-workers", "workload chase/implies_chain1/parallel: workers not recorded", func(rep map[string]any) {
+				delete(result(rep, "chase/implies_chain1/parallel"), "workers")
+			}},
+			{"parallel-flip", "workload chase/implies_chain2: parallel arm flips the verdict (parallel=unknown serial=implied)", func(rep map[string]any) {
+				result(rep, "chase/implies_chain2/parallel")["verdict"] = "unknown"
+			}},
+			{"missing-warm", "workload chase/implies_chain2/serial: missing warm repeat column", func(rep map[string]any) {
+				delete(result(rep, "chase/implies_chain2/serial"), "warm_ns_per_op")
+			}},
+			{"warm-flip", "workload chase/implies_chain1/serial: warm repeat flips the verdict", func(rep map[string]any) {
+				result(rep, "chase/implies_chain1/serial")["warm_verdict"] = "unknown"
 			}},
 			{"no-warm-speedup", "no workload shows a >=2x warm-start speedup", func(rep map[string]any) {
 				for _, r := range rep["results"].([]any) {

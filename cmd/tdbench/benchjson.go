@@ -2,9 +2,8 @@
 // the F1–F3 experiments plus the chase implication/decision workloads with
 // testing.Benchmark and writes one JSON document, so the performance
 // trajectory of the engine is tracked in-repo from PR to PR. The chase
-// workloads are measured under both join strategies — JoinIndex is the
-// production path, JoinScan the pre-index baseline kept for ablation — so
-// every snapshot carries its own before/after comparison.
+// workloads are measured at one worker (/serial) and, for implication, at
+// GOMAXPROCS workers (/parallel), each with a warm-start repeat column.
 package main
 
 import (
@@ -33,8 +32,9 @@ type benchResult struct {
 	// zero for workloads that do not run the chase.
 	TuplesPerSec float64 `json:"tuples_per_sec,omitempty"`
 	// Verdict is the chase verdict of the workload (chase workloads only).
-	// -checkbench requires the index and scan arms of each workload to
-	// agree on it: a join-strategy ablation must never flip an answer.
+	// -checkbench requires the serial and parallel arms of each workload to
+	// agree on it: the parallel round decomposition must never flip an
+	// answer.
 	Verdict string `json:"verdict,omitempty"`
 	// Counters is the observability counter snapshot of one un-timed run of
 	// the workload (-metrics; chase workloads only). The timed loop always
@@ -152,12 +152,12 @@ func writeBenchJSON(path string, metrics bool) {
 		})
 	}
 
-	// Chase implication on the reduction output: both join strategies at one
-	// worker, plus a /parallel arm (JoinIndex at GOMAXPROCS workers) and a
-	// warm-start repeat column on the index-join arms. Every iteration gets
-	// a FRESH governor: budget meters accumulate across runs, so a shared
-	// governor exhausts after the first few iterations and the loop would
-	// measure setup-cost no-ops, not chases.
+	// Chase implication on the reduction output: a /serial arm at one worker
+	// and a /parallel arm at GOMAXPROCS workers, each with a warm-start
+	// repeat column. Every iteration gets a FRESH governor: budget meters
+	// accumulate across runs, so a shared governor exhausts after the first
+	// few iterations and the loop would measure setup-cost no-ops, not
+	// chases.
 	for _, tc := range []struct {
 		name string
 		p    *words.Presentation
@@ -169,20 +169,16 @@ func writeBenchJSON(path string, metrics bool) {
 		in := reduction.MustBuild(tc.p)
 		arms := []struct {
 			arm     string
-			join    chase.JoinStrategy
 			workers int
-			warm    bool
 		}{
-			{chase.JoinIndex.String(), chase.JoinIndex, 1, true},
-			{chase.JoinScan.String(), chase.JoinScan, 1, false},
-			{"parallel", chase.JoinIndex, runtime.GOMAXPROCS(0), true},
+			{"serial", 1},
+			{"parallel", runtime.GOMAXPROCS(0)},
 		}
 		for _, a := range arms {
-			a := a
 			mkOpt := func() chase.Options {
 				return chase.Options{
 					Governor: budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000}),
-					Join:     a.join, Workers: a.workers,
+					Workers:  a.workers,
 				}
 			}
 			res, err := chase.Implies(in.D, in.D0, mkOpt())
@@ -198,9 +194,6 @@ func writeBenchJSON(path string, metrics bool) {
 					}
 				})
 			br.Workers = a.workers
-			if !a.warm {
-				continue
-			}
 			capOpt := mkOpt()
 			capOpt.CaptureState = true
 			prod, err := chase.Implies(in.D, in.D0, capOpt)
@@ -238,29 +231,26 @@ func writeBenchJSON(path string, metrics bool) {
 	s := relation.MustSchema("A", "B", "C")
 	joinDep := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
 	goal := td.MustParse(s, "R(a, b0, c0) & R(a, b1, c1) & R(a, b2, c2) -> R(a, b0, c2)", "goal")
-	for _, js := range []chase.JoinStrategy{chase.JoinIndex, chase.JoinScan} {
-		opt := chase.Options{}
-		opt.Join = js
-		res, err := chase.Implies([]*td.TD{joinDep}, goal, opt)
-		check(err)
-		tuples := res.Instance.Len()
-		record(fmt.Sprintf("chase/decide_full/%s", js), tuples, res.Verdict.String(), chaseCounters([]*td.TD{joinDep}, goal, opt), func(b *testing.B) {
+	deps := []*td.TD{joinDep}
+	res, err := chase.Implies(deps, goal, chase.Options{})
+	check(err)
+	record("chase/decide_full/serial", res.Instance.Len(), res.Verdict.String(),
+		chaseCounters(deps, goal, chase.Options{}), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := chase.Implies([]*td.TD{joinDep}, goal, opt); err != nil {
+				if _, err := chase.Implies(deps, goal, chase.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
 
 	reportWrite(path, rep, fail)
 	fmt.Printf("\nwrote %d results to %s\n", len(rep.Results), path)
 }
 
 // benchExpectedPlain lists the non-chase workloads writeBenchJSON emits;
-// benchExpectedChase lists the chase workloads, each present once per join
-// strategy. -checkbench validates against these, so renaming a workload in
+// benchExpectedChase lists the chase workloads, each present as a /serial
+// arm. -checkbench validates against these, so renaming a workload in
 // the generator without updating the committed report (or vice versa) is a
 // CI failure, not a silent drift.
 var benchExpectedPlain = []string{
@@ -276,21 +266,20 @@ var benchExpectedChase = []string{
 
 // benchExpectedSweep lists the chase workloads that additionally carry the
 // workers sweep (a /parallel arm at GOMAXPROCS workers) and warm-start
-// repeat columns on their index-join arms.
+// repeat columns on both arms.
 var benchExpectedSweep = []string{
 	"chase/implies_chain1", "chase/implies_chain2", "chase/implies_chain3",
 }
 
 // checkBenchJSON validates a BENCH_chase.json structurally, mirroring
 // -checksearch: the report must parse, every expected workload must be
-// present (chase workloads under BOTH join strategies, implication
+// present (chase workloads as a /serial arm with a verdict, implication
 // workloads also under the /parallel arm), measurements must be positive,
-// and all arms of each chase workload must report the same verdict — the
-// soundness requirement of the join ablation and of the parallel round
-// decomposition. Warm columns must be present on the implication index
-// arms, agree with the cold verdict, and at least one workload must show
-// the warm repeat at less than half the cold latency — the point of
-// keeping chase states at all.
+// and the parallel arm must report the serial arm's verdict — the
+// soundness requirement of the parallel round decomposition. Warm columns
+// must be present on both implication arms, agree with the cold verdict,
+// and at least one workload must show the warm repeat at less than half
+// the cold latency — the point of keeping chase states at all.
 func checkBenchJSON(path string) {
 	fail := reportFail(path)
 	var rep benchReport
@@ -308,21 +297,17 @@ func checkBenchJSON(path string) {
 		}
 	}
 	for _, base := range benchExpectedChase {
-		idx, okIdx := byName[base+"/index"]
-		scn, okScn := byName[base+"/scan"]
-		if !okIdx || !okScn {
-			fail("workload %s missing a join arm (index present: %v, scan present: %v)", base, okIdx, okScn)
+		ser, ok := byName[base+"/serial"]
+		if !ok {
+			fail("workload %s: missing /serial arm", base)
 		}
-		if idx.Verdict == "" || scn.Verdict == "" {
+		if ser.Verdict == "" {
 			fail("workload %s: missing verdict (regenerate with a current tdbench)", base)
-		}
-		if idx.Verdict != scn.Verdict {
-			fail("workload %s: join strategies disagree (index=%s scan=%s)", base, idx.Verdict, scn.Verdict)
 		}
 	}
 	bestWarm := 0.0
 	for _, base := range benchExpectedSweep {
-		idx := byName[base+"/index"]
+		ser := byName[base+"/serial"]
 		par, ok := byName[base+"/parallel"]
 		if !ok {
 			fail("workload %s: missing /parallel arm", base)
@@ -330,10 +315,10 @@ func checkBenchJSON(path string) {
 		if par.Workers < 1 {
 			fail("workload %s/parallel: workers not recorded", base)
 		}
-		if par.Verdict != idx.Verdict {
-			fail("workload %s: parallel arm flips the verdict (parallel=%s index=%s)", base, par.Verdict, idx.Verdict)
+		if par.Verdict != ser.Verdict {
+			fail("workload %s: parallel arm flips the verdict (parallel=%s serial=%s)", base, par.Verdict, ser.Verdict)
 		}
-		for _, arm := range []benchResult{idx, par} {
+		for _, arm := range []benchResult{ser, par} {
 			if arm.WarmNsPerOp <= 0 {
 				fail("workload %s: missing warm repeat column", arm.Name)
 			}
@@ -348,6 +333,6 @@ func checkBenchJSON(path string) {
 	if bestWarm < 2 {
 		fail("no workload shows a >=2x warm-start speedup (best %.2fx)", bestWarm)
 	}
-	fmt.Printf("%s: %d results, all %d+%d workloads present, arm verdicts identical, best warm speedup %.0fx\n",
+	fmt.Printf("%s: %d results, all %d+%d workloads present, serial and parallel verdicts identical, best warm speedup %.0fx\n",
 		path, len(rep.Results), len(benchExpectedPlain), len(benchExpectedChase), bestWarm)
 }

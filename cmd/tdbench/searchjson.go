@@ -8,8 +8,8 @@
 // dimensions:
 //
 //   - speedup is baseline (serial, prune=none) over production
-//     (parallel-4, prune=symmetry) — the same stock-vs-production framing
-//     as the JoinScan/JoinIndex arms of -benchjson. On a single-core
+//     (parallel-4, prune=symmetry), a stock-vs-production comparison
+//     within one report. On a single-core
 //     machine the parallel dimension alone is roughly neutral; the wins
 //     come from pruning, and the report records num_cpu so the reader can
 //     judge the headline honestly.

@@ -221,8 +221,8 @@ func main() {
 		if *depStats {
 			fmt.Println("per-dependency chase work:")
 			for i, ds := range st.PerDep {
-				fmt.Printf("  %-12s matched=%-6d fired=%-6d added=%-6d nulls=%d\n",
-					depSet[i].Name(), ds.Matched, ds.Fired, ds.Added, ds.Nulls)
+				fmt.Printf("  %-12s fired=%-6d added=%-6d nulls=%d\n",
+					depSet[i].Name(), ds.Fired, ds.Added, ds.Nulls)
 			}
 		}
 	}

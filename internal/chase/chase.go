@@ -30,18 +30,16 @@
 // dependency that added each tuple (Result.Proof, Result.Bounds), carried
 // by warm-start snapshots too.
 //
-// The zero Options is the configuration every front-end runs: the
-// semi-naive restricted chase with the index join, under DefaultLimits.
-// Naive, JoinScan and Oblivious select the references and ablations that
-// tests compare against.
+// The chase has one configuration: the semi-naive restricted chase with
+// the index join, under DefaultLimits unless a governor says otherwise.
+// Options only choose how it is observed (Sink, PerDepStats), how many
+// workers enumerate triggers, and warm starts. Its independent reference is
+// eid.Chase, which tests run on the same inputs.
 package chase
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,46 +51,6 @@ import (
 	"templatedep/internal/td"
 )
 
-// Variant selects the chase step discipline.
-type Variant int
-
-const (
-	// Restricted fires a trigger only when the conclusion is not already
-	// witnessed in the current instance (the standard chase).
-	Restricted Variant = iota
-	// Oblivious fires every trigger exactly once regardless of whether the
-	// conclusion is already witnessed, deduplicating triggers by their
-	// matched antecedent bindings.
-	Oblivious
-)
-
-func (v Variant) String() string {
-	if v == Oblivious {
-		return "oblivious"
-	}
-	return "restricted"
-}
-
-// JoinStrategy selects how antecedent homomorphisms are enumerated.
-type JoinStrategy int
-
-const (
-	// JoinIndex (the default) probes the instance's posting lists via
-	// already-bound variables, ordering rows by selectivity
-	// (tableau.EachRangeHomomorphism).
-	JoinIndex JoinStrategy = iota
-	// JoinScan is the naive nested-loop backtracking scan over all candidate
-	// tuples per row, kept as the ablation reference.
-	JoinScan
-)
-
-func (j JoinStrategy) String() string {
-	if j == JoinScan {
-		return "scan"
-	}
-	return "index"
-}
-
 // Options bounds and configures a chase run.
 type Options struct {
 	// Governor bounds the run: its rounds meter caps fair rounds, its
@@ -100,26 +58,13 @@ type Options struct {
 	// per round so cancellation latency is one round. Nil resolves to a
 	// fresh governor with DefaultLimits per run.
 	Governor *budget.Governor
-	// Variant selects restricted (default) or oblivious stepping.
-	Variant Variant
-	// Naive turns off delta-driven (semi-naive) trigger enumeration, under
-	// which every round after the first considers only homomorphisms
-	// touching at least one tuple added in the previous round. The naive
-	// chase re-joins the whole instance every round: identical results,
-	// more joins. It is the reference the semi-naive chase is tested
-	// against.
-	Naive bool
 	// Workers > 1 enumerates triggers in parallel goroutines within each
-	// round: across dependencies, and — on semi-naive rounds with the index
-	// join — across contiguous shards of the delta within a single
-	// dependency. The delta row is pinned to the outermost backtracking
-	// level, so concatenating shard results in order reproduces the
-	// sequential enumeration exactly: the chase is deterministic and
-	// bit-identical for every Workers value.
+	// round: across dependencies, and — on semi-naive rounds — across
+	// contiguous shards of the delta within a single dependency. The delta
+	// row is pinned to the outermost backtracking level, so concatenating
+	// shard results in order reproduces the sequential enumeration exactly:
+	// the chase is deterministic and bit-identical for every Workers value.
 	Workers int
-	// Join selects index-driven (default) or naive-scan homomorphism
-	// enumeration.
-	Join JoinStrategy
 	// Sink receives structured observability events (round boundaries,
 	// per-dependency firings, delta sizes, nulls, the verdict). Nil — the
 	// default — skips every emission; the engine only ever emits from its
@@ -129,24 +74,19 @@ type Options struct {
 	// PerDepStats populates Stats.PerDep with per-dependency counters.
 	// Off by default so the untraced hot path allocates nothing extra.
 	PerDepStats bool
-	// ProfileLabels tags the run's goroutines with runtime/pprof labels
-	// (chase_phase=collect|apply), so CPU profiles of long runs split by
-	// chase phase. Off by default: label swaps cost a few allocations per
-	// round.
-	ProfileLabels bool
 	// WarmState, when non-nil, warm-starts the run from a snapshot captured
 	// by an earlier run over the same dependency set and start instance
 	// (see State). Verdicts, Stats, tuple identity and the proof match a
-	// cold run exactly; only wall-clock changes. Incompatible states (config
-	// mismatch, different start, a dependency with no twin here, budget
-	// class) and ineligible engines silently fall back to a cold run. Warm
+	// cold run exactly; only wall-clock changes. Incompatible states
+	// (different start, a dependency with no twin here, budget class) and
+	// PerDepStats runs silently fall back to a cold run. Warm
 	// starts take effect through Engine.Implies — a plain Chase has no
 	// prefix-goal predicate to replay with — and Result.WarmStarted
 	// reports whether the snapshot was actually used.
 	WarmState *State
 	// CaptureState asks the run to snapshot its last completed round into
 	// Result.State for reuse via WarmState. Ignored (Result.State stays
-	// nil) for configurations outside stateEligible and for runs that never
+	// nil) under PerDepStats (stateEligible) and for runs that never
 	// complete a round. Capture costs one prefix clone of the final
 	// instance, paid once at the end of the run.
 	CaptureState bool
@@ -156,7 +96,7 @@ type Options struct {
 // rounds and a 100000-tuple instance.
 var DefaultLimits = budget.Limits{Rounds: 64, Tuples: 100000}
 
-// interruptBatch is how many homomorphisms (buffered, merged, or
+// interruptBatch is how many homomorphisms (enumerated, or active triggers
 // materialized) pass between context polls inside a round. One poll per
 // batch keeps the inner loops free of governor traffic while bounding
 // cancellation latency even when a single round diverges.
@@ -199,10 +139,12 @@ type Fired struct {
 
 // Stats reports work performed by a chase run.
 type Stats struct {
-	Rounds            int
-	TriggersMatched   int
-	TriggersFired     int
-	TuplesAdded       int
+	Rounds        int
+	TriggersFired int
+	TuplesAdded   int
+	// HomomorphismsSeen counts antecedent homomorphisms enumerated. On a
+	// round the tuple cap or a cancellation stops, it counts only the
+	// consumed prefix of the round's enumeration, in task order.
 	HomomorphismsSeen int
 	// NullsCreated counts labeled nulls invented for existential
 	// conclusion positions across the whole run.
@@ -214,10 +156,8 @@ type Stats struct {
 
 // DepStats are the per-dependency counters of one chase run.
 type DepStats struct {
-	// Matched counts triggers matched (antecedents satisfied, conclusion
-	// missing — or, oblivious, not yet fired).
-	Matched int
-	// Fired counts triggers actually fired.
+	// Fired counts triggers fired: antecedents matched, conclusion missing
+	// from the round-start instance.
 	Fired int
 	// Added counts tuples the dependency contributed that were new.
 	Added int
@@ -300,25 +240,27 @@ func NewEngine(schema *relation.Schema, deps []*td.TD, opt Options) (*Engine, er
 	return &Engine{schema: schema, deps: deps, opt: opt, widths: widths}, nil
 }
 
-// homBuffer accumulates antecedent homomorphisms as flat rows of variable
+// homBuffer accumulates a task's active triggers as flat rows of variable
 // values (column-major concatenation of the Assignment), so the collect
 // phase streams matches without allocating an Assignment clone per
-// homomorphism.
+// trigger.
 type homBuffer struct {
 	vals  []relation.Value
 	width int
-	n     int
+	// seen[i] is how many homomorphisms the task enumerated before trigger
+	// i: the task's share of a round the merge stops at trigger i. Its
+	// length is the number of triggers buffered.
+	seen []int
 }
 
-func (hb *homBuffer) add(as tableau.Assignment) {
+func (hb *homBuffer) add(as tableau.Assignment, seen int) {
 	for _, col := range as {
 		hb.vals = append(hb.vals, col...)
 	}
-	hb.n++
+	hb.seen = append(hb.seen, seen)
 }
 
-// load copies homomorphism i into the (correctly shaped) scratch
-// assignment.
+// load copies trigger i into the (correctly shaped) scratch assignment.
 func (hb *homBuffer) load(i int, into tableau.Assignment) {
 	off := i * hb.width
 	for a := range into {
@@ -336,7 +278,10 @@ type collectTask struct {
 	dep      int
 	deltaRow int
 	lo, hi   int
-	homs     homBuffer
+	// homs counts the homomorphisms the task enumerated; active buffers
+	// those whose conclusion the round-start instance does not witness.
+	homs   int
+	active homBuffer
 	// ns is the measured enumeration time of this task, folded into the
 	// engine's cost table after the round. It steers next round's CLAIM
 	// order only (heaviest first, so the dominant join starts immediately
@@ -366,9 +311,9 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 	res := Result{Instance: inst, bounds: []int{inst.Len()}}
 	sink := e.opt.Sink
 	// Resolved per run, not per engine, so a reused engine never carries an
-	// exhausted meter pool between chases. The tuple cap is fetched once
-	// and compared against inst.Len() in the materialization loop — the hot
-	// path never touches the governor.
+	// exhausted meter pool between chases. The tuple cap is fetched once,
+	// compared against inst.Len() in the merge and used to size the collect
+	// tasks' buffers — the hot path never touches the governor.
 	g := budget.Resolve(e.opt.Governor, DefaultLimits)
 	tupleCap := g.Limit(budget.Tuples)
 	roundsCap := g.Limit(budget.Rounds)
@@ -397,14 +342,6 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 	if e.opt.PerDepStats {
 		res.Stats.PerDep = make([]DepStats, len(e.deps))
 	}
-	if e.opt.ProfileLabels {
-		defer pprof.SetGoroutineLabels(context.Background())
-	}
-
-	// For the oblivious variant: triggers already fired, keyed by
-	// dependency index and the antecedent-variable bindings.
-	firedKeys := make(map[string]bool)
-	var keyBuf []byte
 
 	// Delta tracking for semi-naive evaluation.
 	prevLen := 0 // tuples with index < prevLen existed before last round
@@ -440,8 +377,7 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			res.WarmStarted = true
 			if sink != nil {
 				sink.Event(obs.Event{Type: obs.EvChaseWarmStart, Src: "chase",
-					Round: rounds, Tuples: tuples, Matched: st.TriggersMatched,
-					N: st.TriggersFired, Added: st.TuplesAdded,
+					Round: rounds, Tuples: tuples, N: st.TriggersFired, Added: st.TuplesAdded,
 					Homs: st.HomomorphismsSeen, Nulls: st.NullsCreated})
 			}
 		}
@@ -562,7 +498,6 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			stopped:     res.Budget.Code == budget.CodeExhausted,
 			classRounds: roundsCap,
 			classTuples: tupleCap,
-			cfg:         e.stateCfg(),
 		}
 		if complete {
 			st.final = res.Stats
@@ -577,10 +512,9 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 		return res
 	}
 
-	// Per-dependency scratch assignments for replaying buffered
-	// homomorphisms, reused across rounds.
+	// Per-dependency scratch assignments for replaying buffered triggers,
+	// reused across rounds.
 	scratch := make([]tableau.Assignment, len(e.deps))
-	shardFallbackNoted := false
 	// taskCost remembers the measured enumeration time of each (dependency,
 	// delta position) from the previous round. Chain-style workloads
 	// concentrate a round's cost in one deep backtracking join; claiming
@@ -605,29 +539,22 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			return res
 		}
 		res.Stats.Rounds = round
-		type pending struct {
-			dep int
-			tup relation.Tuple
-		}
-		var adds []pending
 
-		// Phase 1: enumerate antecedent homomorphisms (read-only on the
-		// instance). The work is cut into tasks — one per dependency on full
-		// rounds; one per (dependency, delta position, delta shard) on
-		// semi-naive rounds — so Workers > 1 parallelizes both across
-		// dependencies and within a single dependency's delta.
-		useDelta := !e.opt.Naive && round > 1
+		// Phase 1: enumerate antecedent homomorphisms and keep the active
+		// triggers, those whose conclusion the round-start instance does not
+		// witness. The phase only reads the instance, so every task checks
+		// against that same round-start instance. The work is cut into
+		// tasks — one per dependency on full rounds; one per (dependency,
+		// delta position, delta shard) on semi-naive rounds — so Workers > 1
+		// parallelizes both across dependencies and within a single
+		// dependency's delta.
+		useDelta := round > 1
 		deltaLen := lastLen - prevLen
 		if sink != nil {
 			sink.Event(obs.Event{Type: obs.EvRoundStart, Src: "chase", Round: round, Tuples: lastLen})
 			if useDelta {
 				sink.Event(obs.Event{Type: obs.EvDeltaSize, Src: "chase", Round: round, N: deltaLen})
 			}
-		}
-		if e.opt.ProfileLabels {
-			// Worker goroutines spawned below inherit the label.
-			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-				pprof.Labels("chase_phase", "collect")))
 		}
 		var tasks []collectTask
 		for di, d := range e.deps {
@@ -636,35 +563,15 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 				tasks = append(tasks, collectTask{dep: di, deltaRow: -1, lo: 0, hi: lastLen})
 				continue
 			}
-			// Delta decomposition: homomorphism position j maps to a tuple
-			// added in the previous round, earlier rows to older tuples,
-			// later rows to anything. Sharding splits the delta window of
-			// row j; with the index join that row is pinned outermost, so
-			// shard concatenation equals the unsharded enumeration.
-			shards := 1
-			if e.opt.Workers > 1 && deltaLen > 1 {
-				if e.opt.Join == JoinIndex {
-					shards = e.opt.Workers
-					if shards > deltaLen {
-						shards = deltaLen
-					}
-				} else if !shardFallbackNoted {
-					// The scan join cannot pin the delta row to the outermost
-					// backtracking level, so intra-dependency sharding is
-					// index-join only: record the serial fallback once per
-					// run. Dependency-level parallelism still applies. This
-					// is the one chase event whose presence depends on the
-					// Workers option.
-					shardFallbackNoted = true
-					if sink != nil {
-						sink.Event(obs.Event{Type: obs.EvShardFallback, Src: "chase",
-							Round: round, N: e.opt.Workers})
-					}
-				}
-			}
 			if deltaLen == 0 {
 				continue
 			}
+			// Delta decomposition: homomorphism position j maps to a tuple
+			// added in the previous round, earlier rows to older tuples,
+			// later rows to anything. Sharding splits the delta window of
+			// row j; the join pins that row outermost, so shard
+			// concatenation equals the unsharded enumeration.
+			shards := min(max(e.opt.Workers, 1), deltaLen)
 			for j := 0; j < k; j++ {
 				for s := 0; s < shards; s++ {
 					tasks = append(tasks, collectTask{
@@ -676,41 +583,42 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 				}
 			}
 		}
+		// An active trigger of an embedded dependency invents a null, so it
+		// always adds a tuple. Once a task holds headroom+1 of them, the
+		// merge stops at or before the last, at the tuple cap: enumerating
+		// further cannot change the run.
+		capActive := -1
+		if tupleCap > 0 {
+			capActive = max(tupleCap-lastLen, 0) + 1
+		}
 		runTask := func(t *collectTask) {
 			d := e.deps[t.dep]
-			k := d.NumAntecedents()
-			t.homs.width = e.widths[t.dep]
+			concl := d.Conclusion()
+			limit := -1
+			if !d.IsFull() {
+				limit = capActive
+			}
+			t.active.width = e.widths[t.dep]
 			emit := func(as tableau.Assignment) bool {
-				t.homs.add(as)
+				t.homs++
 				// A single round's enumeration is unbounded on divergent
 				// instances, so cancellation latency cannot be per-round
-				// only: every batch of buffered homomorphisms polls the
+				// only: every batch of enumerated homomorphisms polls the
 				// context (cheap, lock-free, safe from worker goroutines)
 				// and aborts this task's join. Aborted buffers are
 				// discarded before any event is emitted, so the trace
 				// stays closed.
-				if t.homs.n%interruptBatch == 0 && g.Interrupted().Stopped() {
+				if t.homs%interruptBatch == 0 && g.Interrupted().Stopped() {
 					return false
 				}
-				return true
-			}
-			if e.opt.Join == JoinScan {
-				cands := make([][]relation.Tuple, k)
-				for i := 0; i < k; i++ {
-					switch {
-					case t.deltaRow < 0 || i > t.deltaRow:
-						cands[i] = inst.Tuples()[:lastLen]
-					case i < t.deltaRow:
-						cands[i] = inst.Tuples()[:prevLen]
-					default:
-						cands[i] = inst.Tuples()[t.lo:t.hi]
-					}
+				if tableau.RowSatisfiable(concl, as, inst) {
+					return true
 				}
-				d.Tableau().EachCandidateHomomorphism(cands, nil, emit)
-				return
+				t.active.add(as, t.homs-1)
+				return len(t.active.seen) != limit
 			}
-			ranges := make([]tableau.Range, k)
-			for i := 0; i < k; i++ {
+			ranges := make([]tableau.Range, d.NumAntecedents())
+			for i := range ranges {
 				switch {
 				case t.deltaRow < 0 || i > t.deltaRow:
 					ranges[i] = tableau.Range{Lo: 0, Hi: lastLen}
@@ -741,10 +649,7 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 					return cost(order[a]) > cost(order[b])
 				})
 			}
-			workers := e.opt.Workers
-			if workers > len(tasks) {
-				workers = len(tasks)
-			}
+			workers := min(e.opt.Workers, len(tasks))
 			var cursor atomic.Int64
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -778,13 +683,9 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			}
 		}
 
-		// Phase 2: sequential, deterministic merge in task order — trigger
-		// checks against the round-start snapshot, then materialization.
-		if e.opt.ProfileLabels {
-			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-				pprof.Labels("chase_phase", "apply")))
-		}
-		var matchedRound, homsRound, nullsRound, firedRound, addedRound int
+		// Phase 2: one sequential, deterministic pass over the active
+		// triggers in task order, materializing each conclusion.
+		var homsRound, nullsRound, firedRound, addedRound int
 		// emitRoundTail closes the round's event group; it is also called
 		// on early exits so partial rounds replay to the reported Stats.
 		emitRoundTail := func() {
@@ -796,7 +697,7 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			}
 			sink.Event(obs.Event{Type: obs.EvTuplesAdded, Src: "chase", Round: round, N: addedRound})
 			sink.Event(obs.Event{Type: obs.EvRoundEnd, Src: "chase", Round: round,
-				Tuples: inst.Len(), N: firedRound, Matched: matchedRound, Homs: homsRound})
+				Tuples: inst.Len(), N: firedRound, Homs: homsRound})
 		}
 		// stopMidRound abandons the round in flight: whatever was already
 		// counted is flushed as a well-formed round tail, then the stop and
@@ -814,54 +715,76 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 		if o := g.Interrupted(); o.Stopped() {
 			return stopMidRound(o)
 		}
-		var stopped budget.Outcome
-	merge:
+		// Each dependency's triggers form one contiguous run of tasks, so
+		// per-dependency firing events aggregate into three scalars and
+		// flush at run boundaries, costing no allocations.
+		curDep, curFired, curAdded := -1, 0, 0
+		flushDep := func() {
+			if sink != nil && curDep >= 0 {
+				sink.Event(obs.Event{Type: obs.EvDepFired, Src: "chase", Round: round,
+					Dep: curDep, N: curFired, Added: curAdded})
+			}
+			curFired, curAdded = 0, 0
+		}
 		for ti := range tasks {
 			t := &tasks[ti]
-			if t.homs.n == 0 {
-				continue
-			}
 			d := e.deps[t.dep]
-			if scratch[t.dep] == nil {
+			if len(t.active.seen) > 0 && scratch[t.dep] == nil {
 				scratch[t.dep] = tableau.NewAssignment(d.Tableau())
 			}
 			as := scratch[t.dep]
-			for i := 0; i < t.homs.n; i++ {
-				t.homs.load(i, as)
-				res.Stats.HomomorphismsSeen++
-				homsRound++
-				if homsRound%interruptBatch == 0 {
-					if o := g.Interrupted(); o.Stopped() {
-						stopped = o
-						break merge
-					}
+			for i, seen := range t.active.seen {
+				var stop budget.Outcome
+				if tupleCap > 0 && inst.Len() >= tupleCap {
+					stop = budget.Exhausted(budget.Tuples)
+				} else if firedRound%interruptBatch == interruptBatch-1 {
+					stop = g.Interrupted()
 				}
-				if e.opt.Variant == Oblivious {
-					keyBuf = appendTriggerKey(keyBuf[:0], t.dep, as)
-					if firedKeys[string(keyBuf)] {
-						continue
-					}
-					firedKeys[string(keyBuf)] = true
-				} else if tableau.RowSatisfiable(d.Conclusion(), as, inst) {
-					continue
+				if stop.Stopped() {
+					// The round counts the enumeration it consumed: every
+					// earlier task, and this task up to the refused trigger.
+					homsRound += seen
+					res.Stats.HomomorphismsSeen += seen
+					g.Add(budget.Tuples, addedRound)
+					flushDep()
+					return stopMidRound(stop)
 				}
-				res.Stats.TriggersMatched++
-				matchedRound++
+				if t.dep != curDep {
+					flushDep()
+					curDep = t.dep
+				}
+				t.active.load(i, as)
 				tup, nulls := conclusionTuple(d, as, inst)
-				res.Stats.NullsCreated += nulls
-				nullsRound += nulls
-				if res.Stats.PerDep != nil {
-					res.Stats.PerDep[t.dep].Matched++
-					res.Stats.PerDep[t.dep].Nulls += nulls
+				_, added, err := inst.Add(tup)
+				if err != nil {
+					// Cannot happen: tuples are built against the schema.
+					panic(err)
 				}
-				adds = append(adds, pending{dep: t.dep, tup: tup})
+				res.Stats.TriggersFired++
+				res.Stats.NullsCreated += nulls
+				firedRound++
+				nullsRound += nulls
+				curFired++
+				if added {
+					res.Stats.TuplesAdded++
+					addedRound++
+					curAdded++
+					res.labels = append(res.labels, t.dep)
+				}
+				if res.Stats.PerDep != nil {
+					ds := &res.Stats.PerDep[t.dep]
+					ds.Fired++
+					ds.Nulls += nulls
+					if added {
+						ds.Added++
+					}
+				}
 			}
+			homsRound += t.homs
+			res.Stats.HomomorphismsSeen += t.homs
 		}
-		if stopped.Stopped() {
-			return stopMidRound(stopped)
-		}
-
-		if len(adds) == 0 {
+		flushDep()
+		if firedRound == 0 {
 			res.FixpointReached = true
 			if goal == nil {
 				res.Verdict = Unknown
@@ -873,58 +796,6 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			emitVerdict()
 			return res
 		}
-		// Materialization walks adds in task order, so each dependency's
-		// pending tuples form one contiguous run: per-dependency firing
-		// events aggregate into three scalars and flush at run boundaries,
-		// costing no allocations.
-		curDep, curFired, curAdded := -1, 0, 0
-		flushDep := func() {
-			if sink != nil && curDep >= 0 {
-				sink.Event(obs.Event{Type: obs.EvDepFired, Src: "chase", Round: round,
-					Dep: curDep, N: curFired, Added: curAdded})
-			}
-			curFired, curAdded = 0, 0
-		}
-		for ai, p := range adds {
-			if tupleCap > 0 && inst.Len() >= tupleCap {
-				res.Budget = budget.Exhausted(budget.Tuples)
-				g.Add(budget.Tuples, addedRound)
-				flushDep()
-				return stopMidRound(res.Budget)
-			}
-			if ai%interruptBatch == interruptBatch-1 {
-				if o := g.Interrupted(); o.Stopped() {
-					g.Add(budget.Tuples, addedRound)
-					flushDep()
-					return stopMidRound(o)
-				}
-			}
-			if p.dep != curDep {
-				flushDep()
-				curDep = p.dep
-			}
-			_, added, err := inst.Add(p.tup)
-			if err != nil {
-				// Cannot happen: tuples are built against the schema.
-				panic(err)
-			}
-			res.Stats.TriggersFired++
-			firedRound++
-			curFired++
-			if added {
-				res.Stats.TuplesAdded++
-				addedRound++
-				curAdded++
-				res.labels = append(res.labels, p.dep)
-			}
-			if res.Stats.PerDep != nil {
-				res.Stats.PerDep[p.dep].Fired++
-				if added {
-					res.Stats.PerDep[p.dep].Added++
-				}
-			}
-		}
-		flushDep()
 		emitRoundTail()
 		g.Add(budget.Tuples, addedRound)
 		prevLen = lastLen
@@ -955,25 +826,6 @@ func conclusionTuple(d *td.TD, as tableau.Assignment, inst *relation.Instance) (
 		}
 	}
 	return tup, nulls
-}
-
-// appendTriggerKey canonicalizes a trigger for oblivious deduplication by
-// encoding the dependency index and every variable value (Unbound included,
-// so the encoding is positional and unambiguous) into buf. The caller
-// reuses the buffer; map lookups via string(buf) do not allocate, and the
-// string is materialized only when a new key is inserted — unlike the old
-// per-variable fmt.Sprintf concatenation, which was quadratic in the key
-// length.
-func appendTriggerKey(buf []byte, di int, as tableau.Assignment) []byte {
-	buf = strconv.AppendInt(buf, int64(di), 10)
-	for a := range as {
-		buf = append(buf, '|')
-		for _, val := range as[a] {
-			buf = strconv.AppendInt(buf, int64(val), 10)
-			buf = append(buf, ',')
-		}
-	}
-	return buf
 }
 
 // Implies checks whether the engine's dependency set logically implies d0,

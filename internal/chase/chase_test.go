@@ -2,9 +2,10 @@ package chase
 
 import (
 	"reflect"
-	"templatedep/internal/budget"
 	"testing"
 
+	"templatedep/internal/budget"
+	"templatedep/internal/eid"
 	"templatedep/internal/relation"
 	"templatedep/internal/td"
 )
@@ -145,26 +146,9 @@ func TestMaxRoundsUnknown(t *testing.T) {
 	}
 }
 
-func TestRestrictedVsObliviousAgree(t *testing.T) {
-	s := threeCol()
-	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
-	goal := td.MustParse(s, "R(a, b, c) & R(a, b', c') & R(a, b'', c'') -> R(a, b, c'')", "goal")
-	optR := Options{}
-	optO := Options{}
-	optO.Variant = Oblivious
-	r1, err := Implies([]*td.TD{join}, goal, optR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Implies([]*td.TD{join}, goal, optO)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Verdict != Implied || r2.Verdict != Implied {
-		t.Errorf("verdicts %v, %v", r1.Verdict, r2.Verdict)
-	}
-}
-
+// The semi-naive engine's fixpoint equals the one eid.Chase, the
+// independent reference, reaches by re-joining the whole instance every
+// round: equal up to null renaming.
 func TestSemiNaiveMatchesNaive(t *testing.T) {
 	s := threeCol()
 	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
@@ -174,29 +158,23 @@ func TestSemiNaiveMatchesNaive(t *testing.T) {
 	start.MustAdd(relation.Tuple{0, 2, 2})
 	start.MustAdd(relation.Tuple{7, 1, 2})
 
-	run := func(naive bool) *relation.Instance {
-		e, err := NewEngine(s, []*td.TD{join}, Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 1000}), Naive: naive})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := e.Chase(start, nil)
-		if !res.FixpointReached {
-			t.Fatal("expected fixpoint")
-		}
-		return res.Instance
+	limits := budget.Limits{Rounds: 50, Tuples: 1000}
+	e, err := NewEngine(s, []*td.TD{join}, Options{Governor: budget.New(nil, limits)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := run(true)
-	b := run(false)
-	if a.Len() != b.Len() {
-		t.Fatalf("naive %d tuples, semi-naive %d", a.Len(), b.Len())
+	res := e.Chase(start, nil)
+	ref, err := eid.Chase([]*eid.EID{eid.FromTD(join)}, start, nil, eid.Options{Governor: budget.New(nil, limits)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tup := range a.Tuples() {
-		if !b.Contains(tup) {
-			t.Errorf("semi-naive missing %v", tup)
-		}
+	if !res.FixpointReached || !ref.FixpointReached {
+		t.Fatalf("fixpoints: engine %v, reference %v", res.FixpointReached, ref.FixpointReached)
 	}
-	// Stronger: the fixpoints are isomorphic (equal up to null renaming).
-	if !relation.Isomorphic(a, b) {
+	if res.Instance.Len() != ref.Instance.Len() {
+		t.Fatalf("engine %d tuples, reference %d", res.Instance.Len(), ref.Instance.Len())
+	}
+	if !relation.Isomorphic(res.Instance, ref.Instance) {
 		t.Error("fixpoints not isomorphic")
 	}
 }
@@ -380,52 +358,6 @@ invent: R(a, b, c) & R(a', b, c') -> R(a*, b, c')
 	}
 }
 
-// The index-driven join and the naive scan must produce identical verdicts
-// and identical final statistics on implication checks; for full
-// dependencies (no invented nulls) the fixpoints must be equal tuple sets.
-func TestJoinStrategiesAgree(t *testing.T) {
-	s := threeCol()
-	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
-	goal := td.MustParse(s, "R(a, b, c) & R(a, b', c') & R(a, b'', c'') -> R(a, b, c'')", "goal")
-	emb := td.MustParse(s, "R(a, b, c) & R(a', b', c') -> R(a*, b, c')", "cross")
-	for _, tc := range []struct {
-		name string
-		deps []*td.TD
-		goal *td.TD
-	}{
-		{"full-implied", []*td.TD{join}, goal},
-		{"full-not-implied", []*td.TD{join}, emb},
-		{"embedded", []*td.TD{emb}, goal},
-	} {
-		for _, naive := range []bool{true, false} {
-			opt := Options{Naive: naive}
-			opt.Join = JoinIndex
-			ri, err := Implies(tc.deps, tc.goal, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt.Join = JoinScan
-			rs, err := Implies(tc.deps, tc.goal, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ri.Verdict != rs.Verdict {
-				t.Errorf("%s (naive=%v): index %v, scan %v", tc.name, naive, ri.Verdict, rs.Verdict)
-			}
-			if ri.Stats.HomomorphismsSeen != rs.Stats.HomomorphismsSeen ||
-				ri.Stats.TriggersFired != rs.Stats.TriggersFired {
-				t.Errorf("%s (naive=%v): stats %+v vs %+v", tc.name, naive, ri.Stats, rs.Stats)
-			}
-			if ri.Instance.Len() != rs.Instance.Len() {
-				t.Errorf("%s (naive=%v): %d vs %d tuples", tc.name, naive, ri.Instance.Len(), rs.Instance.Len())
-			}
-			if !relation.Isomorphic(ri.Instance, rs.Instance) {
-				t.Errorf("%s (naive=%v): fixpoints not isomorphic", tc.name, naive)
-			}
-		}
-	}
-}
-
 func TestNewEngineSchemaMismatch(t *testing.T) {
 	s := threeCol()
 	other := relation.MustSchema("X", "Y")
@@ -457,40 +389,27 @@ func TestAllFull(t *testing.T) {
 	}
 }
 
-func TestRestrictedTerminatesWhereObliviousDiverges(t *testing.T) {
+// With an embedded dependency the restricted chase can terminate: every
+// conclusion becomes witnessed, so no trigger stays active.
+func TestRestrictedChaseTerminatesOnFig1(t *testing.T) {
 	s := threeCol()
-	// With an embedded dependency the restricted chase can terminate (every
-	// conclusion becomes witnessed) while the oblivious chase diverges:
-	// each freshly invented supplier spawns a brand-new self-trigger.
 	dep := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a*, b, c')", "fig1")
 	start := relation.NewInstance(s)
 	start.MustAdd(relation.Tuple{0, 0, 0})
 	start.MustAdd(relation.Tuple{0, 1, 1})
 
-	eR, err := NewEngine(s, []*td.TD{dep}, Options{})
+	e, err := NewEngine(s, []*td.TD{dep}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resR := eR.Chase(start, nil)
-	if !resR.FixpointReached {
-		t.Fatalf("restricted chase did not reach fixpoint (tuples %d)", resR.Instance.Len())
+	res := e.Chase(start, nil)
+	if !res.FixpointReached {
+		t.Fatalf("chase did not reach fixpoint (tuples %d)", res.Instance.Len())
 	}
-	if resR.Instance.Len() != 4 {
-		t.Errorf("restricted fixpoint has %d tuples, want 4", resR.Instance.Len())
+	if res.Instance.Len() != 4 {
+		t.Errorf("fixpoint has %d tuples, want 4", res.Instance.Len())
 	}
-	if ok, _ := dep.Satisfies(resR.Instance); !ok {
-		t.Error("restricted fixpoint violates the dependency")
-	}
-
-	eO, err := NewEngine(s, []*td.TD{dep}, Options{Governor: budget.New(nil, budget.Limits{Rounds: 10, Tuples: 10000}), Variant: Oblivious})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resO := eO.Chase(start, nil)
-	if resO.FixpointReached {
-		t.Error("oblivious chase unexpectedly reached a fixpoint")
-	}
-	if resO.Stats.TriggersFired <= resR.Stats.TriggersFired {
-		t.Errorf("oblivious fired %d <= restricted %d", resO.Stats.TriggersFired, resR.Stats.TriggersFired)
+	if ok, _ := dep.Satisfies(res.Instance); !ok {
+		t.Error("fixpoint violates the dependency")
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"templatedep/internal/td"
 )
 
-// Warm-start snapshots. For a fixed dependency set, start instance, and
-// step discipline, the restricted chase is ONE deterministic computation:
-// the goal and the budget only decide how much of it a given run observes.
+// Warm-start snapshots. For a fixed dependency set and start instance, the
+// chase is ONE deterministic computation: the goal and the budget only
+// decide how much of it a given run observes.
 // The instance is append-only and every round appends a contiguous range of
 // tuples, so recording the instance together with the per-round length
 // boundaries and cumulative Stats captures every intermediate state of the
@@ -32,26 +32,13 @@ import (
 // instance from its rows, which also renormalizes the fresh-value counters
 // a cancelled merge phase may have advanced past the boundary.
 
-// stateCfg fingerprints the options that determine the chase computation a
-// snapshot describes. Workers is deliberately absent: results are
-// bit-identical for every worker count. Variant is absent because snapshots
-// are restricted-chase only (stateEligible).
-type stateCfg struct {
-	naive bool
-	join  JoinStrategy
-}
-
-func (e *Engine) stateCfg() stateCfg {
-	return stateCfg{naive: e.opt.Naive, join: e.opt.Join}
-}
-
 // stateEligible reports whether this engine configuration can produce or
-// consume warm-start snapshots. The oblivious variant would need its fired
-// set restored, and PerDepStats demands per-dependency detail a boundary
-// snapshot does not retain. Both fall back to a cold run rather than
-// approximate.
+// consume warm-start snapshots. Results are bit-identical for every worker
+// count, so only PerDepStats matters: it demands per-dependency detail a
+// boundary snapshot does not retain, and falls back to a cold run rather
+// than approximate.
 func (e *Engine) stateEligible() bool {
-	return e.opt.Variant == Restricted && !e.opt.PerDepStats
+	return !e.opt.PerDepStats
 }
 
 // State is a reusable snapshot of a chase computation, produced under
@@ -85,7 +72,6 @@ type State struct {
 	// classRounds/classTuples are the producing run's meter limits (0 =
 	// unlimited) — its budget class.
 	classRounds, classTuples int
-	cfg                      stateCfg
 }
 
 // Rounds returns the number of completed rounds the snapshot holds.
@@ -127,14 +113,9 @@ func largerLimit(next, prior int) bool {
 // Extends reports whether s supersedes old in a state cache: a complete
 // snapshot beats any paused one, and among paused snapshots more completed
 // rounds win (larger-budget runs overwrite the states of smaller ones).
-// Snapshots of different computations (config fingerprints) never replace
-// each other.
 func (s *State) Extends(old *State) bool {
 	if old == nil {
 		return true
-	}
-	if s.cfg != old.cfg {
-		return false
 	}
 	if old.complete {
 		return false
@@ -157,16 +138,16 @@ func (s *State) labelsFor(i int, depMap []int) []int {
 }
 
 // compatibleWith reports whether the snapshot describes the computation
-// this engine would run from start: same config fingerprint, same schema,
-// and the same start instance tuple-for-tuple, so a state key collision
-// (or caller misuse) degrades to a cold run instead of a wrong answer.
+// this engine would run from start: same schema and the same start
+// instance tuple-for-tuple, so a state key collision (or caller misuse)
+// degrades to a cold run instead of a wrong answer.
 // depMap sends each producing dependency's index to the first of e's with
 // an identical tableau (nil: the identity), for the labels: a state key
 // may ignore dependency order and duplicates (serve.CanonChaseState). A
 // producing dependency with no counterpart is incompatible.
 func (s *State) compatibleWith(e *Engine, start *relation.Instance) (depMap []int, ok bool) {
 	if s == nil || s.inst == nil || len(s.bounds) == 0 || len(s.cum) != len(s.bounds) ||
-		!s.complete && len(s.bounds) < 2 || s.cfg != e.stateCfg() || !s.inst.Schema().Equal(e.schema) ||
+		!s.complete && len(s.bounds) < 2 || !s.inst.Schema().Equal(e.schema) ||
 		s.bounds[0] != start.Len() || !s.inst.EqualPrefix(start, start.Len()) {
 		return nil, false
 	}

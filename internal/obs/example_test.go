@@ -64,7 +64,6 @@ func ExampleCounters() {
 	// chase.homomorphisms = 4
 	// chase.rounds = 1
 	// chase.triggers_fired = 2
-	// chase.triggers_matched = 2
 	// chase.tuples_added = 2
 	// chase.verdicts = 1
 }

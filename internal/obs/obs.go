@@ -18,11 +18,9 @@
 //     never escape. This is pinned by TestNopSinkAllocParity at the repo
 //     root.
 //  3. Deterministic where the engine is deterministic: the chase emits
-//     events only from its sequential merge/apply phase, so the event
-//     stream is bit-identical for every Options.Workers value (pinned by
-//     TestEventStreamWorkerIndependent). The one exception is
-//     shard_fallback, which exists to diagnose the Workers option itself
-//     and therefore appears only when Workers > 1 meets the scan join.
+//     events only from its sequential merge phase, so the event stream is
+//     bit-identical for every Options.Workers value (pinned by
+//     TestEventStreamWorkerIndependent).
 //
 // The full event and counter schema — every type, field, and unit — is
 // documented in docs/OBSERVABILITY.md, which CI keeps in sync with the
@@ -55,24 +53,17 @@ const (
 	EvTuplesAdded EventType = "tuples_added"
 	// EvRoundEnd closes a round (also emitted on early exits so partial
 	// rounds replay). Fields: Round, Tuples (instance size after), N
-	// (triggers fired), Matched (triggers matched), Homs (antecedent
-	// homomorphisms enumerated).
+	// (triggers fired), Homs (antecedent homomorphisms enumerated; on a
+	// round the tuple cap or a cancellation stopped, only the consumed
+	// prefix of the enumeration, in task order).
 	EvRoundEnd EventType = "round_end"
 	// EvChaseWarmStart reports that a chase run reused a prior snapshot
 	// instead of re-deriving its rounds, emitted before any round event of
 	// the run. It carries the cumulative totals of the skipped prefix so a
 	// warm trace still replays to the run's Stats. Fields: Round (completed
 	// rounds skipped), Tuples (instance size at the reused boundary), N
-	// (triggers fired skipped), Matched, Added, Homs, Nulls.
+	// (triggers fired skipped), Added, Homs, Nulls.
 	EvChaseWarmStart EventType = "chase_warmstart"
-	// EvShardFallback reports that a semi-naive round requested Workers > 1
-	// but had to enumerate each dependency serially because intra-dependency
-	// delta sharding requires the index join (Options.Join == JoinIndex).
-	// Emitted at most once per run, on the first such round, so flat scaling
-	// under the scan ablation is diagnosable from the trace. The one chase
-	// event whose presence depends on the Workers option. Fields: Round, N
-	// (workers requested).
-	EvShardFallback EventType = "shard_fallback"
 	// EvSearchNode reports a batch of committed backtracking nodes in a
 	// finite-model search (Src "search" for the semigroup engine, Src
 	// "finitemodel" for the instance engine). Fields: Order (semigroup
@@ -232,8 +223,6 @@ type Event struct {
 	Tuples int `json:"tuples,omitempty"`
 	// Added counts tuples new to the instance.
 	Added int `json:"added,omitempty"`
-	// Matched counts triggers matched.
-	Matched int `json:"matched,omitempty"`
 	// Homs counts antecedent homomorphisms enumerated.
 	Homs int `json:"homs,omitempty"`
 	// Nulls counts labeled nulls invented (chase_warmstart only; per-round

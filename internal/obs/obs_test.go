@@ -18,7 +18,7 @@ func allEvents() []Event {
 		{Type: EvDepFired, Src: "chase", Round: 1, Dep: 2, N: 5, Added: 1},
 		{Type: EvNullsCreated, Src: "chase", Round: 1, N: 6},
 		{Type: EvTuplesAdded, Src: "chase", Round: 1, N: 3},
-		{Type: EvRoundEnd, Src: "chase", Round: 1, Tuples: 10, N: 9, Matched: 11, Homs: 13},
+		{Type: EvRoundEnd, Src: "chase", Round: 1, Tuples: 10, N: 9, Homs: 13},
 		{Type: EvSearchNode, Src: "search", Order: 3, N: 4096},
 		{Type: EvSearchNode, Src: "finitemodel", Order: 2, N: 32},
 		{Type: EvSearchSplit, Src: "search", Order: 3, N: 64, Depth: 2},
@@ -104,7 +104,6 @@ func TestReplay(t *testing.T) {
 	}
 	want := Totals{
 		Rounds:            1,
-		TriggersMatched:   11,
 		TriggersFired:     9,
 		TuplesAdded:       3,
 		NullsCreated:      6,
@@ -173,7 +172,6 @@ func TestCounterSink(t *testing.T) {
 		"chase.dep.0.fired":        4,
 		"chase.dep.2.added":        1,
 		"chase.nulls_created":      6,
-		"chase.triggers_matched":   11,
 		"chase.homomorphisms":      13,
 		"search.nodes":             4096,
 		"finitemodel.nodes":        32,

@@ -14,8 +14,6 @@ import (
 type Totals struct {
 	// Rounds is the highest chase round opened.
 	Rounds int
-	// TriggersMatched sums round_end.matched.
-	TriggersMatched int
 	// TriggersFired sums dep_fired.n.
 	TriggersFired int
 	// TuplesAdded sums tuples_added.n.
@@ -42,9 +40,6 @@ type Totals struct {
 	// reports — but not into PerDepFired, whose per-dependency attribution
 	// a boundary snapshot does not retain.
 	WarmStarts int
-	// ShardFallbacks counts shard_fallback events (semi-naive rounds that
-	// requested Workers > 1 under the scan join and ran serially).
-	ShardFallbacks int
 	// PortfolioReallocs counts portfolio_realloc events — the adaptive
 	// portfolio's full reallocation decision sequence, withheld grants
 	// included.
@@ -136,20 +131,16 @@ func Replay(r io.Reader) (Totals, error) {
 		case EvNullsCreated:
 			t.NullsCreated += e.N
 		case EvRoundEnd:
-			t.TriggersMatched += e.Matched
 			t.Homomorphisms += e.Homs
 		case EvChaseWarmStart:
 			t.WarmStarts++
 			if e.Round > t.Rounds {
 				t.Rounds = e.Round
 			}
-			t.TriggersMatched += e.Matched
 			t.TriggersFired += e.N
 			t.TuplesAdded += e.Added
 			t.NullsCreated += e.Nulls
 			t.Homomorphisms += e.Homs
-		case EvShardFallback:
-			t.ShardFallbacks++
 		case EvPortfolioRealloc:
 			t.PortfolioReallocs++
 			if e.New > e.Old {

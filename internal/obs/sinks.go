@@ -73,19 +73,14 @@ func (s *JSONLSink) Event(e Event) {
 		appendInt("round", e.Round)
 		appendInt("tuples", e.Tuples)
 		appendInt("n", e.N)
-		appendInt("matched", e.Matched)
 		appendInt("homs", e.Homs)
 	case EvChaseWarmStart:
 		appendInt("round", e.Round)
 		appendInt("tuples", e.Tuples)
 		appendInt("n", e.N)
-		appendInt("matched", e.Matched)
 		appendInt("added", e.Added)
 		appendInt("homs", e.Homs)
 		appendInt("nulls", e.Nulls)
-	case EvShardFallback:
-		appendInt("round", e.Round)
-		appendInt("n", e.N)
 	case EvSearchNode:
 		appendInt("order", e.Order)
 		appendInt("n", e.N)
@@ -300,13 +295,10 @@ func (s *CounterSink) Event(e Event) {
 	case EvNullsCreated:
 		s.C.Add("chase.nulls_created", int64(e.N))
 	case EvRoundEnd:
-		s.C.Add("chase.triggers_matched", int64(e.Matched))
 		s.C.Add("chase.homomorphisms", int64(e.Homs))
 	case EvChaseWarmStart:
 		s.C.Add("chase.warm_starts", 1)
 		s.C.Add("chase.warm_rounds_skipped", int64(e.Round))
-	case EvShardFallback:
-		s.C.Add("chase.shard_fallbacks", 1)
 	case EvSearchNode:
 		s.C.Add(e.Src+".nodes", int64(e.N))
 	case EvSearchSplit:

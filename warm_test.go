@@ -197,9 +197,6 @@ func TestWarmTraceReplayMatchesStats(t *testing.T) {
 			if tot.Rounds != st.Rounds {
 				t.Errorf("rounds: replay %d, stats %d", tot.Rounds, st.Rounds)
 			}
-			if tot.TriggersMatched != st.TriggersMatched {
-				t.Errorf("matched: replay %d, stats %d", tot.TriggersMatched, st.TriggersMatched)
-			}
 			if tot.TriggersFired != st.TriggersFired {
 				t.Errorf("fired: replay %d, stats %d", tot.TriggersFired, st.TriggersFired)
 			}
