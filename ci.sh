@@ -10,12 +10,13 @@
 #
 # Stages (limit in seconds):
 #   static  (300) — gofmt, build, vet, docs-freshness greps (event,
-#                   counter and package vocabularies, tdserve's flags)
+#                   counter and package vocabularies, tdserve's flags;
+#                   no deleted event type left in the docs)
 #   unit    (600) — full test suite, -count=1 (no cached results), plus
 #                   the perfbench module's own vet and tests
-#   race    (900) — full suite under the race detector (chase worker
-#                   pool, psearch pool, and the serving layer's
-#                   singleflight/drain paths are all concurrent code)
+#   race    (900) — full suite under the race detector (the chase worker
+#                   pool and the serving layer's singleflight/drain
+#                   paths are concurrent code)
 #   smoke   (300) — end-to-end binaries: tdinfer governed runs on the
 #                   undecidable gap preset (a deadline stop with the
 #                   finite-db arm held to size 1, and the portfolio's
@@ -122,6 +123,16 @@ stage_static() {
         done
     done < <(sed -n 's/^\t\(Ev[A-Za-z0-9]*\) EventType = "\([a-z_]*\)"$/\1 \2/p' internal/obs/obs.go)
 
+    # And the reverse: every backticked Ev* name in docs/OBSERVABILITY.md
+    # (except the EventType type itself) must still be a constant in
+    # internal/obs/obs.go, so a deleted event cannot linger in the docs.
+    while read -r name; do
+        if ! grep -qE -- "^[[:space:]]+$name EventType = " internal/obs/obs.go; then
+            echo "docs/OBSERVABILITY.md: event type $name is not a constant in internal/obs/obs.go" >&2
+            exit 1
+        fi
+    done < <(grep -o '`Ev[A-Za-z0-9]*`' docs/OBSERVABILITY.md | tr -d '`' | sort -u | grep -vx 'EventType')
+
     # Same freshness bar for the governor vocabulary: every resource meter and
     # stop reason internal/budget can put on the wire must appear in the event
     # schema docs.
@@ -214,9 +225,7 @@ stage_unit() {
 stage_race() {
     # The full suite again under the race detector. The chase worker-pool
     # tests (TestIntraDependencyPartitioning, TestParallelWorkers, the
-    # Workers=4 arms of TestWarmVsColdIdentical), the parallel counter-model
-    # search tests (TestParallelDeterministicWitness,
-    # TestParallelDeterministicCounterexample), and the serving layer's
+    # Workers=4 arms of TestWarmVsColdIdentical) and the serving layer's
     # singleflight/drain/state-flight tests all run real concurrency, so this
     # sweep covers every concurrent path in the repo, including the parallel
     # chase round pool and the warm-start state cache.
@@ -469,8 +478,9 @@ stage_shard() {
 
 stage_bench() {
     # The search benchmark emitter must produce a report that parses and
-    # carries every ablation arm (serial/parallel-4 x symmetry/none) with
-    # identical verdicts. -searchquick times one run per arm, so this checks
+    # carries both ablation arms (serial/symmetry, serial/none) with
+    # identical verdicts and a pruned arm visiting no more nodes than the
+    # unpruned one. -searchquick times one run per arm, so this checks
     # structure, not statistics.
     "$smoke/tdbench" -searchjson "$smoke/BENCH_search.json" -searchquick >/dev/null
     "$smoke/tdbench" -checksearch "$smoke/BENCH_search.json"

@@ -528,9 +528,13 @@ func TestCLI(t *testing.T) {
 			return find(t, rep, "workloads", "name", name)
 		}
 		knownBad(t, "-checksearch", "BENCH_search.json", []badEdit{
-			{"missing-arm", "workload modelsearch/gap missing ablation arm parallel-4/none", func(rep map[string]any) {
-				w := workload(rep, "modelsearch/gap")
-				w["arms"] = w["arms"].([]any)[:3]
+			{"missing-arm", "workload modelsearch/gap missing ablation arm serial/none", func(rep map[string]any) {
+				drop(workload(rep, "modelsearch/gap"), "arms", "prune", "none")
+			}},
+			{"pruned-more-nodes", "workload finitedb/gap: the pruned arm visits", func(rep map[string]any) {
+				w := workload(rep, "finitedb/gap")
+				unpruned := num(find(t, w, "arms", "prune", "none")["nodes"])
+				find(t, w, "arms", "prune", "symmetry")["nodes"] = unpruned + 1
 			}},
 			{"verdicts-differ", "workload finitedb/power: verdict changed across ablation arms", func(rep map[string]any) {
 				workload(rep, "finitedb/power")["verdicts_identical"] = false

@@ -52,7 +52,6 @@ func main() {
 	maxRules := fs.Int("max-rules", 500, "completion: rule budget")
 	bidi := fs.Bool("bidirectional", false, "derive: meet-in-the-middle search")
 	quotient := fs.Int("quotient", 0, "model: try nilpotent quotients up to this class before the table search (0 = off)")
-	workers := fs.Int("workers", 1, "model/analyze: worker goroutines for the model search (results are identical for every value)")
 	pruneFlag := fs.String("prune", "symmetry", "model/analyze: symmetry breaking in the model search: symmetry|none")
 	cert := fs.Bool("cert", false, "derive: emit a machine-checkable certificate instead of the pretty chain")
 	checkCert := fs.String("check-cert", "", "derive: validate a certificate file against the presentation and exit")
@@ -145,7 +144,6 @@ func main() {
 			Orders:          budget.Range{Lo: search.DefaultOrders.Lo, Hi: *maxOrder},
 			Governor:        budget.New(ctx, budget.Limits{Nodes: *maxNodes}),
 			QuotientClasses: *quotient,
-			Workers:         *workers,
 			Prune:           prune,
 		})
 		if err != nil {
@@ -171,11 +169,8 @@ func main() {
 			Orders:          budget.Range{Lo: search.DefaultOrders.Lo, Hi: *maxOrder},
 			Governor:        g.Child(budget.Limits{Nodes: *maxNodes}),
 			QuotientClasses: *quotient,
-			Workers:         *workers,
 			Prune:           prune,
 		}
-		b.FiniteDB.Workers = *workers
-		b.FiniteDB.Prune = prune
 		var sinks []obs.Sink
 		if *traceFile != "" {
 			f, err := os.Create(*traceFile)

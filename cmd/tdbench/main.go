@@ -29,12 +29,12 @@ func main() {
 	quick := flag.Bool("quick", false, "skip the slower experiments (E5 TM pipeline sweep)")
 	benchjson := flag.String("benchjson", "", "measure the F1-F3 and chase workloads and write JSON results to this file instead of running the report")
 	metrics := flag.Bool("metrics", false, "with -benchjson: fold an observability counter snapshot of each chase workload into the JSON (see docs/OBSERVABILITY.md)")
-	searchjson := flag.String("searchjson", "", "measure the counter-model search workloads under the serial/parallel and symmetry/none ablations and write JSON results to this file")
+	searchjson := flag.String("searchjson", "", "measure the counter-model search workloads with symmetry breaking on and off and write JSON results to this file")
 	searchquick := flag.Bool("searchquick", false, "with -searchjson: one timed run per arm instead of a full benchmark loop (CI smoke)")
 	portfoliojson := flag.String("portfoliojson", "", "time the adaptive portfolio on the preset grid (verdict, winning arm, scheduler work) and write JSON results to this file")
 	portfolioquick := flag.Bool("portfolioquick", false, "with -portfoliojson: one timed run per preset instead of a full benchmark loop (CI smoke)")
 	checkportfolio := flag.String("checkportfolio", "", "validate a -portfoliojson report (every grid preset timed, with its expected verdict and winning arm) and exit")
-	checksearch := flag.String("checksearch", "", "validate a -searchjson report (parses, all ablation arms present, verdicts identical) and exit")
+	checksearch := flag.String("checksearch", "", "validate a -searchjson report (parses, both ablation arms present, verdicts identical, pruning never grows a tree) and exit")
 	checkbench := flag.String("checkbench", "", "validate a -benchjson report (parses, all workloads present, join-arm verdicts identical) and exit")
 	loadjson := flag.String("loadjson", "", "hammer a running tdserve with a duplicate-heavy workload and write JSON results to this file")
 	loadserver := flag.String("loadserver", "http://127.0.0.1:8080", "with -loadjson: base URL of the tdserve instance")

@@ -74,7 +74,7 @@ func main() {
 		rounds     = flag.Int("rounds", 64, "chase round budget")
 		tuples     = flag.Int("tuples", 100000, "chase tuple budget")
 		fmTuples   = flag.Int("cx-tuples", 4, "counterexample enumeration: max tuples")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the chase; the portfolio runs the counterexample enumeration serially (results are identical for every value; 1 = serial)")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the chase (results are identical for every value; 1 = serial)")
 		pruneFlag  = flag.String("prune", "symmetry", "counterexample enumeration symmetry breaking: symmetry|none")
 		deadline   = flag.Duration("deadline", 0, "wall-clock budget for the whole run (0 = none)")
 		proof      = flag.Bool("proof", false, "print the proof object: the winning chase lease's added tuples for implied, the counter-database and witness table for finite-counterexample")

@@ -63,7 +63,7 @@ func main() {
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrent engine runs (0 = unlimited)")
 		reqTimeout   = flag.Duration("request-timeout", 10*time.Second, "wall-clock budget per cold request (0 = meters only)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight runs before cancelling them")
-		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "engine worker goroutines per cold run (results are identical for every value; 1 = serial)")
+		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "chase worker goroutines per cold run (results are identical for every value; 1 = serial)")
 		stateCache   = flag.Int("state-cache", 0, "chase-state cache entries (0 = default 64, negative disables warm starts)")
 		rounds       = flag.Int("rounds", 0, "per-request chase round budget (0 = engine default)")
 		tuples       = flag.Int("tuples", 0, "per-request chase tuple budget (0 = engine default)")

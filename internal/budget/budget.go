@@ -187,9 +187,9 @@ func (o Outcome) Reason() string {
 }
 
 // Governor carries one run's cancellation context and resource meters.
-// Meters are atomic so several goroutines may charge one governor (the
-// parallel search's workers settle into a shared parent); engines
-// nonetheless keep their hot loops on plain locals and settle in bulk.
+// Meters are atomic so a governor is safe to charge and read from several
+// goroutines; engines nonetheless keep their hot loops on plain locals and
+// settle in bulk.
 type Governor struct {
 	ctx    context.Context
 	limits Limits

@@ -631,9 +631,9 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			d.Tableau().EachRangeHomomorphism(inst, ranges, t.deltaRow, nil, emit)
 		}
 		if e.opt.Workers > 1 && len(tasks) > 1 {
-			// Workers claim tasks off a shared atomic cursor (the psearch
-			// work-pool idiom): no channel hop per task, no dispatcher
-			// goroutine, workers capped at the task count. Claim order does
+			// Workers claim tasks off a shared atomic cursor: no channel hop
+			// per task, no dispatcher goroutine, workers capped at the task
+			// count. Claim order does
 			// not affect the output — the merge below consumes results in
 			// task order — so the cursor walks a permutation sorted by last
 			// round's measured cost, heaviest first.

@@ -64,23 +64,12 @@ const (
 	// rounds skipped), Tuples (instance size at the reused boundary), N
 	// (triggers fired skipped), Added, Homs, Nulls.
 	EvChaseWarmStart EventType = "chase_warmstart"
-	// EvSearchNode reports a batch of committed backtracking nodes in a
-	// finite-model search (Src "search" for the semigroup engine, Src
-	// "finitemodel" for the instance engine). Fields: Order (semigroup
-	// order or instance size under search), N (nodes since the previous
-	// event). Speculative nodes of parallel runs are never reported, so
-	// the sum is identical for every Workers value.
+	// EvSearchNode reports a batch of backtracking nodes in a finite-model
+	// search (Src "search" for the semigroup engine, Src "finitemodel" for
+	// the instance engine): one event every 4096 nodes and one for each
+	// order's remainder. Fields: Order (semigroup order or instance size
+	// under search), N (nodes since the previous event).
 	EvSearchNode EventType = "search_node"
-	// EvSearchSplit reports that one wave of a finite-model search's
-	// backtracking tree was split into independent subtree tasks. Fields:
-	// Order, N (tasks in the wave), Depth (prefix depth of the split).
-	EvSearchSplit EventType = "search_split"
-	// EvSearchSteal reports one subtree task pulled and run by a worker,
-	// emitted post-hoc in task order for tasks up to and including the
-	// wave's winner. Fields: Order, Task (index within the wave), Worker
-	// (goroutine that ran it — the ONE scheduling-dependent field of the
-	// schema, excluded from replay totals), N (nodes the task explored).
-	EvSearchSteal EventType = "search_steal"
 	// EvRuleAdded reports one oriented rule added by Knuth–Bendix
 	// completion. Fields: Iter (completion sweep), Rules (total rules
 	// after the addition).
@@ -230,14 +219,6 @@ type Event struct {
 	Nulls int `json:"nulls,omitempty"`
 	// Order is the semigroup order (or instance size) under search.
 	Order int `json:"order,omitempty"`
-	// Depth is the prefix depth of a search split.
-	Depth int `json:"depth,omitempty"`
-	// Task is a subtree task index within a search split wave.
-	Task int `json:"task,omitempty"`
-	// Worker is the 0-based goroutine that ran a subtree task. It is the
-	// only scheduling-dependent field in the schema and is never folded
-	// into replay totals.
-	Worker int `json:"worker,omitempty"`
 	// Iter is a completion sweep index.
 	Iter int `json:"iter,omitempty"`
 	// Rules is the total rewrite-rule count.

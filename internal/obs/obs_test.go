@@ -21,9 +21,6 @@ func allEvents() []Event {
 		{Type: EvRoundEnd, Src: "chase", Round: 1, Tuples: 10, N: 9, Homs: 13},
 		{Type: EvSearchNode, Src: "search", Order: 3, N: 4096},
 		{Type: EvSearchNode, Src: "finitemodel", Order: 2, N: 32},
-		{Type: EvSearchSplit, Src: "search", Order: 3, N: 64, Depth: 2},
-		{Type: EvSearchSteal, Src: "search", Order: 3, Task: 0, Worker: 1, N: 500},
-		{Type: EvSearchSteal, Src: "search", Order: 3, Task: 1, Worker: 0, N: 700},
 		{Type: EvRuleAdded, Src: "rewrite", Iter: 2, Rules: 17},
 		{Type: EvArmStart, Src: "core", Arm: "derivation", Round: 1},
 		{Type: EvArmResult, Src: "core", Arm: "derivation", Round: 1, Verdict: "not-derivable"},
@@ -109,8 +106,6 @@ func TestReplay(t *testing.T) {
 		NullsCreated:      6,
 		Homomorphisms:     13,
 		SearchNodes:       4096 + 32,
-		SearchSplits:      1,
-		SearchSteals:      2,
 		RulesAdded:        1,
 		PortfolioReallocs: 2,
 		PortfolioGranted:  map[string]int{"rules": 32},
@@ -175,11 +170,6 @@ func TestCounterSink(t *testing.T) {
 		"chase.homomorphisms":      13,
 		"search.nodes":             4096,
 		"finitemodel.nodes":        32,
-		"search.splits":            1,
-		"search.tasks":             64,
-		"search.steals":            2,
-		"search.worker.0.nodes":    700,
-		"search.worker.1.nodes":    500,
 		"rewrite.rules_added":      1,
 		"core.arm.derivation.runs": 1,
 		"core.deepen_rounds":       1,

@@ -22,16 +22,8 @@ type Totals struct {
 	NullsCreated int
 	// Homomorphisms sums round_end.homs.
 	Homomorphisms int
-	// SearchNodes sums search_node.n (committed nodes across every search
-	// layer — deterministic for any Workers value).
+	// SearchNodes sums search_node.n (nodes across every search layer).
 	SearchNodes int
-	// SearchSplits counts search_split events.
-	SearchSplits int
-	// SearchSteals counts search_steal events. Task node counts are NOT
-	// summed here — they are already covered by search_node — and the
-	// worker attribute is deliberately never folded (it is the one
-	// scheduling-dependent field of the schema).
-	SearchSteals int
 	// RulesAdded counts rule_added events.
 	RulesAdded int
 	// WarmStarts counts chase_warmstart events. The skipped-prefix totals
@@ -148,10 +140,6 @@ func Replay(r io.Reader) (Totals, error) {
 			}
 		case EvSearchNode:
 			t.SearchNodes += e.N
-		case EvSearchSplit:
-			t.SearchSplits++
-		case EvSearchSteal:
-			t.SearchSteals++
 		case EvRuleAdded:
 			t.RulesAdded++
 		case EvServeRequest:

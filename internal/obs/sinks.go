@@ -84,15 +84,6 @@ func (s *JSONLSink) Event(e Event) {
 	case EvSearchNode:
 		appendInt("order", e.Order)
 		appendInt("n", e.N)
-	case EvSearchSplit:
-		appendInt("order", e.Order)
-		appendInt("n", e.N)
-		appendInt("depth", e.Depth)
-	case EvSearchSteal:
-		appendInt("order", e.Order)
-		appendInt("task", e.Task)
-		appendInt("worker", e.Worker)
-		appendInt("n", e.N)
 	case EvRuleAdded:
 		appendInt("iter", e.Iter)
 		appendInt("rules", e.Rules)
@@ -301,12 +292,6 @@ func (s *CounterSink) Event(e Event) {
 		s.C.Add("chase.warm_rounds_skipped", int64(e.Round))
 	case EvSearchNode:
 		s.C.Add(e.Src+".nodes", int64(e.N))
-	case EvSearchSplit:
-		s.C.Add(e.Src+".splits", 1)
-		s.C.Add(e.Src+".tasks", int64(e.N))
-	case EvSearchSteal:
-		s.C.Add(e.Src+".steals", 1)
-		s.C.Add(e.Src+".worker."+strconv.Itoa(e.Worker)+".nodes", int64(e.N))
 	case EvRuleAdded:
 		s.C.Add("rewrite.rules_added", 1)
 	case EvArmStart:

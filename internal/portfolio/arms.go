@@ -180,9 +180,7 @@ func chaseArm(deps []*td.TD, d0 *td.TD, b core.Budget, res *Result, scale int) *
 // order window: each covered window advances Hi by one (structural
 // progress, so the arm reports converging), and covering the caller's
 // whole window retires the arm. Node exhaustion inside a window counts as
-// stalling. Workers is pinned to 1: a parallel search stopped by a budget
-// commits a scheduling-dependent node count, which would leak
-// nondeterminism into the reallocation sequence.
+// stalling.
 func modelSearchArm(p *words.Presentation, in *reduction.Instance, b core.Budget, res *Result, scale int) *arm {
 	window := b.ModelSearch.Orders
 	if window.Lo < 2 {
@@ -201,7 +199,6 @@ func modelSearchArm(p *words.Presentation, in *reduction.Instance, b core.Budget
 	a.run = func(g *budget.Governor) (leaseResult, error) {
 		so := b.ModelSearch
 		so.Governor = g
-		so.Workers = 1
 		so.Sink = b.Sink
 		so.Orders = budget.Range{Lo: window.Lo, Hi: curHi}
 		sres, err := search.FindCounterModel(p, so)
@@ -233,8 +230,7 @@ func modelSearchArm(p *words.Presentation, in *reduction.Instance, b core.Budget
 }
 
 // finiteDBArm runs the finite-database enumerator over a growing size
-// window, with the same window mechanics and Workers = 1 pinning as the
-// model search.
+// window, with the same window mechanics as the model search.
 func finiteDBArm(deps []*td.TD, d0 *td.TD, b core.Budget, res *Result, scale int) *arm {
 	window := b.FiniteDB.Sizes
 	if window.Lo < 1 {
@@ -253,7 +249,6 @@ func finiteDBArm(deps []*td.TD, d0 *td.TD, b core.Budget, res *Result, scale int
 	a.run = func(g *budget.Governor) (leaseResult, error) {
 		fo := b.FiniteDB
 		fo.Governor = g
-		fo.Workers = 1
 		fo.Sink = b.Sink
 		fo.Sizes = budget.Range{Lo: window.Lo, Hi: curHi}
 		fres, err := finitemodel.FindCounterexample(deps, d0, fo)

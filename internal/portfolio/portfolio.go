@@ -49,9 +49,8 @@
 // function of the input and the budget. Re-running with the same budget
 // yields a byte-identical trace for any Chase.Workers value: the chase arm's
 // merge-phase emission is deterministic under Workers > 1, and the two
-// backtracking-search arms are pinned to Workers = 1 inside the portfolio
-// because a parallel search stopped by a budget is the one engine run in
-// the repository whose committed-node count is scheduling-dependent.
+// backtracking searches walk on one goroutine, so a lease's node count and
+// stop point are functions of its grant.
 //
 // # Lease mechanics
 //

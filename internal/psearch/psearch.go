@@ -1,43 +1,21 @@
-// Package psearch is the parallel subtree-splitting backtracking core
-// (DESIGN.md §8) shared by the two counter-model search engines:
-// internal/search over multiplication tables and internal/finitemodel
-// over database instances.
-//
-// An engine splits one structural coordinate's backtracking tree at a
-// prefix depth into independent subtree tasks, indexed in the lexicographic
-// order the serial depth-first search would visit them, and hands them to
-// Explore. Explore runs the tasks on Options.Workers goroutines pulling
-// from an ordered queue (idle workers "steal" the next unclaimed subtree),
-// with first-witness-wins semantics and a deterministic tie-break: the
-// winner is the LEAST-indexed task that reports a witness, and tasks above
-// a recorded winner are cancelled at their next checkpoint. Because every
-// task below the winner runs to completion, the set of committed nodes —
-// the winner's subtree plus everything left of it — is exactly the node set
-// the serial search visits, for every Workers value.
-//
-// Budgets: each worker derives a child governor from Options.Governor
-// carrying an equal share of the node allowance, so a runaway subtree
-// stops at its share instead of starving the siblings; all nodes
-// (committed and speculative) are settled into the parent meter. Results
-// are bit-identical across Workers values as long as no worker share is
-// exhausted; under a budget stop the parallel run may stop earlier or
-// later than the serial one, and Explore then suppresses any witness that
-// a stopped lower-indexed task could have preempted, so a budget-stopped
-// run never reports a witness the serial search might not have reached.
+// Package psearch holds what the two counter-model search engines share
+// (DESIGN.md §8): internal/search over multiplication tables and
+// internal/finitemodel over database instances. Both walk their decision
+// tree depth-first on the calling goroutine, children in ascending order,
+// so the first witness reached is the lexicographically least one; both
+// count every node through a Meter, and both name their symmetry breaking
+// with Prune.
 package psearch
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"math"
 
 	"templatedep/internal/budget"
+	"templatedep/internal/obs"
 )
 
-// Prune selects the symmetry-breaking mode of an engine. Pruning decisions
-// are made identically in serial and parallel runs (they depend only on
-// the task's own prefix, never on scheduling), so the searched tree is the
-// same for every Workers value.
+// Prune selects the symmetry-breaking mode of an engine.
 type Prune uint8
 
 const (
@@ -69,271 +47,112 @@ func ParsePrune(s string) (Prune, error) {
 	return PruneSymmetry, fmt.Errorf("psearch: unknown prune mode %q (want symmetry or none)", s)
 }
 
-// DefaultBatch is the checkpoint interval: nodes counted between child
-// governor charges, winner polls, and parent settles. It matches the 4096
-// batching the engines already use for events, so cancellation latency
-// stays one batch.
-const DefaultBatch = 4096
+// Batch is the checkpoint interval: every Batch nodes the meter settles
+// the governor's nodes meter, polls its context, and emits one search_node
+// event, so the walk's inner loop stays free of governor traffic and
+// cancellation latency is one batch.
+const Batch = 4096
 
-// Options configures one Explore call.
-type Options struct {
-	// Workers is the number of goroutines exploring subtree tasks; values
-	// below 2 run the tasks inline on the calling goroutine.
-	Workers int
-	// Governor is the parent governor: its context is polled at every
-	// checkpoint and every explored node is settled into its Nodes meter.
-	// Nil disables both (tests only; engines always pass one).
-	Governor *budget.Governor
-	// Allowance is the node budget for this exploration, split into equal
-	// per-worker child budgets; <= 0 means unlimited (the context alone
-	// stops the run).
-	Allowance int
-	// Batch overrides DefaultBatch (tests shrink it to force checkpoints).
-	Batch int
+// Meter counts the nodes of one search run and closes its trace. The walk
+// calls Node before it expands a node and unwinds as soon as Node returns
+// false. The meter stops the walk at the governor's nodes cap exactly (the
+// node past the cap is refused, not counted) or at the first checkpoint
+// after the context ends.
+type Meter struct {
+	gov  *budget.Governor
+	sink obs.Sink
+	src  string
+	// limit is the nodes cap (MaxInt when the meter is uncapped); next is
+	// the node count of the next checkpoint, never past limit.
+	limit, next int
+	// nodes is the count so far; flushed is how many of them the governor
+	// and the search_node events already cover.
+	nodes, flushed int
+	// order is the window coordinate (semigroup order or instance size)
+	// search_node events carry.
+	order int
+	stop  budget.Outcome
 }
 
-// TaskStat describes one task after Explore returns.
-type TaskStat struct {
-	// Nodes is how many nodes the task explored.
-	Nodes int
-	// Worker is the goroutine (0-based) that ran the task. This is the ONE
-	// scheduling-dependent field of the report; everything else is
-	// deterministic when the budget suffices.
-	Worker int
-	// Ran reports that the task was started (false: skipped because a
-	// lower-indexed task had already won, or the workers stopped first).
-	Ran bool
-	// Aborted reports that the task was skipped or cut short because a
-	// lower-indexed task won.
-	Aborted bool
-	// Stop is how the worker's budget cut the task short, if it did.
-	Stop budget.Outcome
-}
-
-// Report is the outcome of one Explore call.
-type Report struct {
-	// Winner is the least-indexed task that reported a witness with every
-	// lower-indexed task run to completion, or -1. The suppression rule —
-	// no winner while a lower-indexed task was stopped by budget — keeps
-	// budget-stopped runs honest: the serial search might have found a
-	// different (lex-smaller) witness inside the stopped subtree.
-	Winner int
-	// Committed counts the deterministic node set: all nodes when there is
-	// no winner, the nodes of tasks 0..Winner otherwise — exactly what the
-	// serial search visits.
-	Committed int
-	// Speculative counts nodes explored beyond the winning subtree by
-	// parallel workers; always settled into the governor, never part of an
-	// engine's deterministic ledger. Zero when Workers <= 1.
-	Speculative int
-	// Stop is set when the exploration was cut short by budget or context.
-	Stop budget.Outcome
-	// Tasks holds one entry per task, indexed by task.
-	Tasks []TaskStat
-}
-
-// Ctx is the per-task handle the engine's subtree walk reports nodes to.
-type Ctx struct {
-	parent    *budget.Governor
-	child     *budget.Governor
-	winner    *atomic.Int64
-	task      int
-	batchSize int
-	countdown int
-	nodes     int
-	unsettled int
-	aborted   bool
-	stop      budget.Outcome
-}
-
-// Node records one explored node. A false return tells the walk to unwind
-// immediately: the task's budget share is exhausted, the context is done,
-// or a lower-indexed task has won.
-func (c *Ctx) Node() bool {
-	c.nodes++
-	c.unsettled++
-	c.countdown--
-	if c.countdown > 0 {
-		return true
+// NewMeter meters a run under g, emitting to sink (nil disables emission)
+// with Src src.
+func NewMeter(g *budget.Governor, sink obs.Sink, src string) *Meter {
+	m := &Meter{gov: g, sink: sink, src: src, limit: g.Limit(budget.Nodes)}
+	if m.limit <= 0 {
+		m.limit = math.MaxInt
 	}
-	c.countdown = c.batchSize
-	return c.checkpoint()
+	m.next = min(Batch, m.limit)
+	return m
 }
 
-// Halted reports that a previous Node call returned false, letting
-// recursive walks distinguish "no witness here" from "stop unwinding".
-func (c *Ctx) Halted() bool { return c.aborted || c.stop.Stopped() }
-
-func (c *Ctx) checkpoint() bool {
-	n := c.unsettled
-	c.unsettled = 0
-	if c.parent != nil {
-		c.parent.Add(budget.Nodes, n)
-	}
-	if c.child != nil {
-		if o := c.child.Charge(budget.Nodes, n); o.Stopped() {
-			c.stop = o
-			return false
-		}
-	}
-	if c.winner.Load() < int64(c.task) {
-		c.aborted = true
+// Node counts one node. A false return refuses the node: the walk must
+// unwind, and Stop says why.
+func (m *Meter) Node() bool {
+	if m.nodes == m.next && !m.checkpoint() {
 		return false
 	}
+	m.nodes++
 	return true
 }
 
-// flush settles the trailing partial batch without stop checks (the task
-// is already over).
-func (c *Ctx) flush() {
-	if c.unsettled == 0 {
-		return
+func (m *Meter) checkpoint() bool {
+	if m.stop.Stopped() {
+		return false
 	}
-	if c.parent != nil {
-		c.parent.Add(budget.Nodes, c.unsettled)
+	m.flush()
+	// The context takes precedence over the cap, as in budget.Charge.
+	if o := m.gov.Interrupted(); o.Stopped() {
+		m.stop = o
+		return false
 	}
-	if c.child != nil {
-		c.child.Add(budget.Nodes, c.unsettled)
+	if m.nodes == m.limit {
+		m.stop = budget.Exhausted(budget.Nodes)
+		return false
 	}
-	c.unsettled = 0
+	m.next = min(m.nodes+Batch, m.limit)
+	return true
 }
 
-// Explore runs tasks 0..tasks-1 through run on opt.Workers goroutines.
-// run must return true exactly when its subtree contains a witness; it
-// must call ctx.Node for every node it expands and unwind when Node
-// returns false.
-func Explore(tasks int, opt Options, run func(task int, ctx *Ctx) bool) Report {
-	rep := Report{Winner: -1, Tasks: make([]TaskStat, tasks)}
-	if tasks == 0 {
-		return rep
+// flush charges the governor the nodes counted since the last flush and
+// emits them as one search_node event.
+func (m *Meter) flush() {
+	n := m.nodes - m.flushed
+	if n == 0 {
+		return
 	}
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
+	m.flushed = m.nodes
+	m.gov.Add(budget.Nodes, n)
+	if m.sink != nil {
+		m.sink.Event(obs.Event{Type: obs.EvSearchNode, Src: m.src, Order: m.order, N: n})
 	}
-	if workers > tasks {
-		workers = tasks
-	}
-	batch := opt.Batch
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
-	share := 0
-	if opt.Allowance > 0 {
-		share = opt.Allowance / workers
-		if share < 1 {
-			share = 1 // a zero child limit would mean "unlimited"
-		}
-	}
+}
 
-	// winner holds the least task index that found a witness; tasks is the
-	// "none" sentinel so every real index improves on it.
-	var winner atomic.Int64
-	winner.Store(int64(tasks))
-	var cursor atomic.Int64
+// Window starts the walk of one window coordinate (a semigroup order or an
+// instance size), closing the previous one's search_node batch.
+func (m *Meter) Window(order int) {
+	m.flush()
+	m.order = order
+}
 
-	work := func(w int) {
-		var child *budget.Governor
-		if opt.Governor != nil {
-			child = opt.Governor.Child(budget.Limits{Nodes: share})
-		} else if share > 0 {
-			child = budget.New(nil, budget.Limits{Nodes: share})
-		}
-		ctx := Ctx{parent: opt.Governor, child: child, winner: &winner, batchSize: batch}
-		for {
-			t := int(cursor.Add(1)) - 1
-			if t >= tasks {
-				return
-			}
-			st := &rep.Tasks[t]
-			st.Worker = w
-			if winner.Load() < int64(t) {
-				st.Aborted = true
-				continue
-			}
-			ctx.task = t
-			ctx.nodes = 0
-			ctx.countdown = ctx.batchSize
-			ctx.aborted = false
-			ctx.stop = budget.Outcome{}
-			st.Ran = true
-			found := run(t, &ctx)
-			ctx.flush()
-			st.Nodes = ctx.nodes
-			st.Aborted = ctx.aborted
-			st.Stop = ctx.stop
-			if found && !ctx.Halted() {
-				// CAS-min: record t unless a smaller index already won.
-				for {
-					cur := winner.Load()
-					if int64(t) >= cur || winner.CompareAndSwap(cur, int64(t)) {
-						break
-					}
-				}
-			}
-			if ctx.stop.Stopped() {
-				return // this worker's budget share is gone
-			}
-		}
-	}
+// Nodes is the number of nodes counted so far.
+func (m *Meter) Nodes() int { return m.nodes }
 
-	if workers == 1 {
-		work(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				work(w)
-			}(w)
-		}
-		wg.Wait()
-	}
+// Stop reports how the meter stopped the walk; zero while it runs.
+func (m *Meter) Stop() budget.Outcome { return m.stop }
 
-	// Validate the winner: every lower-indexed task must have run to
-	// completion, otherwise the serial search might have stopped (or found
-	// a lex-smaller witness) first.
-	if w := int(winner.Load()); w < tasks {
-		valid := true
-		for t := 0; t < w; t++ {
-			if !rep.Tasks[t].Ran || rep.Tasks[t].Stop.Stopped() {
-				valid = false
-				break
-			}
-		}
-		if valid {
-			rep.Winner = w
-		}
+// Finish closes the run: it settles and emits the last batch, then emits a
+// budget_exhausted or cancelled event when stop is set, and the verdict.
+func (m *Meter) Finish(verdict string, stop budget.Outcome) {
+	m.flush()
+	if m.sink == nil {
+		return
 	}
-	total := 0
-	for t := range rep.Tasks {
-		total += rep.Tasks[t].Nodes
-	}
-	if rep.Winner >= 0 {
-		for t := 0; t <= rep.Winner; t++ {
-			rep.Committed += rep.Tasks[t].Nodes
+	if stop.Stopped() {
+		typ := obs.EvBudgetExhausted
+		if stop.Code != budget.CodeExhausted {
+			typ = obs.EvCancelled
 		}
-		rep.Speculative = total - rep.Committed
-		return rep
+		m.sink.Event(obs.Event{Type: typ, Src: m.src, Resource: stop.Reason()})
 	}
-	rep.Committed = total
-	for t := range rep.Tasks {
-		if rep.Tasks[t].Stop.Stopped() {
-			rep.Stop = rep.Tasks[t].Stop
-			break
-		}
-	}
-	if !rep.Stop.Stopped() {
-		for t := range rep.Tasks {
-			if !rep.Tasks[t].Ran && !rep.Tasks[t].Aborted {
-				// Workers died without recording an outcome on this task;
-				// the only silent cause is a budget share spent exactly at
-				// a task boundary.
-				rep.Stop = budget.Exhausted(budget.Nodes)
-				break
-			}
-		}
-	}
-	return rep
+	m.sink.Event(obs.Event{Type: obs.EvVerdict, Src: m.src, Verdict: verdict, N: m.nodes})
 }

@@ -2,115 +2,39 @@ package psearch
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"templatedep/internal/budget"
+	"templatedep/internal/obs"
 )
 
-// linear builds a run function that explores counts[t] nodes in task t and
-// reports a witness when wit[t] is set.
-func linear(counts []int, wit map[int]bool) func(int, *Ctx) bool {
-	return func(t int, ctx *Ctx) bool {
-		for i := 0; i < counts[t]; i++ {
-			if !ctx.Node() {
-				return false
-			}
-		}
-		return wit[t]
-	}
-}
-
-func TestWinnerDeterministicAcrossWorkers(t *testing.T) {
-	counts := []int{100, 250, 50, 400, 10, 75, 300, 20}
-	wit := map[int]bool{5: true, 6: true}
-	want := 100 + 250 + 50 + 400 + 10 + 75 // tasks 0..5
-	for _, workers := range []int{1, 2, 4, 8} {
-		rep := Explore(len(counts), Options{Workers: workers, Batch: 8}, linear(counts, wit))
-		if rep.Winner != 5 {
-			t.Errorf("workers=%d: winner %d, want 5", workers, rep.Winner)
-		}
-		if rep.Committed != want {
-			t.Errorf("workers=%d: committed %d, want %d", workers, rep.Committed, want)
-		}
-		if rep.Stop.Stopped() {
-			t.Errorf("workers=%d: unexpected stop %v", workers, rep.Stop)
-		}
-		if workers == 1 && rep.Speculative != 0 {
-			t.Errorf("serial run has %d speculative nodes", rep.Speculative)
+// walk asks m for up to n nodes and returns how many it granted.
+func walk(m *Meter, n int) int {
+	for i := 0; i < n; i++ {
+		if !m.Node() {
+			return i
 		}
 	}
-}
-
-func TestSerialSkipsTasksAfterWinner(t *testing.T) {
-	counts := []int{10, 10, 10, 10}
-	rep := Explore(len(counts), Options{Workers: 1, Batch: 4}, linear(counts, map[int]bool{1: true}))
-	if rep.Winner != 1 {
-		t.Fatalf("winner %d", rep.Winner)
-	}
-	for _, tt := range []int{2, 3} {
-		if rep.Tasks[tt].Ran {
-			t.Errorf("task %d ran after the winner", tt)
-		}
-		if !rep.Tasks[tt].Aborted {
-			t.Errorf("task %d not marked aborted", tt)
-		}
-	}
-	if rep.Committed != 20 || rep.Speculative != 0 {
-		t.Errorf("committed %d speculative %d", rep.Committed, rep.Speculative)
-	}
-}
-
-func TestParallelAbortsHigherTasksAfterWin(t *testing.T) {
-	// Task 0 wins immediately; the huge task 3 must be cut off at a
-	// checkpoint instead of running to completion.
-	counts := []int{1, 1, 1, 1 << 20}
-	var rep Report
-	for i := 0; i < 10; i++ { // scheduling-dependent: try a few times
-		rep = Explore(len(counts), Options{Workers: 4, Batch: 16}, linear(counts, map[int]bool{0: true}))
-		if rep.Winner != 0 {
-			t.Fatalf("winner %d, want 0", rep.Winner)
-		}
-		if rep.Committed != 1 {
-			t.Fatalf("committed %d, want 1", rep.Committed)
-		}
-		if rep.Tasks[3].Ran && rep.Tasks[3].Nodes == counts[3] {
-			t.Fatalf("task 3 ran to completion (%d nodes) despite task 0 winning", rep.Tasks[3].Nodes)
-		}
-	}
+	return n
 }
 
 func TestBudgetExhaustionStopsExploration(t *testing.T) {
-	g := budget.New(nil, budget.Limits{})
-	counts := []int{1000, 1000}
-	rep := Explore(len(counts), Options{Workers: 1, Governor: g, Allowance: 100, Batch: 10},
-		linear(counts, nil))
-	if rep.Winner != -1 {
-		t.Errorf("winner %d", rep.Winner)
-	}
-	if rep.Stop != budget.Exhausted(budget.Nodes) {
-		t.Errorf("stop %v, want exhausted:nodes", rep.Stop)
-	}
-	if rep.Committed > 110+1 { // one batch of slack past the share
-		t.Errorf("explored %d nodes on a 100-node allowance", rep.Committed)
-	}
-	if got := g.Used(budget.Nodes); got != rep.Committed {
-		t.Errorf("parent meter %d, committed %d", got, rep.Committed)
-	}
-}
-
-func TestWitnessSuppressedWhenLowerTaskStopped(t *testing.T) {
-	// Worker shares: 2 workers x 50 nodes. Task 0 burns past its share and
-	// stops; task 1 finds a witness instantly. The witness must be
-	// suppressed: the serial search would have stopped inside task 0.
-	g := budget.New(nil, budget.Limits{})
-	counts := []int{1000, 1}
-	rep := Explore(len(counts), Options{Workers: 2, Governor: g, Allowance: 100, Batch: 10},
-		linear(counts, map[int]bool{1: true}))
-	if rep.Winner != -1 {
-		t.Errorf("winner %d, want suppressed (-1)", rep.Winner)
-	}
-	if !rep.Stop.Stopped() {
-		t.Error("no stop outcome reported")
+	for _, limit := range []int{1, 100, Batch, Batch + 904} {
+		g := budget.New(nil, budget.Limits{Nodes: limit})
+		m := NewMeter(g, nil, "search")
+		if got := walk(m, 3*Batch); got != limit {
+			t.Errorf("cap %d: granted %d nodes", limit, got)
+		}
+		if m.Node() {
+			t.Errorf("cap %d: a stopped meter granted another node", limit)
+		}
+		if m.Stop() != budget.Exhausted(budget.Nodes) {
+			t.Errorf("cap %d: stop %v, want exhausted:nodes", limit, m.Stop())
+		}
+		if m.Nodes() != limit || g.Used(budget.Nodes) != limit {
+			t.Errorf("cap %d: meter counts %d, governor charged %d", limit, m.Nodes(), g.Used(budget.Nodes))
+		}
 	}
 }
 
@@ -118,12 +42,45 @@ func TestCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := budget.New(ctx, budget.Limits{})
-	rep := Explore(2, Options{Workers: 1, Governor: g, Batch: 4}, linear([]int{100, 100}, nil))
-	if rep.Stop.Code != budget.CodeCancelled {
-		t.Errorf("stop %v, want cancelled", rep.Stop)
+	m := NewMeter(g, nil, "search")
+	// The context is polled at the first checkpoint, one batch in.
+	if got := walk(m, 3*Batch); got != Batch {
+		t.Errorf("granted %d nodes, want one batch (%d)", got, Batch)
 	}
-	if rep.Winner != -1 {
-		t.Errorf("winner %d", rep.Winner)
+	if m.Stop().Code != budget.CodeCancelled {
+		t.Errorf("stop %v, want cancelled", m.Stop())
+	}
+}
+
+type recordSink struct{ events []obs.Event }
+
+func (r *recordSink) Event(e obs.Event) { r.events = append(r.events, e) }
+
+// The meter's trace: one search_node per batch and per window remainder,
+// each carrying its window's order, then the stop and the verdict; the
+// governor is charged every node.
+func TestMeterTrace(t *testing.T) {
+	g := budget.New(nil, budget.Limits{Nodes: 9000})
+	rec := &recordSink{}
+	m := NewMeter(g, rec, "finitemodel")
+	m.Window(2)
+	walk(m, 5000)
+	m.Window(3)
+	walk(m, 5000)
+	m.Finish("exhausted:nodes", m.Stop())
+	want := []obs.Event{
+		{Type: obs.EvSearchNode, Src: "finitemodel", Order: 2, N: Batch},
+		{Type: obs.EvSearchNode, Src: "finitemodel", Order: 2, N: 5000 - Batch},
+		{Type: obs.EvSearchNode, Src: "finitemodel", Order: 3, N: 2*Batch - 5000},
+		{Type: obs.EvSearchNode, Src: "finitemodel", Order: 3, N: 9000 - 2*Batch},
+		{Type: obs.EvBudgetExhausted, Src: "finitemodel", Resource: "nodes"},
+		{Type: obs.EvVerdict, Src: "finitemodel", Verdict: "exhausted:nodes", N: 9000},
+	}
+	if !reflect.DeepEqual(rec.events, want) {
+		t.Errorf("events:\n got %+v\nwant %+v", rec.events, want)
+	}
+	if got := g.Used(budget.Nodes); got != 9000 {
+		t.Errorf("governor charged %d nodes, want 9000", got)
 	}
 }
 
@@ -138,12 +95,5 @@ func TestPruneVocabulary(t *testing.T) {
 	}
 	if _, err := ParsePrune("bogus"); err == nil {
 		t.Error("ParsePrune accepted garbage")
-	}
-}
-
-func TestZeroTasks(t *testing.T) {
-	rep := Explore(0, Options{}, func(int, *Ctx) bool { t.Fatal("run called"); return false })
-	if rep.Winner != -1 || rep.Committed != 0 || rep.Stop.Stopped() {
-		t.Errorf("unexpected report %+v", rep)
 	}
 }

@@ -24,21 +24,20 @@
 //   - associativity is pruned on every fully determined triple and
 //     re-verified at the leaves.
 //
-// Two orthogonal accelerations sit on top (see DESIGN.md §8). Symmetry
-// breaking (Options.Prune, on by default) exploits that any witness can be
-// relabeled by a permutation fixing 0 and 1: free symbols are assigned in
-// canonical first-occurrence order, and free cells only receive values at
-// most one above the largest element designated so far (the least-number
-// heuristic). Parallelism (Options.Workers) splits each order's
-// backtracking tree at a prefix depth into independent subtree tasks run
-// through internal/psearch, first witness wins with a deterministic
-// lex-least tie-break, so the result is identical for every Workers value.
+// Symmetry breaking (Options.Prune, on by default; DESIGN.md §8) exploits
+// that any witness can be relabeled by a permutation fixing 0 and 1: free
+// symbols are assigned in canonical first-occurrence order, and free cells
+// only receive values at most one above the largest element designated so
+// far (the least-number heuristic). Each order's tree is walked
+// depth-first, children in ascending order, so the witness returned is the
+// lexicographically least one the window contains.
 //
 // The zero Options searches the DefaultOrders window under DefaultLimits.
 package search
 
 import (
 	"fmt"
+	"maps"
 
 	"templatedep/internal/budget"
 	"templatedep/internal/obs"
@@ -55,49 +54,24 @@ type Options struct {
 	// and a Hi below Lo is raised to Lo.
 	Orders budget.Range
 	// Governor bounds the search: its nodes meter caps the total number of
-	// backtracking nodes across all orders and assignments (committed and
-	// speculative alike), and its context is checked every nodeEventBatch
-	// nodes, keeping the inner loop free of governor traffic. Nil resolves
-	// to DefaultLimits.
+	// backtracking nodes across all orders and assignments, and its
+	// context is polled every psearch.Batch nodes, keeping the inner loop
+	// free of governor traffic. Nil resolves to DefaultLimits.
 	Governor *budget.Governor
 	// QuotientClasses > 0 tries the nilpotent-quotient construction
 	// (classes 2..QuotientClasses) BEFORE the table search; witnesses found
 	// this way cost no search nodes. Sound but incomplete, hence opt-in.
 	QuotientClasses int
-	// Sink receives search_split, search_steal, and search_node events
-	// (one aggregate per split wave) plus the final verdict. Nil disables
+	// Sink receives search_node events (one per psearch.Batch nodes, plus
+	// each order's remainder) and the final verdict. Nil disables
 	// emission. See docs/OBSERVABILITY.md.
 	Sink obs.Sink
-	// Workers is the number of goroutines exploring subtree tasks; <= 1
-	// searches serially. The witness, the node ledger, and the replayed
-	// trace totals are identical for every value — only the worker
-	// attribute of search_steal events depends on scheduling — as long as
-	// the node budget is not exhausted mid-run (per-worker budget shares
-	// may stop a parallel run at a different point than a serial one).
-	Workers int
-	// SplitDepth forces the table-cell prefix depth at which each order's
-	// tree is split into subtree tasks; 0 grows the split adaptively until
-	// at least taskTarget subtrees exist. The depth never affects results,
-	// only load balance.
-	SplitDepth int
 	// Prune selects symmetry breaking: psearch.PruneSymmetry (the zero
 	// value) enables canonical assignment enumeration and least-number
 	// value capping; psearch.PruneNone searches exhaustively — the
 	// ablation baseline kept for benchmarks and soundness tests.
 	Prune psearch.Prune
 }
-
-// nodeEventBatch is the generation-phase governor checkpoint interval,
-// matching psearch.DefaultBatch so cancellation latency is one batch
-// everywhere.
-const nodeEventBatch = 4096
-
-// taskTarget is how many subtree tasks an adaptive split aims for: enough
-// granularity to keep any worker count busy, small enough that the split
-// frontier (one table copy per task) stays negligible. Fixed — never
-// derived from Workers — so the committed node ledger is identical for
-// every Workers value.
-const taskTarget = 64
 
 // DefaultOrders is the order window an unconfigured search covers.
 var DefaultOrders = budget.Range{Lo: 2, Hi: 6}
@@ -112,15 +86,9 @@ type Result struct {
 	Interpretation *semigroup.Interpretation
 	// Presentation is the presentation the witness interprets (the input).
 	Presentation *words.Presentation
-	// NodesVisited counts committed backtracking nodes: split-prefix nodes
-	// plus every task up to and including the winning subtree — exactly
-	// the nodes a serial run explores, whatever Workers is.
+	// NodesVisited counts backtracking nodes: completed symbol
+	// assignments and table states, up to the witness when one was found.
 	NodesVisited int
-	// SpeculativeNodes counts nodes parallel workers explored in subtrees
-	// beyond the winning one — work a serial run would not have done. They
-	// are charged to the governor but excluded from NodesVisited and from
-	// the event stream, keeping both deterministic. Zero when Workers <= 1.
-	SpeculativeNodes int
 	// Budget reports how the governor cut the search short; zero (ok)
 	// means the order window was covered.
 	Budget budget.Outcome
@@ -156,13 +124,26 @@ func FindCounterModel(p *words.Presentation, opt Options) (Result, error) {
 	}
 	p = p.WithZeroEquations()
 
+	g := budget.Resolve(opt.Governor, DefaultLimits)
+	m := psearch.NewMeter(g, opt.Sink, "search")
+	finish := func(r Result) (Result, error) {
+		r.Presentation, r.NodesVisited = p, m.Nodes()
+		m.Finish(r.Status(), r.Budget)
+		return r, nil
+	}
+	// Refuse to start under an already-stopped governor, so a run cancelled
+	// during an earlier stage cannot produce an answer (the overall verdict
+	// must not depend on checkpoint timing).
+	if o := g.Interrupted(); o.Stopped() {
+		return finish(Result{Budget: o})
+	}
 	if opt.QuotientClasses > 0 {
 		wit, ok, err := BestNilpotentQuotientWitness(p, opt.QuotientClasses)
 		if err != nil {
 			return Result{}, err
 		}
 		if ok {
-			return Result{Interpretation: wit, Presentation: p}, nil
+			return finish(Result{Interpretation: wit})
 		}
 	}
 
@@ -177,51 +158,10 @@ func FindCounterModel(p *words.Presentation, opt Options) (Result, error) {
 		work = norm.Presentation
 	}
 
-	g := budget.Resolve(opt.Governor, DefaultLimits)
-	s := &searcher{pres: work, gov: g, opt: opt, sink: opt.Sink,
-		limited: g.Limit(budget.Nodes) > 0, remaining: g.Limit(budget.Nodes)}
-	if !s.limited {
-		// Ungoverned nodes meter: only the context can stop the search.
-		s.remaining = int(^uint(0) >> 1)
-	}
-	// finish settles the meter and closes the trace: a budget stop event
-	// when the governor cut the run, then the verdict, so partial traces
-	// stay well formed.
-	finish := func(r Result) Result {
-		s.settleGen()
-		r.SpeculativeNodes = s.spec
-		if s.sink != nil {
-			if r.Budget.Stopped() {
-				typ := obs.EvBudgetExhausted
-				if r.Budget.Code != budget.CodeExhausted {
-					typ = obs.EvCancelled
-				}
-				s.sink.Event(obs.Event{Type: typ, Src: "search", Resource: r.Budget.Reason()})
-			}
-			s.sink.Event(obs.Event{Type: obs.EvVerdict, Src: "search", Verdict: r.Status(), N: s.nodes})
-		}
-		return r
-	}
-	// Refuse to start under an already-stopped governor, so a run cancelled
-	// during an earlier stage cannot race the first node batch for an
-	// answer (the overall verdict must not depend on checkpoint timing).
-	if o := g.Interrupted(); o.Stopped() {
-		return finish(Result{Presentation: p, Budget: o}), nil
-	}
+	s := &searcher{pres: work, opt: opt, meter: m}
 	for n := opt.Orders.Lo; n <= opt.Orders.Hi; n++ {
-		s.order = n
-		found, err := s.searchOrder(n)
-		if err != nil {
-			return Result{}, err
-		}
-		if s.remaining <= 0 && found == nil {
-			out := s.stop
-			if !out.Stopped() {
-				out = budget.Exhausted(budget.Nodes)
-			}
-			return finish(Result{Presentation: p, NodesVisited: s.nodes, Budget: out}), nil
-		}
-		if found != nil {
+		m.Window(n)
+		if found := s.searchOrder(n); found != nil {
 			in, err := mapBack(p, norm, found)
 			if err != nil {
 				return Result{}, err
@@ -229,10 +169,13 @@ func FindCounterModel(p *words.Presentation, opt Options) (Result, error) {
 			if err := in.IsModelOfMainLemmaFailure(p); err != nil {
 				return Result{}, fmt.Errorf("search: internal error: found model fails verification: %w", err)
 			}
-			return finish(Result{Interpretation: in, Presentation: p, NodesVisited: s.nodes}), nil
+			return finish(Result{Interpretation: in})
+		}
+		if o := m.Stop(); o.Stopped() {
+			return finish(Result{Budget: o})
 		}
 	}
-	return finish(Result{Presentation: p, NodesVisited: s.nodes}), nil
+	return finish(Result{})
 }
 
 // mapBack restricts a witness for the normalized presentation to the
@@ -259,82 +202,33 @@ func mapBack(orig *words.Presentation, norm *words.Normalization, in *semigroup.
 
 // searcher holds the state shared across orders.
 type searcher struct {
-	pres *words.Presentation
-	gov  *budget.Governor
-	opt  Options
-	// limited reports whether the governor's nodes meter has a cap;
-	// remaining is the countdown mirroring it (committed, speculative, and
-	// split-generation nodes all count). A context stop zeroes it at the
-	// next batch boundary.
-	limited   bool
-	remaining int
-	// nodes is the committed ledger (generation + tasks up to the winner);
-	// spec counts parallel overshoot.
-	nodes int
-	spec  int
-	// genUnsettled is how many generation-phase nodes have not yet been
-	// reported to the governor (task nodes are settled by psearch).
-	genUnsettled int
-	// stop records a context stop observed at a checkpoint.
-	stop budget.Outcome
-	// sink, when non-nil, receives the per-wave event groups; lastEmitted
-	// tracks the committed count already covered by search_node events.
-	sink        obs.Sink
-	lastEmitted int
-	order       int
-}
-
-// countGen records one node expanded during split generation (assignment
-// pinning prefixes and frontier deepening — the part of the tree above the
-// subtree tasks). Every nodeEventBatch nodes it settles the governor meter
-// and polls the context. Returns false when the search must stop.
-func (s *searcher) countGen() bool {
-	s.nodes++
-	s.remaining--
-	s.genUnsettled++
-	if s.genUnsettled >= nodeEventBatch {
-		s.settleGen()
-		if o := s.gov.Interrupted(); o.Stopped() {
-			s.stop = o
-			s.remaining = 0
-		}
-	}
-	return s.remaining > 0
-}
-
-func (s *searcher) settleGen() {
-	s.gov.Add(budget.Nodes, s.genUnsettled)
-	s.genUnsettled = 0
+	pres  *words.Presentation
+	opt   Options
+	meter *psearch.Meter
+	// found is the verified witness, set by the walk's leaf check.
+	found *semigroup.Interpretation
 }
 
 const unset = semigroup.Elem(-1)
 
-// tableState is one node of the split frontier: a symbol assignment, a
-// partially filled table, and the index of the first undecided free cell.
-// The frontier states become the independent subtree tasks.
+// tableState is the walk's table under the current symbol assignment: the
+// partially filled table, its free cells in walk order, and the largest
+// element the pins designate — the least-number heuristic's starting bound.
+// One state serves every assignment of an order.
 type tableState struct {
 	assign map[words.Symbol]semigroup.Elem
 	cells  []int
 	mul    []semigroup.Elem
-	ci     int
-	// maxEl is the largest designated element so far — 0, 1, the
-	// assignment images, and every coordinate or value of a decided free
-	// cell — the least-number heuristic's bound.
-	maxEl int
-	// table is set by a winning task's leaf verification.
-	table *semigroup.Table
+	maxEl  int
 }
 
 // searchOrder looks for a model of exactly order n. Returns the witness
 // interpretation over the searcher's (normalized) presentation, or nil.
 //
-// The order's backtracking tree is searched in waves: symbol assignments
-// are enumerated in canonical order, each consistent pinned table becomes
-// a frontier root, and once taskTarget roots accumulate (or the
-// enumeration ends) the wave is deepened and explored in parallel. Waves
-// keep memory bounded on presentations with many symbols while preserving
-// the serial visit order across wave boundaries.
-func (s *searcher) searchOrder(n int) (*semigroup.Interpretation, error) {
+// Symbol assignments are enumerated in canonical order; each completed
+// assignment is a node, and the table it pins is walked depth-first before
+// the next assignment is tried.
+func (s *searcher) searchOrder(n int) *semigroup.Interpretation {
 	a := s.pres.Alphabet
 	syms := a.Symbols()
 	free := make([]words.Symbol, 0, len(syms))
@@ -346,36 +240,25 @@ func (s *searcher) searchOrder(n int) (*semigroup.Interpretation, error) {
 	assign := make(map[words.Symbol]semigroup.Elem, len(syms))
 	assign[a.Zero()] = 0
 	assign[a.A0()] = 1
-
-	var roots []*tableState
-	var witness *tableState
+	st := &tableState{assign: assign, mul: make([]semigroup.Elem, n*n)}
 
 	// enumAssign walks free-symbol assignments; under PruneSymmetry the
 	// image of each next symbol is capped one above the largest image so
 	// far (first-occurrence order — any assignment is a relabeling of a
 	// canonical one by a permutation fixing 0 and 1). Returns false to
-	// abort the enumeration (witness found or budget stop).
+	// stop the enumeration (witness found or budget stop).
 	var enumAssign func(i, maxImg int) bool
 	enumAssign = func(i, maxImg int) bool {
-		if s.remaining <= 0 {
-			return false
-		}
 		if i == len(free) {
-			// Every completed assignment is a generation node, whether or
-			// not its pins survive: on presentations with many symbols
-			// almost all assignments die right here, and without charging
-			// them the node budget would never be consulted — the
-			// enumeration is exponential in the alphabet size.
-			if !s.countGen() {
+			// Every completed assignment is a node, whether or not its pins
+			// survive: on presentations with many symbols almost all
+			// assignments die right here, and without charging them the
+			// node budget would never be consulted — the enumeration is
+			// exponential in the alphabet size.
+			if !s.meter.Node() {
 				return false
 			}
-			if st := s.pinTable(n, assign); st != nil {
-				roots = append(roots, st)
-				if len(roots) >= taskTarget {
-					return s.runWave(n, &roots, &witness)
-				}
-			}
-			return true
+			return !s.pinTable(st, n) || s.walk(st, n, 0, st.maxEl)
 		}
 		hi := n - 1
 		if s.opt.Prune == psearch.PruneSymmetry && maxImg+1 < hi {
@@ -383,36 +266,22 @@ func (s *searcher) searchOrder(n int) (*semigroup.Interpretation, error) {
 		}
 		for e := 0; e <= hi; e++ {
 			assign[free[i]] = semigroup.Elem(e)
-			nm := maxImg
-			if e > nm {
-				nm = e
-			}
-			if !enumAssign(i+1, nm) {
+			if !enumAssign(i+1, max(maxImg, e)) {
 				return false
 			}
 		}
 		delete(assign, free[i])
 		return true
 	}
-	if enumAssign(0, 1) && len(roots) > 0 {
-		s.runWave(n, &roots, &witness)
-	}
-	s.flushNodes(n)
-	if witness == nil {
-		return nil, nil
-	}
-	cp := make(map[words.Symbol]semigroup.Elem, len(witness.assign))
-	for k, v := range witness.assign {
-		cp[k] = v
-	}
-	return semigroup.NewInterpretation(witness.table, a, cp)
+	enumAssign(0, 1)
+	return s.found
 }
 
-// pinTable builds the pinned table for one assignment: zero row and
-// column, plus the cells forced by (2,1) equations. Returns nil when the
+// pinTable rebuilds st's table for its current assignment: zero row and
+// column, plus the cells forced by (2,1) equations. Returns false when the
 // pins contradict each other or the cancellation conditions.
-func (s *searcher) pinTable(n int, assign map[words.Symbol]semigroup.Elem) *tableState {
-	mul := make([]semigroup.Elem, n*n)
+func (s *searcher) pinTable(st *tableState, n int) bool {
+	mul, assign := st.mul, st.assign
 	for i := range mul {
 		mul[i] = unset
 	}
@@ -430,221 +299,85 @@ func (s *searcher) pinTable(n int, assign map[words.Symbol]semigroup.Elem) *tabl
 		x, y := assign[e.LHS[0]], assign[e.LHS[1]]
 		v := assign[e.RHS[0]]
 		if cur := at(x, y); cur != unset && cur != v {
-			return nil // contradictory pinning under this assignment
+			return false // contradictory pinning under this assignment
 		}
 		// Cancellation conditions on pinned cells.
 		if v == x && x != 0 {
-			return nil
+			return false
 		}
 		if v == y && y != 0 {
-			return nil
+			return false
 		}
 		set(x, y, v)
 	}
 	if !injectiveOffZero(mul, n) {
-		return nil
+		return false
 	}
 
-	var cells []int
+	st.cells = st.cells[:0]
 	for i := range mul {
 		if mul[i] == unset {
-			cells = append(cells, i)
+			st.cells = append(st.cells, i)
 		}
 	}
 	// Assignment images (and the pinned cells, whose coordinates and
 	// values are assignment images) are designated; 1 is always present.
-	maxEl := 1
+	st.maxEl = 1
 	for _, v := range assign {
-		if int(v) > maxEl {
-			maxEl = int(v)
-		}
+		st.maxEl = max(st.maxEl, int(v))
 	}
-	cp := make(map[words.Symbol]semigroup.Elem, len(assign))
-	for k, v := range assign {
-		cp[k] = v
+	return true
+}
+
+// walk visits the table state whose free cells before ci are decided, then
+// its subtree depth-first. It returns false once the walk must stop: a
+// verified model was found (s.found) or the meter refused a node.
+func (s *searcher) walk(st *tableState, n, ci, maxEl int) bool {
+	if !s.meter.Node() {
+		return false
 	}
-	return &tableState{assign: cp, cells: cells, mul: mul, maxEl: maxEl}
+	if ci == len(st.cells) {
+		s.found = s.verifyLeaf(st.mul, n, st.assign)
+		return s.found == nil
+	}
+	return s.branch(st, n, ci, maxEl, func(nm int) bool {
+		return s.walk(st, n, ci+1, nm)
+	})
 }
 
 // branch enumerates the consistent values for free cell ci of state st in
-// ascending order — the one place the child-generation rule (condition
-// (ii), least-number cap, local consistency) is written, so the split
-// frontier and the task walks prune identically. visit receives the value
-// and the updated designated-element bound; returning false stops the
-// enumeration. st.mul is restored before branch returns.
-func (s *searcher) branch(st *tableState, n, ci, maxEl int, visit func(v semigroup.Elem, maxEl int) bool) bool {
+// ascending order — the child-generation rule (condition (ii),
+// least-number cap, local consistency). visit sees st.mul with the cell
+// set and receives the updated designated-element bound; returning false
+// stops the enumeration, and branch then returns false. The cell is unset
+// again before branch returns.
+func (s *searcher) branch(st *tableState, n, ci, maxEl int, visit func(maxEl int) bool) bool {
 	idx := st.cells[ci]
 	x, y := idx/n, idx%n
 	hi := n - 1
 	if s.opt.Prune == psearch.PruneSymmetry {
-		m := maxEl
-		if x > m {
-			m = x
-		}
-		if y > m {
-			m = y
-		}
 		// Least-number heuristic: a value above every designated element
 		// +1 is a relabeling of the +1 case by a transposition fixing the
 		// designated set.
-		if m+1 < hi {
+		if m := max(maxEl, x, y); m+1 < hi {
 			hi = m + 1
 		}
 	}
 	for v := 0; v <= hi; v++ {
-		val := semigroup.Elem(v)
-		if int(val) == x && x != 0 {
+		if v == x && x != 0 {
 			continue // condition (ii): x·y = x
 		}
-		if int(val) == y && y != 0 {
+		if v == y && y != 0 {
 			continue // condition (ii): x·y = y
 		}
-		st.mul[idx] = val
-		if cellConsistent(st.mul, n, semigroup.Elem(x), semigroup.Elem(y)) {
-			nm := maxEl
-			if x > nm {
-				nm = x
-			}
-			if y > nm {
-				nm = y
-			}
-			if v > nm {
-				nm = v
-			}
-			if !visit(val, nm) {
-				st.mul[idx] = unset
-				return false
-			}
-		}
-		st.mul[idx] = unset
-	}
-	return true
-}
-
-// runWave deepens the accumulated frontier roots into subtree tasks and
-// explores them through psearch. On return *roots is cleared; *witness is
-// set when a task verified a model. Returns false to stop the assignment
-// enumeration (witness found or budget stop).
-func (s *searcher) runWave(n int, roots *[]*tableState, witness **tableState) bool {
-	frontier := *roots
-	*roots = nil
-	depth := 0
-	for s.remaining > 0 {
-		if s.opt.SplitDepth > 0 {
-			if depth >= s.opt.SplitDepth {
-				break
-			}
-		} else if len(frontier) >= taskTarget {
-			break
-		}
-		expandable := false
-		next := make([]*tableState, 0, len(frontier))
-		for _, st := range frontier {
-			if st.ci == len(st.cells) {
-				next = append(next, st)
-				continue
-			}
-			expandable = true
-			if !s.countGen() {
-				return false
-			}
-			s.branch(st, n, st.ci, st.maxEl, func(v semigroup.Elem, maxEl int) bool {
-				child := &tableState{assign: st.assign, cells: st.cells,
-					mul: append([]semigroup.Elem(nil), st.mul...), ci: st.ci + 1, maxEl: maxEl}
-				next = append(next, child)
-				return true
-			})
-		}
-		if !expandable {
-			break
-		}
-		frontier = next
-		depth++
-	}
-	if s.remaining <= 0 {
-		return false
-	}
-	if len(frontier) == 0 {
-		// The whole subtree died during frontier generation: there is
-		// nothing to dispatch, so no split/steal events — but the
-		// generation nodes were counted and must reach the stream.
-		s.flushNodes(n)
-		return true
-	}
-
-	allowance := 0
-	if s.limited {
-		allowance = s.remaining
-	}
-	rep := psearch.Explore(len(frontier), psearch.Options{
-		Workers: s.opt.Workers, Governor: s.gov, Allowance: allowance,
-	}, func(t int, ctx *psearch.Ctx) bool {
-		return s.runTask(frontier[t], n, ctx)
-	})
-	s.nodes += rep.Committed
-	s.spec += rep.Speculative
-	s.remaining -= rep.Committed + rep.Speculative
-
-	if s.sink != nil {
-		s.sink.Event(obs.Event{Type: obs.EvSearchSplit, Src: "search",
-			Order: n, N: len(frontier), Depth: depth})
-		upto := len(frontier) - 1
-		if rep.Winner >= 0 {
-			upto = rep.Winner
-		}
-		for t := 0; t <= upto; t++ {
-			s.sink.Event(obs.Event{Type: obs.EvSearchSteal, Src: "search",
-				Order: n, Task: t, Worker: rep.Tasks[t].Worker, N: rep.Tasks[t].Nodes})
-		}
-		s.flushNodes(n)
-	}
-
-	if rep.Winner >= 0 {
-		*witness = frontier[rep.Winner]
-		return false
-	}
-	if rep.Stop.Stopped() {
-		s.stop = rep.Stop
-		s.remaining = 0
-		return false
-	}
-	return true
-}
-
-// flushNodes emits the committed nodes not yet covered by a search_node
-// event (one aggregate per wave, plus the order's remainder).
-func (s *searcher) flushNodes(order int) {
-	if s.sink != nil && s.nodes > s.lastEmitted {
-		s.sink.Event(obs.Event{Type: obs.EvSearchNode, Src: "search", Order: order, N: s.nodes - s.lastEmitted})
-		s.lastEmitted = s.nodes
-	}
-}
-
-// runTask explores one subtree task: depth-first over the remaining free
-// cells, reporting every node to ctx. Returns true when a verified model
-// was found (stored in st.table).
-func (s *searcher) runTask(st *tableState, n int, ctx *psearch.Ctx) bool {
-	var dfs func(ci, maxEl int) bool
-	dfs = func(ci, maxEl int) bool {
-		if !ctx.Node() {
+		st.mul[idx] = semigroup.Elem(v)
+		if cellConsistent(st.mul, n, semigroup.Elem(x), semigroup.Elem(y)) && !visit(max(maxEl, x, y, v)) {
+			st.mul[idx] = unset
 			return false
 		}
-		if ci == len(st.cells) {
-			if tb := s.verifyLeaf(st.mul, n, st.assign); tb != nil {
-				st.table = tb
-				return true
-			}
-			return false
-		}
-		s.branch(st, n, ci, maxEl, func(_ semigroup.Elem, nm int) bool {
-			if dfs(ci+1, nm) {
-				return false // witness found: stop branching
-			}
-			return !ctx.Halted()
-		})
-		return st.table != nil
 	}
-	return dfs(st.ci, st.maxEl)
+	st.mul[idx] = unset
+	return true
 }
 
 // cellConsistent checks local constraints after setting cell (x, y):
@@ -720,9 +453,9 @@ func injectiveOffZero(mul []semigroup.Elem, n int) bool {
 	return true
 }
 
-// verifyLeaf runs the full, authoritative checks on a complete table. It
-// only reads s.pres, so concurrent tasks may call it safely.
-func (s *searcher) verifyLeaf(mul []semigroup.Elem, n int, assign map[words.Symbol]semigroup.Elem) *semigroup.Table {
+// verifyLeaf runs the full, authoritative checks on a complete table and
+// returns the witness it certifies, or nil.
+func (s *searcher) verifyLeaf(mul []semigroup.Elem, n int, assign map[words.Symbol]semigroup.Elem) *semigroup.Interpretation {
 	rows := make([][]semigroup.Elem, n)
 	for i := 0; i < n; i++ {
 		rows[i] = append([]semigroup.Elem(nil), mul[i*n:(i+1)*n]...)
@@ -745,6 +478,8 @@ func (s *searcher) verifyLeaf(mul []semigroup.Elem, n int, assign map[words.Symb
 	if err != nil || !ok {
 		return nil
 	}
-	// A0 != 0 holds by construction (A0 -> 1, zero -> 0).
-	return tb
+	// A0 != 0 holds by construction (A0 -> 1, zero -> 0). The walk goes on
+	// rewriting assign, so the witness keeps a copy.
+	in.Assign = maps.Clone(assign)
+	return in
 }
