@@ -302,6 +302,22 @@ stage_smoke() {
         exit 1
     fi
 
+    # Parity smoke: a committed corpus independence atom that the chase
+    # cannot close and the enumerator cannot reach settles through the
+    # parity arm, and its finite-model certificate checks.
+    out=$("$smoke/tdinfer" -schema A,B,C,D -deps testdata/oracle-1553.td \
+        -goal "R(a0, b0, c0, d0) & R(a1, b1, c1, d1) -> R(a0, b0, c0, d1)" \
+        -cert "$smoke/parity.cert.json")
+    grep -q "winner: parity arm" <<<"$out" || {
+        echo "ci: parity smoke: expected the parity arm to win, got:" >&2
+        echo "$out" >&2
+        exit 1
+    }
+    "$smoke/tdcheck" -verify "$smoke/parity.cert.json" >/dev/null || {
+        echo "ci: parity smoke: parity certificate rejected" >&2
+        exit 1
+    }
+
     # Parallel determinism smoke: the chase event stream is a pure function
     # of the problem — byte-identical for every -workers value. The
     # comparison filters to the chase layer's own events, the stream

@@ -159,6 +159,27 @@ func TestCLI(t *testing.T) {
 		}
 	})
 
+	// The parity arm on a committed corpus instance: independence atoms
+	// the chase cannot close, whose only parity countermodel (8 tuples) is
+	// beyond the enumerator's window, settle in the first tick, and the
+	// certificate checks with no engine in the loop.
+	t.Run("tdinfer-parity", func(t *testing.T) {
+		certFile := filepath.Join(t.TempDir(), "parity.cert.json")
+		out := run("tdinfer", 0,
+			"-schema", "A,B,C,D", "-deps", filepath.Join("testdata", "oracle-1553.td"),
+			"-goal", "R(a0, b0, c0, d0) & R(a1, b1, c1, d1) -> R(a0, b0, c0, d1)",
+			"-cert", certFile)
+		for _, want := range []string{"winner: parity arm (1 scheduler ticks", "verdict: finite-counterexample",
+			"finite counterexample (8 tuples)", "certificate: kind=finite-model"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("missing %q:\n%s", want, out)
+			}
+		}
+		if ver := run("tdcheck", 0, "-verify", certFile); !strings.Contains(ver, "certificate OK") {
+			t.Errorf("tdcheck -verify output:\n%s", ver)
+		}
+	})
+
 	t.Run("tdreduce", func(t *testing.T) {
 		out := run("tdreduce", 0, "-preset", "power")
 		for _, want := range []string{"D1[0:", "D4[", "D0:", "max antecedents = 5"} {

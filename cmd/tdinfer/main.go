@@ -4,7 +4,8 @@
 // D0's frozen antecedents under D (semideciding "D implies D0") with an
 // enumeration of small finite databases looking for a counterexample
 // (semideciding "D0 fails finitely"), and reports the first definitive
-// answer and the arm that found it.
+// answer and the arm that found it. On schemas of width at most 5 it also
+// tries the parity relations as counterexamples, between the two.
 //
 // Example:
 //
@@ -73,7 +74,7 @@ func main() {
 		preset     = flag.String("preset", "", "build D and D0 from a presentation preset via the reduction: power|twostep|gap|chain:N|nilpotent:M|tower:K")
 		rounds     = flag.Int("rounds", 64, "chase round budget")
 		tuples     = flag.Int("tuples", 100000, "chase tuple budget")
-		fmTuples   = flag.Int("cx-tuples", 4, "counterexample enumeration: max tuples")
+		fmTuples   = flag.Int("cx-tuples", 4, "finite-database enumeration: max tuples (bounds the enumerator only; a parity countermodel, tried on schemas of width at most 5, can hold up to 16 tuples)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the chase (results are identical for every value; 1 = serial)")
 		pruneFlag  = flag.String("prune", "symmetry", "counterexample enumeration symmetry breaking: symmetry|none")
 		deadline   = flag.Duration("deadline", 0, "wall-clock budget for the whole run (0 = none)")

@@ -150,6 +150,11 @@ func main() {
 		fatal(err)
 	}
 	httpSrv := &http.Server{Handler: s.Handler()}
+	// The drain handler goes in before the address is announced: a client
+	// that has its answers may send SIGTERM at once, and a signal that
+	// arrives before Notify kills the process undrained.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	// The actual address on its own line, so scripts binding :0 can parse
 	// the port before the first request.
 	fmt.Printf("tdserve: listening on %s\n", ln.Addr())
@@ -157,8 +162,6 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
 		fmt.Printf("tdserve: %s — draining (%d engine runs in flight)\n", sig, s.BeginDrain())

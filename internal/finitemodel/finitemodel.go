@@ -96,10 +96,8 @@ func FindCounterexample(deps []*td.TD, d0 *td.TD, opt Options) (Result, error) {
 		}
 	}
 	schema := d0.Schema()
-	for i, d := range deps {
-		if !d.Schema().Equal(schema) {
-			return Result{}, fmt.Errorf("finitemodel: dependency %d has a different schema", i)
-		}
+	if err := sameSchema(deps, schema); err != nil {
+		return Result{}, err
 	}
 	g := budget.Resolve(opt.Governor, DefaultLimits)
 	m := psearch.NewMeter(g, opt.Sink, "finitemodel")
@@ -233,15 +231,33 @@ func (s *searcher) checkLeaf(tuples []relation.Tuple, n int) *relation.Instance 
 	if inst.Len() != n {
 		return nil // duplicate tuples; skip
 	}
-	for _, d := range s.deps {
-		if ok, _ := d.Satisfies(inst); !ok {
-			return nil
-		}
+	if !satisfiesAll(s.deps, inst) {
+		return nil
 	}
 	if ok, _ := s.d0.Satisfies(inst); ok {
 		return nil
 	}
 	return inst
+}
+
+// sameSchema reports an error unless every dependency is over schema.
+func sameSchema(deps []*td.TD, schema *relation.Schema) error {
+	for i, d := range deps {
+		if !d.Schema().Equal(schema) {
+			return fmt.Errorf("finitemodel: dependency %d has a different schema", i)
+		}
+	}
+	return nil
+}
+
+// satisfiesAll reports whether inst satisfies every member of deps.
+func satisfiesAll(deps []*td.TD, inst *relation.Instance) bool {
+	for _, d := range deps {
+		if ok, _ := d.Satisfies(inst); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // lexLess is the strict lexicographic order on tuples. Mismatched lengths

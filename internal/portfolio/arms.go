@@ -271,6 +271,34 @@ func finiteDBArm(deps []*td.TD, d0 *td.TD, b core.Budget, res *Result, scale int
 	return a
 }
 
+// parityArm tries the parity relations P_S as countermodels
+// (finitemodel.FindParity): its opening grant covers every candidate, so
+// its one lease either wins or retires the arm as covered. It shares the
+// finite-db arm's ceilings, since both charge the same nodes meter.
+func parityArm(deps []*td.TD, d0 *td.TD, b core.Budget, res *Result) *arm {
+	a := &arm{
+		name:  "parity",
+		meter: budget.Nodes,
+		cur:   budget.Limits{Nodes: 1<<d0.Schema().Width() - 1},
+		max:   armCeilings(b.FiniteDB.Governor, finitemodel.DefaultLimits),
+	}
+	a.run = func(g *budget.Governor) (leaseResult, error) {
+		fres, err := finitemodel.FindParity(deps, d0, g)
+		if err != nil {
+			return leaseResult{}, err
+		}
+		if fres.Instance != nil {
+			res.Counterexample = fres.Instance
+			return leaseResult{win: core.FiniteCounterexample, verdict: fres.Status()}, nil
+		}
+		if !fres.Budget.Stopped() {
+			return leaseResult{done: true, note: "covered", verdict: fres.Status()}, nil
+		}
+		return leaseResult{health: healthStalling, verdict: fres.Status(), outcome: fres.Budget}, nil
+	}
+	return a
+}
+
 // AnalyzePresentation runs the presentation-level portfolio: Knuth–Bendix
 // completion, the finite counter-model search, and the chase on the
 // reduction's (D, D0), in that fixed scheduling order. Completion leads
@@ -299,15 +327,21 @@ func analyzePresentation(p *words.Presentation, b core.Budget, scale int) (*Resu
 	return run(arms, b, res)
 }
 
-// Infer runs the TD-level portfolio: the chase and the finite-database
-// enumerator, in that fixed scheduling order. The chase leads because it
-// is the only arm that can prove Implied and the only one that can
-// snapshot across leases.
+// Infer runs the TD-level portfolio: the chase, the parity countermodels
+// and the finite-database enumerator, in that fixed scheduling order. The
+// chase leads because it is the only arm that can prove Implied and the
+// only one that can snapshot across leases; its opening lease settles
+// most implied instances before the parity arm costs anything. The
+// parity arm runs only when the goal's schema is at most
+// finitemodel.ParityMaxWidth wide: at width 6 its 63 candidates of 32
+// tuples, checked against the gap preset's reduction, made a tdinfer run
+// 20 to 40 times slower (DESIGN.md §12).
 func Infer(deps []*td.TD, d0 *td.TD, b core.Budget) (*Result, error) {
 	res := &Result{deps: deps, d0: d0}
-	arms := []*arm{
-		chaseArm(deps, d0, b, res, 1),
-		finiteDBArm(deps, d0, b, res, 1),
+	arms := []*arm{chaseArm(deps, d0, b, res, 1)}
+	if d0.Schema().Width() <= finitemodel.ParityMaxWidth {
+		arms = append(arms, parityArm(deps, d0, b, res))
 	}
+	arms = append(arms, finiteDBArm(deps, d0, b, res, 1))
 	return run(arms, b, res)
 }

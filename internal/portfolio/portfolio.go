@@ -11,9 +11,9 @@
 // the engines as a portfolio:
 //
 //   - every arm (Knuth–Bendix completion, finite counter-model search, the
-//     chase, the finite-database enumerator) holds a cumulative budget
-//     LEASE — a child governor of the parent pool capping the arm's
-//     dominant meter;
+//     chase, the parity countermodels, the finite-database enumerator)
+//     holds a cumulative budget LEASE — a child governor of the parent pool
+//     capping the arm's dominant meter;
 //   - a scheduler ticks through the arms, and at each tick decides, from
 //     each arm's own progress signals, whether to feed the arm (grow its
 //     lease fast), grow it steadily, or starve it (withhold growth and
@@ -22,9 +22,9 @@
 //     and a KB completion that decides the goal ends the run in the same
 //     tick it completes in;
 //   - the winning arm leaves its proof in the Result — kb its derivation
-//     of A0 = 0, the chase its own labelled instance, the searches their
-//     databases — and Result.Cert serializes it on demand, so a win is
-//     never proved a second time;
+//     of A0 = 0, the chase its own labelled instance, the searches and the
+//     parity arm their databases — and Result.Cert serializes it on
+//     demand, so a win is never proved a second time;
 //   - every decision — grants, withheld grants, retirements — is emitted
 //     as a typed portfolio_realloc observability event carrying the arm,
 //     the meter, the old and new cumulative grant, and the driving signal,
@@ -72,8 +72,9 @@
 // early signals mislead, the portfolio still deepens every arm
 // geometrically and remains complete in the limit on both of the Main
 // Theorem's sets. An arm retires only for a structural reason (completion
-// refuted the goal, a search covered its whole window) or when its lease
-// already sits at the arm's hard ceiling and still exhausts.
+// refuted the goal, a search covered its whole window, the parity arm
+// tried every column set) or when its lease already sits at the arm's
+// hard ceiling and still exhausts.
 package portfolio
 
 import (
@@ -116,7 +117,8 @@ const (
 type Decision struct {
 	// Tick is the scheduler pass the decision was taken in.
 	Tick int
-	// Arm names the arm: "kb", "model-search", "chase", "finite-db".
+	// Arm names the arm: "kb", "model-search", "chase", "parity",
+	// "finite-db".
 	Arm string
 	// Meter is the resource whose cumulative grant the decision changes.
 	Meter budget.Resource

@@ -37,6 +37,7 @@
 package store
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -225,8 +226,12 @@ func (s *Store) recover() (RecoverStats, error) {
 		s.size = int64(len(magic))
 		return st, nil
 	}
+	// One buffered reader serves the whole scan, so a record costs no
+	// syscalls of its own. It reads ahead of offset: the file position
+	// is set back to offset after the scan.
+	r := bufio.NewReaderSize(s.f, 64<<10)
 	hdr := make([]byte, len(magic))
-	if _, err := io.ReadFull(s.f, hdr); err != nil || string(hdr) != string(magic) {
+	if _, err := io.ReadFull(r, hdr); err != nil || string(hdr) != string(magic) {
 		return st, fmt.Errorf("store: %s is not a verdict store (bad magic)", s.path)
 	}
 	// Scan records until EOF or the first frame that fails its length or
@@ -237,7 +242,7 @@ func (s *Store) recover() (RecoverStats, error) {
 	frame := make([]byte, recordHeaderLen)
 	var payload []byte
 	for {
-		if _, err := io.ReadFull(s.f, frame); err != nil {
+		if _, err := io.ReadFull(r, frame); err != nil {
 			if err == io.EOF {
 				break
 			}
@@ -257,7 +262,7 @@ func (s *Store) recover() (RecoverStats, error) {
 			payload = make([]byte, plen)
 		}
 		payload = payload[:plen]
-		if _, err := io.ReadFull(s.f, payload); err != nil {
+		if _, err := io.ReadFull(r, payload); err != nil {
 			st.DroppedBytes = info.Size() - offset
 			break
 		}
