@@ -14,7 +14,7 @@ import (
 	"templatedep/internal/core"
 	"templatedep/internal/diagram"
 	"templatedep/internal/eid"
-	"templatedep/internal/finitemodel"
+	"templatedep/internal/portfolio"
 	"templatedep/internal/reduction"
 	"templatedep/internal/relation"
 	"templatedep/internal/search"
@@ -313,10 +313,11 @@ func BenchmarkAdjoinIdentity(b *testing.B) {
 // terminates on what.
 func BenchmarkDualSemidecision(b *testing.B) {
 	bud := core.Budget{}
-	bud.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000})}
+	// A tuple ceiling under the gap reduction's round-five blow-up keeps
+	// the chase arm's leases short there.
+	bud.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 16, Tuples: 1500})}
 	bud.Closure = words.ClosureOptions{Governor: budget.New(nil, budget.Limits{Words: 3000}), LengthCap: 10}
 	bud.ModelSearch = search.Options{Orders: budget.Range{Lo: 2, Hi: 4}, Governor: budget.New(nil, budget.Limits{Nodes: 300000})}
-	bud.FiniteDB = finitemodel.Options{Sizes: budget.Range{Lo: 1, Hi: 2}}
 	for _, tc := range []struct {
 		name string
 		p    *words.Presentation
@@ -329,7 +330,7 @@ func BenchmarkDualSemidecision(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := core.AnalyzePresentation(tc.p, bud)
+				res, err := portfolio.AnalyzePresentation(tc.p, bud)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -22,8 +22,9 @@
 #                   finite-db arm held to size 1, and the portfolio's
 #                   finite-db answer at the default sizes);
 #                   tdserve under a duplicate-heavy tdbench -loadjson
-#                   burst, a served collapse:4 derivation certificate
-#                   checked by tdcheck (needs jq), and graceful-drain
+#                   burst, served derivation certificates for collapse:4
+#                   (kb) and a Turing-machine instance (the derivation
+#                   arm) checked by tdcheck (needs jq), and graceful-drain
 #                   assertions
 #   shard   (300) — the multi-replica tier: 3 tdserve replicas with disk
 #                   stores and a consistent-hash ring,
@@ -379,6 +380,24 @@ stage_smoke() {
         echo "ci: serve smoke: a derivation with a moved step was accepted" >&2
         exit 1
     fi
+    # Served TM instance: the Turing-machine encoding of a machine that
+    # writes a 1 and halts, the reduction's kind of hard instance. kb never
+    # completes on it; the derivation arm derives A0 = 0, and tdcheck must
+    # accept that derivation as the certificate.
+    curl -sf -d @testdata/tm-write-one.json "http://$serve_addr/infer?cert=1" >"$smoke/tm.json" || {
+        echo "ci: serve smoke: POST /infer?cert=1 for the TM instance failed" >&2
+        exit 1
+    }
+    [[ "$(jq -r '.verdict + " " + .winner + " " + .cert.kind' "$smoke/tm.json")" == "implied derivation derivation" ]] || {
+        echo "ci: serve smoke: the TM instance should be implied, won by the derivation arm with a derivation certificate, got:" >&2
+        head -c 400 "$smoke/tm.json" >&2
+        exit 1
+    }
+    jq '.cert' "$smoke/tm.json" >"$smoke/tm.cert.json"
+    "$smoke/tdcheck" -verify "$smoke/tm.cert.json" >/dev/null || {
+        echo "ci: serve smoke: served TM certificate rejected" >&2
+        exit 1
+    }
     kill -TERM "$srv_pid"
     wait "$srv_pid" || {
         echo "ci: serve smoke: tdserve exited nonzero:" >&2
@@ -511,7 +530,7 @@ stage_bench() {
     # The portfolio emitter: a fresh quick report (one timed run per preset)
     # and the committed full report must each time every grid preset and
     # reach its expected verdict through its expected arm (model-search on
-    # power, kb on twostep, chain:2 and collapse:4).
+    # power, derivation on twostep and chain:2, kb on collapse:4).
     "$smoke/tdbench" -portfoliojson "$smoke/BENCH_portfolio.json" -portfolioquick >/dev/null
     "$smoke/tdbench" -checkportfolio "$smoke/BENCH_portfolio.json"
     "$smoke/tdbench" -checkportfolio BENCH_portfolio.json

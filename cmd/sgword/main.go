@@ -6,18 +6,18 @@
 //	sgword derive   -preset twostep            # equational-closure search
 //	sgword complete -spec pres.sg              # Knuth–Bendix completion
 //	sgword model    -preset power              # finite cancellation model search
-//	sgword analyze  -preset power              # full dual pipeline via the reduction
+//	sgword analyze  -preset power              # the presentation portfolio via the reduction
 //
 // Each certificate is printed: a derivation chain for "derive", a confluent
 // rule system for "complete", a multiplication table plus symbol assignment
-// for "model", and the corresponding TD-level artifacts for "analyze".
+// for "model", and the winning arm's certificate or counter-model for
+// "analyze", which runs the adaptive portfolio (internal/portfolio): the
+// closure, completion, the model search and the chase under growing leases.
 //
 // analyze additionally takes -progress (live one-line status on stderr —
-// useful on slow instances like -preset gap), -trace FILE (the structured
-// JSONL event stream of the whole run), and -deepen DURATION, which
-// switches to iterative deepening: budgets double each round until a verdict
-// or the wall-clock deadline. See docs/OBSERVABILITY.md for the event and
-// trace schema.
+// useful on slow instances like -preset gap) and -trace FILE (the
+// structured JSONL event stream of the whole run). See
+// docs/OBSERVABILITY.md for the event and trace schema.
 package main
 
 import (
@@ -29,8 +29,10 @@ import (
 	"os/signal"
 
 	"templatedep/internal/budget"
+	"templatedep/internal/cert"
 	"templatedep/internal/core"
 	"templatedep/internal/obs"
+	"templatedep/internal/portfolio"
 	"templatedep/internal/psearch"
 	"templatedep/internal/rewrite"
 	"templatedep/internal/search"
@@ -46,17 +48,16 @@ func main() {
 	specFile := fs.String("spec", "", "presentation spec file")
 	preset := fs.String("preset", "", "preset presentation: power|twostep|gap|chain:N|nilpotent:M|tower:K")
 	maxWords := fs.Int("max-words", 100000, "closure search: word budget")
-	maxLen := fs.Int("max-length", 0, "closure search: word length cap (0 = unbounded)")
+	maxLen := fs.Int("max-length", 0, "closure search: word length cap (derive: 0 = unbounded; analyze: the widest window, 0 = 12)")
 	maxOrder := fs.Int("max-order", 6, "model search: largest semigroup order")
 	maxNodes := fs.Int("max-nodes", 5_000_000, "model search: node budget")
 	maxRules := fs.Int("max-rules", 500, "completion: rule budget")
 	bidi := fs.Bool("bidirectional", false, "derive: meet-in-the-middle search")
 	quotient := fs.Int("quotient", 0, "model: try nilpotent quotients up to this class before the table search (0 = off)")
 	pruneFlag := fs.String("prune", "symmetry", "model/analyze: symmetry breaking in the model search: symmetry|none")
-	cert := fs.Bool("cert", false, "derive: emit a machine-checkable certificate instead of the pretty chain")
+	emitCert := fs.Bool("cert", false, "derive: emit a machine-checkable certificate instead of the pretty chain")
 	checkCert := fs.String("check-cert", "", "derive: validate a certificate file against the presentation and exit")
 	progress := fs.Bool("progress", false, "analyze: live progress line on stderr")
-	deepen := fs.Duration("deepen", 0, "analyze: iterative deepening with this wall-clock deadline (0 = single budgeted run)")
 	traceFile := fs.String("trace", "", "analyze: write the structured event stream to FILE as JSONL (see docs/OBSERVABILITY.md)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		fatal(err)
@@ -75,7 +76,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if !(sub == "derive" && *cert) {
+	if !(sub == "derive" && *emitCert) {
 		fmt.Printf("# presentation over %s, %d equations; goal %s\n\n",
 			p.Alphabet, len(p.Equations), p.Goal().Format(p.Alphabet))
 	}
@@ -105,7 +106,7 @@ func main() {
 		} else {
 			res = words.DeriveGoal(p, opts)
 		}
-		if *cert {
+		if *emitCert {
 			if res.Derivation == nil {
 				fatal(fmt.Errorf("no derivation found (verdict %s); nothing to certify", res.Verdict))
 			}
@@ -159,8 +160,7 @@ func main() {
 		}
 	case "analyze":
 		g := budget.New(ctx, budget.Limits{})
-		b := core.Budget{}
-		b.Governor = g
+		b := core.Budget{Governor: g}
 		b.Closure = words.ClosureOptions{
 			Governor:  g.Child(budget.Limits{Words: *maxWords}),
 			LengthCap: *maxLen,
@@ -198,53 +198,36 @@ func main() {
 			sinks = append(sinks, prog)
 		}
 		b.Sink = obs.Multi(sinks...)
-		var res *core.PresentationResult
-		var err error
-		if *deepen > 0 {
-			// Deepening starts from the front-end's own small budgets and
-			// doubles them each round, so slow instances (e.g. the gap
-			// preset) report honestly within the deadline instead of
-			// grinding one huge budget. The governor carries both the
-			// deadline and the SIGINT context.
-			dctx, dcancel := context.WithTimeout(ctx, *deepen)
-			defer dcancel()
-			opt := core.DeepeningOptions{Governor: budget.New(dctx, budget.Limits{Rounds: 16})}
-			opt.Initial.Sink = b.Sink
-			opt.Initial.ModelSearch.QuotientClasses = *quotient
-			var rounds int
-			res, rounds, err = core.AnalyzePresentationDeepening(p, opt)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("deepening: %d rounds within %s\n", rounds, *deepen)
-		} else {
-			res, err = core.AnalyzePresentation(p, b)
-			if err != nil {
-				fatal(err)
-			}
+		res, err := portfolio.AnalyzePresentation(p, b)
+		if err != nil {
+			fatal(err)
 		}
 		fmt.Printf("verdict: %s\n", res.Verdict)
+		if res.Winner != "" {
+			fmt.Printf("winner: %s arm (%d scheduler ticks, %d reallocation decisions)\n",
+				res.Winner, res.Ticks, len(res.Decisions))
+		}
 		fmt.Printf("reduction: schema width %d, |D| = %d, max antecedents %d\n",
 			res.Instance.Schema.Width(), len(res.Instance.D), res.Instance.MaxAntecedents())
-		switch res.Verdict {
-		case core.Implied:
-			fmt.Printf("derivation (%d steps) certifies D |= D0:\n%s", res.Derivation.Len(), res.Derivation.Format(res.Instance.Pres))
-			if res.ChaseProof != nil {
-				fmt.Printf("chase confirmation: %d rounds, %d tuples\n",
-					res.ChaseProof.Stats.Rounds, res.ChaseProof.Instance.Len())
-			}
-		case core.FiniteCounterexample:
+		switch {
+		case res.Verdict == core.Implied:
+			fmt.Printf("certifies D |= D0:\n%s", cert.Describe(res.Cert()))
+		case res.CounterModel != nil:
 			fmt.Printf("finite semigroup witness (order %d) and database (%d tuples) certify D0's failure\n",
 				res.Witness.Table.Size(), res.CounterModel.Instance.Len())
 			fmt.Printf("|P| = %d, |Q| = %d\n", len(res.CounterModel.PElems), len(res.CounterModel.QTriples))
+		case res.Counterexample != nil:
+			fmt.Printf("the chase's fixpoint (%d tuples) is a finite database that certifies D0's failure\n",
+				res.Counterexample.Len())
+		case res.GoalRefuted:
+			fmt.Println("word problem refuted (A0 = 0 does not follow equationally), but no")
+			fmt.Println("finite cancellation witness found: the instance may lie in the gap")
+			fmt.Println("between the Main Theorem's two sets")
 		default:
-			if res.GoalRefuted {
-				fmt.Println("word problem refuted (A0 = 0 does not follow equationally), but no")
-				fmt.Println("finite cancellation witness found: the instance may lie in the gap")
-				fmt.Println("between the Main Theorem's two sets")
-			} else {
-				fmt.Println("inconclusive within budget (the undecidability gap in action)")
-			}
+			fmt.Println("inconclusive within budget (the undecidability gap in action)")
+		}
+		if res.Stop.Stopped() {
+			fmt.Printf("run stopped by budget: %s\n", res.Stop)
 		}
 	default:
 		usage()

@@ -15,7 +15,7 @@ import (
 	"templatedep/internal/core"
 	"templatedep/internal/diagram"
 	"templatedep/internal/eid"
-	"templatedep/internal/finitemodel"
+	"templatedep/internal/portfolio"
 	"templatedep/internal/reduction"
 	"templatedep/internal/relation"
 	"templatedep/internal/search"
@@ -335,11 +335,12 @@ func e8() {
 func e9() {
 	header("E9 (inseparability)", "dual semidecision: who terminates on what")
 	b := core.Budget{}
-	b.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000})}
+	// A tuple ceiling under the gap reduction's round-five blow-up keeps
+	// the chase arm's leases short there.
+	b.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 16, Tuples: 1500})}
 	b.Closure = words.ClosureOptions{Governor: budget.New(nil, budget.Limits{Words: 3000}), LengthCap: 10}
 	b.ModelSearch = search.Options{Orders: budget.Range{Lo: 2, Hi: 4}, Governor: budget.New(nil, budget.Limits{Nodes: 300000})}
-	b.FiniteDB = finitemodel.Options{Sizes: budget.Range{Lo: 1, Hi: 2}}
-	fmt.Printf("%-12s %-24s %-12s\n", "instance", "verdict", "time")
+	fmt.Printf("%-12s %-24s %-14s %-12s\n", "instance", "verdict", "winner", "time")
 	for _, tc := range []struct {
 		name string
 		p    *words.Presentation
@@ -351,9 +352,9 @@ func e9() {
 		{"gap", words.IdempotentGapPresentation()},
 	} {
 		start := time.Now()
-		res, err := core.AnalyzePresentation(tc.p, b)
+		res, err := portfolio.AnalyzePresentation(tc.p, b)
 		check(err)
-		fmt.Printf("%-12s %-24s %-12s\n", tc.name, res.Verdict, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("%-12s %-24s %-14s %-12s\n", tc.name, res.Verdict, orNone(res.Winner), time.Since(start).Round(time.Millisecond))
 	}
 }
 

@@ -3,17 +3,19 @@
 // reallocated from live progress signals) on a grid of presets and writes
 // one JSON document (BENCH_portfolio.json in-repo) recording, per preset,
 // the time per run, the verdict, the winning arm and the scheduler's work,
-// and once for the whole grid the arms' hard ceilings. kb runs at the
-// engine default, as in tdserve and every other front-end, so a zero-config
-// tdserve settles the grid with the same verdicts and winners.
+// and once for the whole grid the arms' hard ceilings. kb and the
+// derivation arm run at their engine defaults, as in tdserve and every
+// other front-end, so a zero-config tdserve settles the grid with the same
+// verdicts and winners.
 //
 // The grid covers each arm that settles presentations:
 //
 //   - power is refuted by a finite counter-model (the model-search arm);
-//   - twostep and chain:2 are derivable, and Knuth–Bendix completion
-//     (the kb arm) decides them in its first lease;
-//   - collapse:4 is decided by kb alone: its alphabet makes the
-//     counter-model search exhaust its node budget.
+//   - twostep and chain:2 are derivable, and the equational closure (the
+//     derivation arm) derives A0 = 0 in its first lease;
+//   - collapse:4 is decided by Knuth–Bendix completion (the kb arm) in its
+//     first lease: the closure's opening lease does not reach 0, and the
+//     alphabet makes the counter-model search exhaust its node budget.
 //
 // The gap preset is deliberately absent: no arm settles it, and its chase
 // rounds outgrow memory before the tuple meter can stop them (ROADMAP,
@@ -41,7 +43,8 @@ type portfolioWorkload struct {
 	Name    string  `json:"name"`
 	NsPerOp float64 `json:"ns_per_op"`
 	Verdict string  `json:"verdict"`
-	// Winner names the settling arm ("kb", "model-search", "chase").
+	// Winner names the settling arm ("derivation", "kb", "model-search",
+	// "chase").
 	Winner string `json:"winner,omitempty"`
 	// Ticks and Decisions report the scheduler's work.
 	Ticks     int `json:"ticks"`
@@ -72,15 +75,15 @@ type portfolioReport struct {
 // requires of it.
 var portfolioGrid = []struct{ preset, verdict, winner string }{
 	{"power", "finite-counterexample", "model-search"},
-	{"twostep", "implied", "kb"},
-	{"chain:2", "implied", "kb"},
+	{"twostep", "implied", "derivation"},
+	{"chain:2", "implied", "derivation"},
 	{"collapse:4", "implied", "kb"},
 }
 
 // portfolioBenchCeilings are the grid's arm ceilings: a 300k-node budget
 // over semigroup orders 2–6 for the counter-model search, the
-// tdinfer-default chase meters for the chase arm, and the engine default
-// for completion.
+// tdinfer-default chase meters for the chase arm, and the engine defaults
+// for completion and the closure.
 var portfolioBenchCeilings = portfolioCeilings{
 	ChaseRounds: 64, ChaseTuples: 100_000,
 	ModelSearchNodes: 300_000, ModelSearchOrders: [2]int{2, 6},
@@ -88,7 +91,8 @@ var portfolioBenchCeilings = portfolioCeilings{
 }
 
 // portfolioBenchBudget builds a fresh budget at portfolioBenchCeilings;
-// kb's governor stays nil, which means rewrite.DefaultLimits.
+// kb's and the closure's governors stay nil, which means
+// rewrite.DefaultLimits and words.DefaultLimits.
 func portfolioBenchBudget() core.Budget {
 	c := portfolioBenchCeilings
 	b := core.Budget{}

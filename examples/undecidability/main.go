@@ -1,24 +1,29 @@
 // Undecidability: the paper's Main Theorem made executable. Three word
 // problem instances are pushed through the Gurevich–Lewis reduction; the
-// dual semidecision procedure certifies one as IMPLIED (with an explicit
-// derivation and chase proof), one as having a FINITE COUNTEREXAMPLE (with
-// an explicit finite semigroup and database), and leaves the third —
-// an instance in neither of the effectively inseparable sets — UNKNOWN.
+// adaptive portfolio certifies one as IMPLIED (with an explicit
+// derivation of A0 = 0), one as having a FINITE COUNTEREXAMPLE (with an
+// explicit finite semigroup and database), and leaves the third — an
+// instance in neither of the effectively inseparable sets — UNKNOWN.
 package main
 
 import (
 	"fmt"
 	"log"
-	"templatedep/internal/budget"
 
+	"templatedep/internal/budget"
+	"templatedep/internal/cert"
 	"templatedep/internal/chase"
 	"templatedep/internal/core"
+	"templatedep/internal/portfolio"
 	"templatedep/internal/words"
 )
 
 func main() {
 	b := core.Budget{}
-	b.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 12, Tuples: 60000})}
+	// The gap instance's chase roughly squares its instance every round;
+	// a tuple ceiling under its round-five blow-up keeps that arm's leases
+	// short.
+	b.Chase = chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 16, Tuples: 1500})}
 	b.Closure = words.ClosureOptions{Governor: budget.New(nil, budget.Limits{Words: 5000}), LengthCap: 10}
 
 	cases := []struct {
@@ -39,7 +44,7 @@ func main() {
 		fmt.Printf("presentation:\n%s", words.FormatSpec(c.p, true))
 		fmt.Printf("why: %s\n", c.why)
 
-		res, err := core.AnalyzePresentation(c.p, b)
+		res, err := portfolio.AnalyzePresentation(c.p, b)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,11 +54,7 @@ func main() {
 
 		switch res.Verdict {
 		case core.Implied:
-			fmt.Printf("derivation (%d steps):\n%s", res.Derivation.Len(), res.Derivation.Format(res.Instance.Pres))
-			if res.ChaseProof != nil {
-				fmt.Printf("chase proof: %d rounds, %d tuples in the canonical database\n",
-					res.ChaseProof.Stats.Rounds, res.ChaseProof.Instance.Len())
-			}
+			fmt.Printf("won by the %s arm; its certificate:\n%s", res.Winner, cert.Describe(res.Cert()))
 		case core.FiniteCounterexample:
 			fmt.Printf("finite semigroup witness (order %d):\n%s",
 				res.Witness.Table.Size(), res.Witness.Table.String())

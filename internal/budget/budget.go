@@ -32,8 +32,8 @@ import (
 type Resource uint8
 
 const (
-	// Rounds counts chase rounds, completion iterations, and deepening
-	// rounds — one unit per outer fixpoint pass.
+	// Rounds counts chase rounds and completion iterations — one unit per
+	// outer fixpoint pass.
 	Rounds Resource = iota
 	// Tuples counts rows materialized into a chase instance.
 	Tuples
@@ -253,8 +253,8 @@ func (g *Governor) Limits() Limits { return g.limits }
 
 // Child derives a governor that shares the parent's context — cancelling
 // the parent cancels every child — but meters independently under its own
-// limits. Iterative deepening grows child limits between rounds instead of
-// mutating engine options in place.
+// limits. The portfolio grows its arms' child limits between leases
+// instead of mutating engine options in place.
 func (g *Governor) Child(l Limits) *Governor {
 	return New(g.ctx, l)
 }

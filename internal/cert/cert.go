@@ -35,8 +35,9 @@
 // proof.
 //
 // Check (check.go) never trusts engine internals: it re-parses the
-// embedded problem, deterministically rebuilds the Gurevich–Lewis
-// reduction for presentation problems, and re-validates the payload with
+// embedded problem, deterministically re-normalizes a presentation
+// problem (and rebuilds the Gurevich–Lewis reduction for a chase or
+// finite-model payload), and re-validates the payload with
 // the independent validators (words.Derivation.Validate,
 // chase.ValidateTrace, direct td.Satisfies evaluation).
 package cert
@@ -74,7 +75,8 @@ const (
 // Exactly one form is populated: a presentation (alphabet/a0/zero/
 // equations, mirroring the serving layer's wire form) or a TD instance
 // (schema/deps/goal in td.Parse notation). Presentation problems are
-// checked against the deterministic rebuild of the reduction's (D, D0).
+// checked against the deterministic rebuild of the normalized presentation
+// (derivations) or of the reduction's (D, D0) (chase and finite models).
 type Problem struct {
 	Alphabet  []string `json:"alphabet,omitempty"`
 	A0        string   `json:"a0,omitempty"`
@@ -170,8 +172,8 @@ func TDProblem(schema *relation.Schema, deps []*td.TD, goal *td.TD) Problem {
 }
 
 // NewDerivation builds a derivation certificate. The derivation must be
-// over pres — the presentation the checker will rebuild from doc (for the
-// reduction pipeline, the normalized in.Pres).
+// over pres — the presentation the checker will rebuild from doc
+// (reduction.Normalize of the problem's presentation).
 func NewDerivation(doc Problem, pres *words.Presentation, d *words.Derivation) *Certificate {
 	if d == nil {
 		return nil

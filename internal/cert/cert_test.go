@@ -11,11 +11,11 @@ import (
 	"templatedep/internal/words"
 )
 
-// impliedPresentationCert runs the presentation pipeline on a derivable
+// impliedPresentationCert runs the presentation portfolio on a derivable
 // instance and returns its certificate after an encode/decode round trip.
 func impliedPresentationCert(t *testing.T) *cert.Certificate {
 	t.Helper()
-	res, err := core.AnalyzePresentation(words.TwoStepPresentation(), core.Budget{})
+	res, err := portfolio.AnalyzePresentation(words.TwoStepPresentation(), core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,11 +25,11 @@ func impliedPresentationCert(t *testing.T) *cert.Certificate {
 	return roundTrip(t, res.Cert())
 }
 
-// fcexPresentationCert runs the pipeline on the power presentation (finite
+// fcexPresentationCert runs the portfolio on the power presentation (finite
 // counterexample N3) and round-trips its certificate.
 func fcexPresentationCert(t *testing.T) *cert.Certificate {
 	t.Helper()
-	res, err := core.AnalyzePresentation(words.PowerPresentation(), core.Budget{})
+	res, err := portfolio.AnalyzePresentation(words.PowerPresentation(), core.Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

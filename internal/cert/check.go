@@ -15,11 +15,13 @@ import (
 
 // Check verifies a certificate against its own embedded problem, trusting
 // nothing from the engine that produced it. The problem is re-parsed from
-// its wire form; for presentation problems the Gurevich–Lewis reduction is
-// rebuilt (reduction.Build is deterministic, so the rebuilt (D, D0) is the
-// instance the certificate is about); and the payload is re-validated by
-// the independent checkers — the derivation validator, the chase trace
-// replayer, or direct dependency/goal evaluation over the listed tuples.
+// its wire form; for presentation problems the presentation is normalized
+// (reduction.Normalize) and, for chase and finite-model certificates, the
+// Gurevich–Lewis reduction is rebuilt (reduction.Build is deterministic, so
+// the rebuilt (D, D0) is the instance the certificate is about); and the
+// payload is re-validated by the independent checkers — the derivation
+// validator, the chase trace replayer, or direct dependency/goal
+// evaluation over the listed tuples.
 // A nil error means the certificate PROVES its verdict for its problem.
 func Check(c *Certificate) error {
 	if c == nil {
@@ -118,18 +120,26 @@ func (p Problem) tdInstance() (*relation.Schema, []*td.TD, *td.TD, error) {
 	return schema, deps, goal, nil
 }
 
+// checkPresentation checks a derivation against the normalized
+// presentation alone (reduction.Normalize); only chase and finite-model
+// certificates, which are about (D, D0) itself, rebuild the reduction.
 func (c *Certificate) checkPresentation() error {
 	p, err := c.Problem.presentation()
 	if err != nil {
 		return err
+	}
+	if c.Kind == KindDerivation {
+		norm, err := reduction.Normalize(p)
+		if err != nil {
+			return fmt.Errorf("cert: normalizing presentation: %w", err)
+		}
+		return checkDerivation(norm, c.Derivation)
 	}
 	in, err := reduction.Build(p)
 	if err != nil {
 		return fmt.Errorf("cert: rebuilding reduction: %w", err)
 	}
 	switch c.Kind {
-	case KindDerivation:
-		return checkDerivation(in.Pres, c.Derivation)
 	case KindChase:
 		return checkChase(in.D, in.D0, c.Chase)
 	default:
@@ -162,7 +172,7 @@ func (c *Certificate) checkTD() error {
 }
 
 // checkDerivation re-validates an equational proof of the goal A0 = 0 over
-// the (rebuilt, normalized) presentation.
+// the normalized presentation.
 func checkDerivation(p *words.Presentation, d *Derivation) error {
 	a := p.Alphabet
 	from, err := words.ParseWord(a, d.From)

@@ -36,6 +36,7 @@ import (
 	"templatedep/internal/finitemodel"
 	"templatedep/internal/obs"
 	"templatedep/internal/portfolio"
+	"templatedep/internal/reduction"
 	"templatedep/internal/rewrite"
 	"templatedep/internal/search"
 	"templatedep/internal/words"
@@ -220,10 +221,10 @@ func (opt Options) eidOptions() eid.Options {
 }
 
 // Presentation reductions have wide schemas (a TM encoding builds ~170
-// dependencies), so a full chase budget explodes in the first join. As in
-// the core tests, the chase gets a token budget there — the derivation,
+// dependencies), so a full chase budget explodes in the first join. The
+// portfolio's chase arm gets a token budget there — the derivation,
 // completion, and model-search arms carry presentation instances, and the
-// chase confirmation simply reports unknown when it cannot finish.
+// chase arm simply retires at its ceiling.
 func (opt Options) presChaseOptions() chase.Options {
 	return chase.Options{Governor: gov(budget.Limits{Rounds: 1, Tuples: 50})}
 }
@@ -339,26 +340,38 @@ func runPresentation(in corpus.Instance, opt Options) ([]engineOut, error) {
 		outs = append(outs, engineOut{name: name, verdict: verdict, cert: c, ns: time.Since(start).Nanoseconds()})
 		return nil
 	}
-	// Both engines certify here: seq's definitive verdicts carry a
-	// derivation or a verified counter-model, the portfolio's the proof of
-	// its winning arm (a kb derivation, a chase sequence, or a database).
-	if err := run("seq", func() (string, *cert.Certificate, error) {
-		res, err := core.AnalyzePresentation(in.Pres, core.Budget{
-			Chase:       opt.presChaseOptions(),
-			Closure:     opt.closureOptions(),
-			ModelSearch: opt.modelSearchOptions(),
-			Completion:  opt.completionOptions(),
-		})
+	// The closure and the model search run standalone, as the references
+	// the portfolio's derivation and model-search arms are checked against
+	// (as eid.Chase and the standalone finite-db are on TD instances); the
+	// portfolio certifies.
+	if err := run("derivation", func() (string, *cert.Certificate, error) {
+		norm, err := reduction.Normalize(in.Pres)
 		if err != nil {
 			return "", nil, err
 		}
-		return res.Verdict.String(), res.Cert(), nil
+		if words.DeriveGoal(norm, opt.closureOptions()).Verdict == words.Derivable {
+			return "implied", nil, nil
+		}
+		return "unknown", nil, nil
+	}); err != nil {
+		return nil, err
+	}
+	if err := run("model-search", func() (string, *cert.Certificate, error) {
+		res, err := search.FindCounterModel(in.Pres, opt.modelSearchOptions())
+		if err != nil {
+			return "", nil, err
+		}
+		if res.Interpretation != nil {
+			return "finite-counterexample", nil, nil
+		}
+		return "unknown", nil, nil
 	}); err != nil {
 		return nil, err
 	}
 	if err := run("portfolio", func() (string, *cert.Certificate, error) {
 		res, err := portfolio.AnalyzePresentation(in.Pres, core.Budget{
 			Chase:       opt.presChaseOptions(),
+			Closure:     opt.closureOptions(),
 			ModelSearch: opt.modelSearchOptions(),
 			Completion:  opt.completionOptions(),
 		})

@@ -33,7 +33,7 @@ type EventType string
 
 // Event types emitted by the engine layers. The Src field of an Event
 // tells which layer emitted it ("chase", "search", "finitemodel",
-// "rewrite", "core", "serve").
+// "rewrite", "portfolio", "serve").
 const (
 	// EvRoundStart opens a fair chase round. Fields: Round, Tuples
 	// (instance size entering the round).
@@ -74,20 +74,14 @@ const (
 	// completion. Fields: Iter (completion sweep), Rules (total rules
 	// after the addition).
 	EvRuleAdded EventType = "rule_added"
-	// EvArmStart reports that a dual-semidecision arm began work. From the
-	// presentation pipeline (Src "core") Arm is "derivation" or
-	// "model-search"; from the adaptive portfolio (Src "portfolio") Arm names the engine
-	// arm ("kb", "model-search", "chase", "finite-db") and the event
-	// opens one budget lease. Fields: Arm, Round (deepening round, or the
-	// portfolio scheduler tick; 0 outside both).
+	// EvArmStart reports that an arm of the adaptive portfolio (Src
+	// "portfolio") opens one budget lease. Arm names the engine arm
+	// ("derivation", "kb", "model-search", "chase", "parity",
+	// "finite-db"). Fields: Arm, Round (the scheduler tick).
 	EvArmStart EventType = "arm_start"
-	// EvArmResult reports an arm's outcome: the pipeline arm's result, or
-	// the close of one portfolio lease. Fields: Arm, Round, Verdict (the
-	// arm-level outcome string).
+	// EvArmResult reports the close of one portfolio lease. Fields: Arm,
+	// Round, Verdict (the arm-level outcome string).
 	EvArmResult EventType = "arm_result"
-	// EvDeepenRound closes one iterative-deepening round. Fields: Round,
-	// Verdict (that round's verdict).
-	EvDeepenRound EventType = "deepen_round"
 	// EvBudgetExhausted reports that the emitting layer stopped because a
 	// governor meter reached its limit. Emitted before the layer's verdict
 	// event so partial traces stay closed. Fields: Round (progress at the
@@ -199,10 +193,10 @@ type Event struct {
 	// Type discriminates the payload.
 	Type EventType `json:"type"`
 	// Src is the emitting layer: "chase", "search", "finitemodel",
-	// "rewrite", "core", "portfolio", "serve", "store", or "difffuzz".
+	// "rewrite", "portfolio", "serve", "store", or "difffuzz".
 	Src string `json:"src"`
-	// Round is 1-based (chase fair round, deepening round); 0 when not
-	// applicable.
+	// Round is 1-based (chase fair round, portfolio scheduler tick); 0
+	// when not applicable.
 	Round int `json:"round,omitempty"`
 	// Dep is the dependency index within the engine's input set.
 	Dep int `json:"dep,omitempty"`

@@ -22,9 +22,8 @@ func allEvents() []Event {
 		{Type: EvSearchNode, Src: "search", Order: 3, N: 4096},
 		{Type: EvSearchNode, Src: "finitemodel", Order: 2, N: 32},
 		{Type: EvRuleAdded, Src: "rewrite", Iter: 2, Rules: 17},
-		{Type: EvArmStart, Src: "core", Arm: "derivation", Round: 1},
-		{Type: EvArmResult, Src: "core", Arm: "derivation", Round: 1, Verdict: "not-derivable"},
-		{Type: EvDeepenRound, Src: "core", Round: 1, Verdict: "unknown"},
+		{Type: EvArmStart, Src: "portfolio", Arm: "derivation", Round: 1},
+		{Type: EvArmResult, Src: "portfolio", Arm: "derivation", Round: 1, Verdict: "not-derivable"},
 		{Type: EvBudgetExhausted, Src: "search", Round: 0, Resource: "nodes"},
 		{Type: EvCancelled, Src: "words", Round: 0, Resource: "deadline"},
 		{Type: EvPortfolioRealloc, Src: "portfolio", Arm: "kb", Resource: "rules", Old: 32, New: 64, Signal: "fed", Round: 2},
@@ -160,23 +159,22 @@ func TestCounterSink(t *testing.T) {
 		s.Event(e)
 	}
 	for name, want := range map[string]int64{
-		"chase.rounds":             1,
-		"chase.delta_tuples":       3,
-		"chase.triggers_fired":     9,
-		"chase.tuples_added":       3,
-		"chase.dep.0.fired":        4,
-		"chase.dep.2.added":        1,
-		"chase.nulls_created":      6,
-		"chase.homomorphisms":      13,
-		"search.nodes":             4096,
-		"finitemodel.nodes":        32,
-		"rewrite.rules_added":      1,
-		"core.arm.derivation.runs": 1,
-		"core.deepen_rounds":       1,
-		"chase.verdicts":           1,
-		"portfolio.reallocs":       2,
-		"portfolio.granted.rules":  32,
-		"portfolio.withheld":       1,
+		"chase.rounds":                  1,
+		"chase.delta_tuples":            3,
+		"chase.triggers_fired":          9,
+		"chase.tuples_added":            3,
+		"chase.dep.0.fired":             4,
+		"chase.dep.2.added":             1,
+		"chase.nulls_created":           6,
+		"chase.homomorphisms":           13,
+		"search.nodes":                  4096,
+		"finitemodel.nodes":             32,
+		"rewrite.rules_added":           1,
+		"portfolio.arm.derivation.runs": 1,
+		"chase.verdicts":                1,
+		"portfolio.reallocs":            2,
+		"portfolio.granted.rules":       32,
+		"portfolio.withheld":            1,
 	} {
 		if got := c.Get(name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)

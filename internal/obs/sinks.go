@@ -94,9 +94,6 @@ func (s *JSONLSink) Event(e Event) {
 		b = appendStr(b, "arm", e.Arm)
 		appendInt("round", e.Round)
 		b = appendStr(b, "verdict", e.Verdict)
-	case EvDeepenRound:
-		appendInt("round", e.Round)
-		b = appendStr(b, "verdict", e.Verdict)
 	case EvBudgetExhausted, EvCancelled:
 		appendInt("round", e.Round)
 		b = appendStr(b, "resource", e.Resource)
@@ -306,8 +303,6 @@ func (s *CounterSink) Event(e Event) {
 		default:
 			s.C.Add("portfolio.retired", 1)
 		}
-	case EvDeepenRound:
-		s.C.Add("core.deepen_rounds", 1)
 	case EvBudgetExhausted:
 		s.C.Add(e.Src+".budget_exhausted", 1)
 	case EvCancelled:
@@ -384,7 +379,6 @@ type ProgressSink struct {
 	// accumulated state.
 	round, tuples, delta int
 	nodes, order         int
-	deepen               int
 	arm                  string
 	events               int
 }
@@ -416,11 +410,8 @@ func (p *ProgressSink) Event(e Event) {
 	case EvArmResult:
 		p.arm = e.Arm + ":" + e.Verdict
 		redraw = true
-	case EvDeepenRound:
-		p.deepen = e.Round
-		redraw = true
 	case EvVerdict:
-		if e.Src == "core" || e.Src == "chase" {
+		if e.Src == "portfolio" || e.Src == "chase" {
 			redraw = true
 		}
 	}
@@ -432,9 +423,6 @@ func (p *ProgressSink) Event(e Event) {
 func (p *ProgressSink) draw() {
 	line := fmt.Sprintf("round %d  tuples %d  delta %d  search %d nodes (order %d)",
 		p.round, p.tuples, p.delta, p.nodes, p.order)
-	if p.deepen > 0 {
-		line = fmt.Sprintf("deepen %d  %s", p.deepen, line)
-	}
 	if p.arm != "" {
 		line += "  arm " + p.arm
 	}

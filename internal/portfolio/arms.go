@@ -48,6 +48,50 @@ func rateHealth(rate float64, last *float64, has *bool) armHealth {
 	}
 }
 
+// derivationArm runs the equational closure (words.DeriveGoal) on the
+// normalized presentation: a derivation of A0 = 0 wins Implied by
+// Reduction Theorem (A), and is the run's certificate. Each lease re-runs
+// the breadth-first closure under its cumulative words grant, inside a
+// word-length window that opens at 8 and widens by 2 after every lease the
+// window, not the words grant, cut short, up to the caller's LengthCap
+// (zero or less means 12). A closure that exhausts A0's class with no
+// expansion cut off refutes the goal, and so does a kb arm that already
+// has; either retires the arm "refuted" with GoalRefuted set. A truncated
+// class at the widest window retires it "covered".
+func derivationArm(p *words.Presentation, b core.Budget, res *Result, scale int) *arm {
+	widest := b.Closure.LengthCap
+	if widest <= 0 {
+		widest = 12
+	}
+	window := min(8, widest)
+	a := &arm{
+		name:        "derivation",
+		meter:       budget.Words,
+		cur:         budget.Limits{Words: 512 * scale},
+		max:         armCeilings(b.Closure.Governor, words.DefaultLimits),
+		derivesGoal: true,
+	}
+	a.run = func(g *budget.Governor) (leaseResult, error) {
+		dres := words.DeriveGoal(p, words.ClosureOptions{Governor: g, LengthCap: window})
+		verdict := dres.Verdict.String()
+		switch {
+		case dres.Verdict == words.Derivable:
+			res.derivation = dres.Derivation
+			return leaseResult{win: core.Implied, verdict: verdict}, nil
+		case dres.Verdict == words.NotDerivable:
+			res.GoalRefuted = true
+			return leaseResult{done: true, note: "refuted", verdict: verdict}, nil
+		case dres.Budget.Stopped():
+			return leaseResult{health: healthStalling, verdict: verdict, outcome: dres.Budget}, nil
+		case window >= widest:
+			return leaseResult{done: true, note: "covered", verdict: verdict}, nil
+		}
+		window = min(window+2, widest)
+		return leaseResult{health: healthConverging, verdict: verdict}, nil
+	}
+	return a
+}
+
 // kbArm runs Knuth–Bendix completion on one persistent System. Rules are
 // re-charged by Complete at the top of every call, so the lease's rules
 // cap reads cumulatively; sweeps are charged per call, so the rounds cap
@@ -299,12 +343,16 @@ func parityArm(deps []*td.TD, d0 *td.TD, b core.Budget, res *Result) *arm {
 	return a
 }
 
-// AnalyzePresentation runs the presentation-level portfolio: Knuth–Bendix
-// completion, the finite counter-model search, and the chase on the
-// reduction's (D, D0), in that fixed scheduling order. Completion leads
-// because a confluent system settles the word problem in one decision
-// procedure call — the cheapest possible win when it exists — and the
-// moment it completes, every other arm is retired in the same tick.
+// AnalyzePresentation runs the presentation-level portfolio: the
+// equational closure, Knuth–Bendix completion, the finite counter-model
+// search, and the chase on the reduction's (D, D0), in that fixed
+// scheduling order. The closure leads because it is the cheapest win on
+// derivable presentations: its opening lease settles every derivable
+// preset but collapse:3 and collapse:4, and it is the arm that settles the
+// Turing-machine encodings, on which completion never becomes confluent.
+// Completion follows: a confluent system settles the word problem in one
+// decision procedure call, and the moment it completes, every other arm is
+// retired in the same tick.
 func AnalyzePresentation(p *words.Presentation, b core.Budget) (*Result, error) {
 	return analyzePresentation(p, b, 1)
 }
@@ -320,6 +368,7 @@ func analyzePresentation(p *words.Presentation, b core.Budget, scale int) (*Resu
 	}
 	res := &Result{Instance: in}
 	arms := []*arm{
+		derivationArm(in.Pres, b, res, scale),
 		kbArm(rewrite.FromPresentation(in.Pres), b, res, scale),
 		modelSearchArm(p, in, b, res, scale),
 		chaseArm(in.D, in.D0, b, res, scale),

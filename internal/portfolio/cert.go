@@ -6,9 +6,10 @@ import (
 )
 
 // Cert returns the run's certificate, serialized on demand from the proof
-// the winning arm kept — a kb derivation of A0 = 0, the winning chase
-// lease's own sequence, or the counterexample database (with the semigroup
-// witness when the model search found it); nothing is proved again.
+// the winning arm kept — the closure's or kb's derivation of A0 = 0, the
+// winning chase lease's own sequence, or the counterexample database (with
+// the semigroup witness when the model search found it); nothing is proved
+// again.
 // Presentation runs embed the ORIGINAL presentation. Nil for Unknown.
 func (r *Result) Cert() *cert.Certificate {
 	var doc cert.Problem
@@ -21,7 +22,7 @@ func (r *Result) Cert() *cert.Certificate {
 		doc = cert.TDProblem(r.d0.Schema(), r.deps, r.d0)
 	}
 	switch {
-	case r.Winner == "kb":
+	case r.Winner == "derivation" || r.Winner == "kb":
 		return cert.NewDerivation(doc, r.Instance.Pres, r.derivation)
 	case r.Winner == "chase" && r.Verdict == core.Implied:
 		return cert.NewChase(doc, r.Chase.Proof())

@@ -1,24 +1,25 @@
-package core_test
+package portfolio_test
 
 import (
 	"fmt"
 
 	"templatedep/internal/core"
+	"templatedep/internal/portfolio"
 	"templatedep/internal/words"
 )
 
 func ExampleAnalyzePresentation() {
 	// The two-step instance: A0 = b·c = 0 is derivable, so by Reduction
 	// Theorem (A) the generated dependency set implies D0.
-	res, err := core.AnalyzePresentation(words.TwoStepPresentation(), core.Budget{})
+	res, err := portfolio.AnalyzePresentation(words.TwoStepPresentation(), core.Budget{})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("verdict:", res.Verdict)
-	fmt.Println("derivation steps:", res.Derivation.Len())
+	fmt.Println("verdict:", res.Verdict, "won by", res.Winner)
+	fmt.Println("derivation steps:", len(res.Cert().Derivation.Steps))
 	fmt.Println("dependencies:", len(res.Instance.D))
 	// Output:
-	// verdict: implied
+	// verdict: implied won by derivation
 	// derivation steps: 2
 	// dependencies: 36
 }
@@ -26,15 +27,15 @@ func ExampleAnalyzePresentation() {
 func ExampleAnalyzePresentation_counterexample() {
 	// {A0·A0 = B}: falsified by a finite cancellation semigroup, so by
 	// part (B) a finite database separates D from D0.
-	res, err := core.AnalyzePresentation(words.PowerPresentation(), core.Budget{})
+	res, err := portfolio.AnalyzePresentation(words.PowerPresentation(), core.Budget{})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("verdict:", res.Verdict)
+	fmt.Println("verdict:", res.Verdict, "won by", res.Winner)
 	fmt.Println("witness order:", res.Witness.Table.Size())
 	fmt.Println("database tuples:", res.CounterModel.Instance.Len())
 	// Output:
-	// verdict: finite-counterexample
+	// verdict: finite-counterexample won by model-search
 	// witness order: 2
 	// database tuples: 3
 }

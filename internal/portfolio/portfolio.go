@@ -2,18 +2,18 @@
 // portfolio under a single parent budget, reallocating meter headroom
 // between the arms as live progress signals come in.
 //
-// It is the repository's one inference front-end: tdinfer, tdserve and the
-// differential fuzzer's TD certificate producer all run through it, each
-// configuring the run with one core.Budget (its zero value runs every arm
-// under its engine's default ceilings with no parent pool). Rather
-// than give each engine a fixed budget up front, or grow every budget on
-// one schedule whether the engine is converging or thrashing, it governs
-// the engines as a portfolio:
+// It is the repository's one inference front-end: tdinfer, tdserve, sgword
+// analyze and the differential fuzzer's certificate producer all run
+// through it, each configuring the run with one core.Budget (its zero
+// value runs every arm under its engine's default ceilings with no parent
+// pool). Rather than give each engine a fixed budget up front, or grow
+// every budget on one schedule whether the engine is converging or
+// thrashing, it governs the engines as a portfolio:
 //
-//   - every arm (Knuth–Bendix completion, finite counter-model search, the
-//     chase, the parity countermodels, the finite-database enumerator)
-//     holds a cumulative budget LEASE — a child governor of the parent pool
-//     capping the arm's dominant meter;
+//   - every arm (the equational closure, Knuth–Bendix completion, finite
+//     counter-model search, the chase, the parity countermodels, the
+//     finite-database enumerator) holds a cumulative budget LEASE — a
+//     child governor of the parent pool capping the arm's dominant meter;
 //   - a scheduler ticks through the arms, and at each tick decides, from
 //     each arm's own progress signals, whether to feed the arm (grow its
 //     lease fast), grow it steadily, or starve it (withhold growth and
@@ -21,10 +21,10 @@
 //   - the first definitive verdict retires every other arm immediately,
 //     and a KB completion that decides the goal ends the run in the same
 //     tick it completes in;
-//   - the winning arm leaves its proof in the Result — kb its derivation
-//     of A0 = 0, the chase its own labelled instance, the searches and the
-//     parity arm their databases — and Result.Cert serializes it on
-//     demand, so a win is never proved a second time;
+//   - the winning arm leaves its proof in the Result — the closure and kb
+//     their derivations of A0 = 0, the chase its own labelled instance,
+//     the searches and the parity arm their databases — and Result.Cert
+//     serializes it on demand, so a win is never proved a second time;
 //   - every decision — grants, withheld grants, retirements — is emitted
 //     as a typed portfolio_realloc observability event carrying the arm,
 //     the meter, the old and new cumulative grant, and the driving signal,
@@ -71,10 +71,10 @@
 // probe lease at an aggressively grown grant, so on instances where the
 // early signals mislead, the portfolio still deepens every arm
 // geometrically and remains complete in the limit on both of the Main
-// Theorem's sets. An arm retires only for a structural reason (completion
-// refuted the goal, a search covered its whole window, the parity arm
-// tried every column set) or when its lease already sits at the arm's
-// hard ceiling and still exhausts.
+// Theorem's sets. An arm retires only for a structural reason (the closure
+// or completion refuted the goal, the closure or a search covered its
+// whole window, the parity arm tried every column set) or when its lease
+// already sits at the arm's hard ceiling and still exhausts.
 package portfolio
 
 import (
@@ -117,8 +117,8 @@ const (
 type Decision struct {
 	// Tick is the scheduler pass the decision was taken in.
 	Tick int
-	// Arm names the arm: "kb", "model-search", "chase", "parity",
-	// "finite-db".
+	// Arm names the arm: "derivation", "kb", "model-search", "chase",
+	// "parity", "finite-db".
 	Arm string
 	// Meter is the resource whose cumulative grant the decision changes.
 	Meter budget.Resource
@@ -155,7 +155,8 @@ type Result struct {
 	Verdict core.Verdict
 	// Winner names the arm that produced the verdict; "" for Unknown.
 	Winner string
-	// GoalRefuted reports that Knuth–Bendix completion became confluent
+	// GoalRefuted reports that the equational closure exhausted A0's class
+	// without meeting 0, or that Knuth–Bendix completion became confluent
 	// and decided the word problem negatively: derivability of A0 = 0 is
 	// definitively refuted, which rules out certifying implication via
 	// Reduction Theorem (A) but does NOT settle the TD question (the gap
@@ -183,8 +184,8 @@ type Result struct {
 	// the run ended by verdict or by every arm retiring.
 	Stop budget.Outcome
 
-	// derivation is a kb win's proof of A0 = 0 over Instance.Pres; deps
-	// and d0 are a TD run's problem.
+	// derivation is a derivation or kb win's proof of A0 = 0 over
+	// Instance.Pres; deps and d0 are a TD run's problem.
 	derivation *words.Derivation
 	deps       []*td.TD
 	d0         *td.TD
@@ -232,6 +233,10 @@ type arm struct {
 	cur, max budget.Limits
 	// run executes one lease under g; g's limits are a.cur.
 	run func(g *budget.Governor) (leaseResult, error)
+	// derivesGoal marks an arm that can only win by deriving A0 = 0: once
+	// another arm has refuted the goal (Result.GoalRefuted), the scheduler
+	// retires it "refuted" instead of running another lease.
+	derivesGoal bool
 
 	done    bool
 	note    string
@@ -350,6 +355,10 @@ func run(arms []*arm, b core.Budget, res *Result) (*Result, error) {
 			}
 			if o := parent.Interrupted(); o.Stopped() {
 				return interrupted(tick, o)
+			}
+			if a.derivesGoal && res.GoalRefuted {
+				retire(tick, a, "refuted")
+				continue
 			}
 
 			// Retirement check first: if the last lease exhausted a meter

@@ -11,7 +11,9 @@ import (
 	"templatedep/internal/cert"
 	"templatedep/internal/core"
 	"templatedep/internal/obs"
+	"templatedep/internal/search"
 	"templatedep/internal/td"
+	"templatedep/internal/tm"
 	"templatedep/internal/words"
 )
 
@@ -50,23 +52,24 @@ func TestAnalyzeVerdicts(t *testing.T) {
 	for _, tc := range []struct {
 		preset string
 		want   core.Verdict
+		winner string
 	}{
-		{"twostep", core.Implied},
-		{"chain:3", core.Implied},
-		{"power", core.FiniteCounterexample},
-		{"collapse:4", core.Implied},
-		{"gap", core.Unknown},
+		{"twostep", core.Implied, "derivation"},
+		{"chain:3", core.Implied, "derivation"},
+		{"chain:6", core.Implied, "derivation"},
+		{"collapse:2", core.Implied, "derivation"},
+		{"power", core.FiniteCounterexample, "model-search"},
+		{"collapse:3", core.Implied, "kb"},
+		{"collapse:4", core.Implied, "kb"},
+		{"gap", core.Unknown, ""},
 	} {
 		b := core.Budget{}
 		if tc.preset == "gap" {
 			b = tight()
 		}
 		res := analyze(t, tc.preset, b)
-		if res.Verdict != tc.want {
-			t.Errorf("%s: verdict %v (winner %q), want %v", tc.preset, res.Verdict, res.Winner, tc.want)
-		}
-		if res.Verdict != core.Unknown && res.Winner == "" {
-			t.Errorf("%s: definitive verdict with no winner", tc.preset)
+		if res.Verdict != tc.want || res.Winner != tc.winner {
+			t.Errorf("%s: verdict %v won by %q, want %v won by %q", tc.preset, res.Verdict, res.Winner, tc.want, tc.winner)
 		}
 	}
 }
@@ -84,6 +87,124 @@ func TestAnalyzeCertificates(t *testing.T) {
 	}
 	if !res.GoalRefuted {
 		t.Error("power's goal is finitely refutable; want GoalRefuted")
+	}
+}
+
+// A finitely refutable presentation ends with a counter-model whose
+// database violates D0.
+func TestAnalyzePresentationCounterexample(t *testing.T) {
+	res, err := AnalyzePresentation(words.PowerPresentation(), core.Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != core.FiniteCounterexample {
+		t.Fatalf("verdict %v", res.Verdict)
+	}
+	if res.CounterModel == nil || res.Witness == nil {
+		t.Fatal("missing counterexample artifacts")
+	}
+	// The database-level counterexample is verified inside; spot-check D0.
+	if ok, _ := res.Instance.D0.Satisfies(res.CounterModel.Instance); ok {
+		t.Error("counter-model satisfies D0")
+	}
+}
+
+// The idempotent-gap instance lies in neither set; with finite budgets on
+// the closure and the model search the result must be Unknown. The chase
+// ceiling is tight()'s, which keeps gap's chase leases short.
+func TestAnalyzePresentationUnknownGap(t *testing.T) {
+	b := tight()
+	b.Closure = words.ClosureOptions{Governor: budget.New(nil, budget.Limits{Words: 300}), LengthCap: 8}
+	b.ModelSearch = search.Options{Orders: budget.Range{Lo: 2, Hi: 4}, Governor: budget.New(nil, budget.Limits{Nodes: 200000})}
+	res, err := AnalyzePresentation(words.IdempotentGapPresentation(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != core.Unknown {
+		t.Fatalf("verdict %v — the gap instance must stay undecided", res.Verdict)
+	}
+}
+
+// A derivable presentation is won by the derivation arm in its opening
+// lease, and its certificate is the closure's derivation of A0 = 0.
+func TestAnalyzePresentationImplied(t *testing.T) {
+	res := analyze(t, "twostep", core.Budget{})
+	if res.Verdict != core.Implied || res.Winner != "derivation" || res.Ticks != 1 {
+		t.Fatalf("verdict %v won by %q in %d ticks, want implied by derivation in 1", res.Verdict, res.Winner, res.Ticks)
+	}
+	c := res.Cert()
+	if c == nil || c.Kind != cert.KindDerivation {
+		t.Fatalf("certificate %v, want a derivation", c)
+	}
+	if err := cert.Check(c); err != nil {
+		t.Errorf("certificate rejected: %v", err)
+	}
+}
+
+// The Turing-machine encodings are the reduction's hard instances: kb
+// never completes on them, and the derivation arm derives A0 = 0 for a
+// halting machine. The chase arm gets a token budget, since the encoding's
+// schema is wide.
+func TestAnalyzeTMHalting(t *testing.T) {
+	p, err := tm.EncodePresentation(tm.WriteOneAndHalt(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := core.Budget{}
+	b.Chase.Governor = budget.New(nil, budget.Limits{Rounds: 1, Tuples: 50})
+	res, err := AnalyzePresentation(p, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != core.Implied || res.Winner != "derivation" {
+		t.Fatalf("verdict %v won by %q, want implied by derivation", res.Verdict, res.Winner)
+	}
+	if err := cert.Check(res.Cert()); err != nil {
+		t.Errorf("certificate rejected: %v", err)
+	}
+}
+
+// armReport returns the named arm's report.
+func armReport(t *testing.T, res *Result, name string) ArmReport {
+	t.Helper()
+	for _, a := range res.Arms {
+		if a.Name == name {
+			return a
+		}
+	}
+	t.Fatalf("no %s arm in %+v", name, res.Arms)
+	return ArmReport{}
+}
+
+// GoalRefuted is set by whichever arm refutes the goal first. On power the
+// closure exhausts A0's one-word class in its opening lease. On gap the
+// class is infinite, so the closure's window cuts it, and kb refutes the
+// goal in the same tick; the derivation arm then retires "refuted" at its
+// next turn without running another lease.
+func TestGoalRefutedFlag(t *testing.T) {
+	res := analyze(t, "power", core.Budget{})
+	if d := armReport(t, res, "derivation"); !res.GoalRefuted || d.Leases != 1 || d.Note != "refuted" {
+		t.Errorf("power: GoalRefuted %v, derivation arm %+v; want refuted in one lease", res.GoalRefuted, d)
+	}
+
+	res = analyze(t, "gap", tight())
+	if !res.GoalRefuted {
+		t.Fatal("gap: completion should refute derivability")
+	}
+	if k := armReport(t, res, "kb"); k.Note != "refuted" || k.Leases != 1 {
+		t.Errorf("gap: kb arm %+v, want refuted in its first lease", k)
+	}
+	if d := armReport(t, res, "derivation"); d.Leases != 1 || d.Note != "refuted" {
+		t.Errorf("gap: derivation arm %+v, want one lease then refuted", d)
+	}
+	for _, d := range res.Decisions {
+		if d.Arm == "derivation" && d.Signal == "refuted" && (d.Tick != 2 || d.New != 0) {
+			t.Errorf("gap: derivation retired at tick %d with New %d, want tick 2 and 0", d.Tick, d.New)
+		}
+	}
+
+	if res := analyze(t, "twostep", core.Budget{}); res.GoalRefuted {
+		t.Error("twostep: spurious refutation")
 	}
 }
 
@@ -105,9 +226,10 @@ func TestGapRefutedButUnknown(t *testing.T) {
 	}
 }
 
-// A Knuth–Bendix win must end the run in the tick it happens in: no other
-// arm gets a lease, and each is retired with a preempted decision in the
-// same tick.
+// A Knuth–Bendix win must end the run in the tick it happens in: the
+// derivation arm, which goes first, has run its one tick-1 lease; no arm
+// after kb gets a lease; and each is retired with a preempted decision in
+// the same tick.
 func TestKBWinPreemptsInSameTick(t *testing.T) {
 	res := analyze(t, "collapse:4", core.Budget{})
 	if res.Verdict != core.Implied || res.Winner != "kb" {
@@ -132,8 +254,12 @@ func TestKBWinPreemptsInSameTick(t *testing.T) {
 		if a.Name == "kb" {
 			continue
 		}
-		if a.Leases != 0 {
-			t.Errorf("arm %s ran %d leases after a tick-1 kb win", a.Name, a.Leases)
+		want := 0
+		if a.Name == "derivation" {
+			want = 1
+		}
+		if a.Leases != want {
+			t.Errorf("arm %s ran %d leases in kb's winning tick, want %d", a.Name, a.Leases, want)
 		}
 		if !preempted[a.Name] {
 			t.Errorf("arm %s has no preempted decision", a.Name)
@@ -407,10 +533,10 @@ func TestCertifyReplayStopsWithParent(t *testing.T) {
 }
 
 // Every definitive verdict carries a certificate built from its winning
-// arm's own proof, and it checks: a kb win as a derivation, a chase or
-// search win as the chase sequence or the database. The presets run at the
-// zero budget and at a small serving class (gap only there: at default
-// chase limits its reduction outgrows memory).
+// arm's own proof, and it checks: a derivation or kb win as a derivation,
+// a chase or search win as the chase sequence or the database. The presets
+// run at the zero budget and at a small serving class (gap only there: at
+// default chase limits its reduction outgrows memory).
 func TestEveryDefinitiveVerdictCarriesItsCertificate(t *testing.T) {
 	presets := []string{"power", "twostep", "chain:1", "chain:2", "chain:3", "chain:4", "chain:5", "chain:6",
 		"nilpotent:2", "nilpotent:3", "nilpotent:4", "nilpotent:5", "tower:1", "tower:2", "tower:3", "tower:4",
@@ -445,8 +571,8 @@ func TestEveryDefinitiveVerdictCarriesItsCertificate(t *testing.T) {
 			if err := cert.Check(c); err != nil {
 				t.Errorf("%s/%s: certificate rejected: %v", name, class, err)
 			}
-			if res.Winner == "kb" && c.Kind != cert.KindDerivation {
-				t.Errorf("%s/%s: kb win certified as %s, want derivation", name, class, c.Kind)
+			if (res.Winner == "derivation" || res.Winner == "kb") && c.Kind != cert.KindDerivation {
+				t.Errorf("%s/%s: %s win certified as %s, want derivation", name, class, res.Winner, c.Kind)
 			}
 		}
 	}

@@ -58,9 +58,45 @@ type Instance struct {
 }
 
 // Build constructs the reduction instance. Presentations not in (2,1) form
-// (or missing zero equations) are normalized first; the construction then
-// works over the normalized presentation.
+// (or missing zero equations) are normalized first (Normalize); the
+// construction then works over the normalized presentation.
 func Build(p *words.Presentation) (*Instance, error) {
+	in, err := prepare(p)
+	if err != nil {
+		return nil, err
+	}
+	for i, eq := range in.Pres.Equations {
+		ds, err := in.buildEquationDeps(i, eq)
+		if err != nil {
+			return nil, err
+		}
+		in.D = append(in.D, ds...)
+	}
+	d0, err := in.buildD0()
+	if err != nil {
+		return nil, err
+	}
+	in.D0 = d0
+	return in, nil
+}
+
+// Normalize returns the presentation Build encodes for p: p with its zero
+// equations added, brought into (2,1) normal form when it is not already,
+// and checked to have its zero equations. It makes every check Build makes
+// before it draws a dependency, so it fails exactly when Build would, but
+// it builds no (D, D0): a derivation certificate is about this
+// presentation alone.
+func Normalize(p *words.Presentation) (*words.Presentation, error) {
+	in, err := prepare(p)
+	if err != nil {
+		return nil, err
+	}
+	return in.Pres, nil
+}
+
+// prepare is the part of Build that Normalize shares: it normalizes p and
+// names the schema's attributes, leaving D and D0 unbuilt.
+func prepare(p *words.Presentation) (*Instance, error) {
 	in := &Instance{Original: p}
 	work := p.WithZeroEquations()
 	if !work.IsTwoOne() {
@@ -70,6 +106,11 @@ func Build(p *words.Presentation) (*Instance, error) {
 		}
 		in.Norm = n
 		work = n.Presentation
+	}
+	for i, eq := range work.Equations {
+		if !eq.IsTwoOne() {
+			return nil, fmt.Errorf("reduction: equation %d not in (2,1) form", i)
+		}
 	}
 	if err := work.CheckZeroEquations(); err != nil {
 		return nil, err
@@ -99,22 +140,6 @@ func Build(p *words.Presentation) (*Instance, error) {
 		return nil, err
 	}
 	in.Schema = schema
-
-	for i, eq := range work.Equations {
-		if !eq.IsTwoOne() {
-			return nil, fmt.Errorf("reduction: equation %d not in (2,1) form", i)
-		}
-		ds, err := in.buildEquationDeps(i, eq)
-		if err != nil {
-			return nil, err
-		}
-		in.D = append(in.D, ds...)
-	}
-	d0, err := in.buildD0()
-	if err != nil {
-		return nil, err
-	}
-	in.D0 = d0
 	return in, nil
 }
 

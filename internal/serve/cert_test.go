@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"templatedep/internal/budget"
 	"templatedep/internal/cert"
 	"templatedep/internal/core"
 	"templatedep/internal/obs"
@@ -242,10 +243,11 @@ func TestHTTPCertOptIn(t *testing.T) {
 	}
 }
 
-// A server with a zero config runs kb at rewrite.DefaultLimits, like every
-// other front-end, and settles -checkportfolio's grid with the grid's
-// verdicts and winners; collapse:4 needs more than 200 rules. Every answer
-// carries its winning arm's proof, and it checks.
+// A server with a zero config runs kb at rewrite.DefaultLimits and the
+// derivation arm at words.DefaultLimits, like every other front-end, and
+// settles -checkportfolio's grid with the grid's verdicts and winners;
+// collapse:4 needs more than 200 rules. Every answer carries its winning
+// arm's proof, and it checks.
 func TestZeroConfigServesPortfolioGrid(t *testing.T) {
 	s := New(Config{})
 	defer s.Shutdown(context.Background())
@@ -256,8 +258,8 @@ func TestZeroConfigServesPortfolioGrid(t *testing.T) {
 		kind    cert.Kind
 	}{
 		{"power", core.FiniteCounterexample, "model-search", cert.KindFiniteModel},
-		{"twostep", core.Implied, "kb", cert.KindDerivation},
-		{"chain:2", core.Implied, "kb", cert.KindDerivation},
+		{"twostep", core.Implied, "derivation", cert.KindDerivation},
+		{"chain:2", core.Implied, "derivation", cert.KindDerivation},
 		{"collapse:4", core.Implied, "kb", cert.KindDerivation},
 	} {
 		resp, err := s.Infer(presetProblem(t, g.preset))
@@ -275,5 +277,20 @@ func TestZeroConfigServesPortfolioGrid(t *testing.T) {
 		if err := cert.Check(resp.Cert); err != nil {
 			t.Errorf("%s: certificate rejected: %v", g.preset, err)
 		}
+	}
+}
+
+// Config.Limits.Words has no effect: the derivation arm's ceiling is
+// words.DefaultLimits for every caller, so a server configured with a
+// one-word limit still derives twostep's goal.
+func TestConfigWordsLimitHasNoEffect(t *testing.T) {
+	s := New(Config{Limits: budget.Limits{Words: 1}})
+	defer s.Shutdown(context.Background())
+	resp, err := s.Infer(presetProblem(t, "twostep"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Verdict != core.Implied || resp.Winner != "derivation" {
+		t.Fatalf("twostep under Limits.Words 1: %v won by %q, want implied by derivation", resp.Verdict, resp.Winner)
 	}
 }

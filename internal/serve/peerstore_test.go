@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
@@ -236,10 +237,16 @@ func twoReplicas(t *testing.T, mk func(peers []string, self string) Config) (a, 
 }
 
 // ownedProblem finds a definitive-verdict preset whose canonical key the
-// ring assigns to owner.
+// ring assigns to owner. The replicas listen on random ports, so the ring
+// may give all seven fixed candidates to another replica (about 1 run in
+// 128); chain:7 through chain:40 follow them, each implied with its own
+// key and settled by the derivation arm's first lease.
 func ownedProblem(t *testing.T, s *Server, owner string, exclude ...string) *Problem {
 	t.Helper()
 	candidates := []string{"twostep", "power", "chain:2", "chain:3", "chain:4", "chain:5", "chain:6"}
+	for n := 7; n <= 40; n++ {
+		candidates = append(candidates, fmt.Sprintf("chain:%d", n))
+	}
 	for _, name := range candidates {
 		skip := false
 		for _, x := range exclude {

@@ -73,7 +73,9 @@ type Config struct {
 	// Limits are the server-wide per-request meter limits. Each request
 	// derives its arm governors from them; zero fields fall back to the
 	// owning engine's defaults, so Limits{} means "the budgets tdinfer
-	// would use". No served arm meters words, so Words has no effect.
+	// would use". Words has no effect: the derivation arm runs at
+	// words.DefaultLimits for every caller, as kb runs at
+	// rewrite.DefaultLimits.
 	Limits budget.Limits
 	// RequestTimeout bounds each cold run's wall clock (0 = meters only).
 	RequestTimeout time.Duration
@@ -348,9 +350,12 @@ func pick(cfgv, def int) int {
 }
 
 // limitsFor merges the request's per-meter budget overrides over the
-// server-wide limits; zero override fields fall through to the config.
+// server-wide limits; zero override fields fall through to the config. The
+// words meter is dropped, so Config.Limits.Words never becomes a pool that
+// caps the derivation arm below its ceiling.
 func (s *Server) limitsFor(p *Problem) budget.Limits {
 	l := s.cfg.Limits
+	l.Words = 0
 	if p.Limits.Rounds > 0 {
 		l.Rounds = p.Limits.Rounds
 	}
