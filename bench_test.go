@@ -381,38 +381,6 @@ func BenchmarkChaseSchedulers(b *testing.B) {
 	})
 }
 
-// Ablation: sequential vs parallel trigger enumeration within chase rounds.
-func BenchmarkChaseWorkers(b *testing.B) {
-	s := relation.MustSchema("A", "B", "C")
-	deps, err := td.ParseSet(s, `
-join:   R(a, b, c) & R(a, b', c') -> R(a, b, c')
-mirror: R(a, b, c) & R(a', b, c') -> R(a, b, c')
-tail:   R(a, b, c) & R(a', b', c) -> R(a, b', c)
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	start := relation.NewInstance(s)
-	for i := 0; i < 8; i++ {
-		start.MustAdd(relation.Tuple{relation.Value(i % 2), relation.Value(i % 3), relation.Value(i)})
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e, err := chase.NewEngine(s, deps, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 20000}), Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res := e.Chase(start, nil)
-				if !res.FixpointReached {
-					b.Fatal("no fixpoint")
-				}
-			}
-		})
-	}
-}
-
 // Ablation: pruned backtracking homomorphism search vs brute-force
 // enumeration of row-to-tuple maps.
 func BenchmarkHomomorphismPruning(b *testing.B) {

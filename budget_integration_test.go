@@ -149,16 +149,16 @@ func TestDeadlineMidRoundTraceStaysClosed(t *testing.T) {
 // The gap presentation's chase lease at 8 rounds and 32768 tuples (the one
 // a default-limit tdserve request reaches) has a fifth round with about 10^8
 // antecedent homomorphisms, most of them active triggers of embedded
-// dependencies, against 30,703 tuples of headroom. Each collect task stops
-// buffering once the merge must stop inside it, so the round ends at the
-// tuple cap within a small, fixed allocation instead of buffering every
-// trigger first.
+// dependencies, against 30,703 tuples of headroom. Each trigger is applied
+// as it is enumerated, so the round ends at the tuple cap after 75,026
+// homomorphisms in all, holding no trigger aside: about 30 MiB allocated,
+// where buffering triggers before applying them allocated 850 MiB.
 func TestGapLeaseChaseStaysInMemory(t *testing.T) {
 	in := reduction.MustBuild(words.IdempotentGapPresentation())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res, err := chase.Implies(in.D, in.D0, chase.Options{
-		Governor: budget.New(nil, budget.Limits{Rounds: 8, Tuples: 32768}), Workers: 2})
+		Governor: budget.New(nil, budget.Limits{Rounds: 8, Tuples: 32768})})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,33 @@ func TestGapLeaseChaseStaysInMemory(t *testing.T) {
 	if res.Verdict != chase.Unknown || res.Budget != budget.Exhausted(budget.Tuples) {
 		t.Fatalf("verdict %v, budget %v; want unknown by tuples", res.Verdict, res.Budget)
 	}
-	const ceiling = 2 << 30
+	const ceiling = 200 << 20
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= ceiling {
+		t.Errorf("chase allocated %d MiB, want under %d MiB", grew>>20, ceiling>>20)
+	}
+}
+
+// collapse:3's reduction has 352 dependencies, not all full. At 9 rounds
+// and 3000 tuples its chase stops on the tuple cap in round 8, after 99,971
+// homomorphisms. A round applies each trigger as it enumerates it, so
+// nothing is held beyond the instance: the run allocates about 70 MiB,
+// where buffering each enumeration's active triggers before applying any
+// allocated 469 MiB.
+func TestCollapse3ChaseStaysInMemory(t *testing.T) {
+	in := reduction.MustBuild(words.CollapsePresentation(3))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := chase.Implies(in.D, in.D0, chase.Options{
+		Governor: budget.New(nil, budget.Limits{Rounds: 9, Tuples: 3000})})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Budget != budget.Exhausted(budget.Tuples) || res.Stats.Rounds != 8 || res.Stats.HomomorphismsSeen != 99971 {
+		t.Fatalf("budget %v, round %d, %d homomorphisms; want exhausted:tuples in round 8 after 99971",
+			res.Budget, res.Stats.Rounds, res.Stats.HomomorphismsSeen)
+	}
+	const ceiling = 200 << 20
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= ceiling {
 		t.Errorf("chase allocated %d MiB, want under %d MiB", grew>>20, ceiling>>20)
 	}

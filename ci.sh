@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo CI gate, as a staged pipeline. Each stage is named, timed, and runs
 # under a hard wall-clock limit (`timeout --foreground`): a stuck stage —
-# a hung replica, a divergent chase, a deadlocked worker pool — FAILS with
+# a hung replica, a divergent chase, a deadlocked server — FAILS with
 # its elapsed time in the summary instead of hanging the pipeline. The
 # script always ends with a per-stage pass/fail summary; on failure the
 # summary shows exactly which stage died and how long it ran, and any
@@ -14,9 +14,9 @@
 #                   no deleted event type left in the docs)
 #   unit    (600) — full test suite, -count=1 (no cached results), plus
 #                   the perfbench module's own vet and tests
-#   race    (900) — full suite under the race detector (the chase worker
-#                   pool and the serving layer's singleflight/drain
-#                   paths are concurrent code)
+#   race    (900) — full suite under the race detector (the serving
+#                   layer's singleflight/drain paths, the peer ring and
+#                   the corpus and fuzz worker pools are concurrent code)
 #   smoke   (300) — end-to-end binaries: tdinfer governed runs on the
 #                   undecidable gap preset (a deadline stop with the
 #                   finite-db arm held to size 1, and the portfolio's
@@ -24,8 +24,8 @@
 #                   tdserve under a duplicate-heavy tdbench -loadjson
 #                   burst, served derivation certificates for collapse:4
 #                   (kb) and a Turing-machine instance (the derivation
-#                   arm) checked by tdcheck (needs jq), and graceful-drain
-#                   assertions
+#                   arm) checked by tdcheck (needs jq), a golden chase
+#                   trace of chain:1, and graceful-drain assertions
 #   shard   (300) — the multi-replica tier: 3 tdserve replicas with disk
 #                   stores and a consistent-hash ring,
 #                   certificate-verified peer fills under a burst, then a
@@ -224,12 +224,12 @@ stage_unit() {
 }
 
 stage_race() {
-    # The full suite again under the race detector. The chase worker-pool
-    # tests (TestIntraDependencyPartitioning, TestParallelWorkers, the
-    # Workers=4 arms of TestWarmVsColdIdentical) and the serving layer's
-    # singleflight/drain/state-flight tests all run real concurrency, so this
-    # sweep covers every concurrent path in the repo, including the parallel
-    # chase round pool and the warm-start state cache.
+    # The full suite again under the race detector. The serving layer's
+    # singleflight/drain/state-flight tests, the peer-fill ring tests and
+    # the corpus and difffuzz worker pools all run real concurrency, so this
+    # sweep covers every concurrent path in the repo, including the
+    # warm-start state cache shared across requests. Each chase runs on its
+    # caller's goroutine.
     go test -race -count=1 ./...
 }
 
@@ -319,19 +319,16 @@ stage_smoke() {
         exit 1
     }
 
-    # Parallel determinism smoke: the chase event stream is a pure function
-    # of the problem — byte-identical for every -workers value. The
-    # comparison filters to the chase layer's own events, the stream
-    # -workers parallelizes.
+    # Golden chase smoke: the chase event stream is a pure function of the
+    # problem, so the chain:1 run's chase events must match the committed
+    # testdata/chase/chain1.jsonl byte for byte. The comparison filters to
+    # the chase layer's own events.
     "$smoke/tdinfer" -preset chain:1 -rounds 64 -tuples 200000 \
-        -workers 1 -trace "$smoke/chain_w1.jsonl" >/dev/null
-    "$smoke/tdinfer" -preset chain:1 -rounds 64 -tuples 200000 \
-        -workers 4 -trace "$smoke/chain_w4.jsonl" >/dev/null
-    grep '"src":"chase"' "$smoke/chain_w1.jsonl" >"$smoke/chase_w1.jsonl"
-    grep '"src":"chase"' "$smoke/chain_w4.jsonl" >"$smoke/chase_w4.jsonl"
-    cmp -s "$smoke/chase_w1.jsonl" "$smoke/chase_w4.jsonl" || {
-        echo "ci: parallel smoke: chase traces differ between -workers 1 and -workers 4:" >&2
-        diff "$smoke/chase_w1.jsonl" "$smoke/chase_w4.jsonl" | head -20 >&2
+        -trace "$smoke/chain.jsonl" >/dev/null
+    grep '"src":"chase"' "$smoke/chain.jsonl" >"$smoke/chase.jsonl"
+    cmp -s "$smoke/chase.jsonl" testdata/chase/chain1.jsonl || {
+        echo "ci: golden smoke: chain:1 chase trace differs from testdata/chase/chain1.jsonl:" >&2
+        diff "$smoke/chase.jsonl" testdata/chase/chain1.jsonl | head -20 >&2
         exit 1
     }
 
@@ -521,10 +518,9 @@ stage_bench() {
     "$smoke/tdbench" -checksearch "$smoke/BENCH_search.json"
 
     # The committed chase benchmark snapshot must stay structurally valid:
-    # parses, every workload present, the serial and parallel arms of each
-    # implication workload agree on the verdict, warm-repeat columns present
-    # with matching verdicts, and at least one workload shows the >=2x
-    # warm-start latency drop.
+    # parses, every workload present with a verdict, warm-repeat columns
+    # present on each implication workload with matching verdicts, and at
+    # least one workload shows the >=2x warm-start latency drop.
     "$smoke/tdbench" -checkbench BENCH_chase.json
 
     # The portfolio emitter: a fresh quick report (one timed run per preset)

@@ -516,15 +516,6 @@ func TestCLI(t *testing.T) {
 			{"missing-verdict", "workload chase/decide_full: missing verdict", func(rep map[string]any) {
 				delete(result(rep, "chase/decide_full/serial"), "verdict")
 			}},
-			{"missing-parallel", "workload chase/implies_chain3: missing /parallel arm", func(rep map[string]any) {
-				drop(rep, "results", "name", "chase/implies_chain3/parallel")
-			}},
-			{"parallel-workers", "workload chase/implies_chain1/parallel: workers not recorded", func(rep map[string]any) {
-				delete(result(rep, "chase/implies_chain1/parallel"), "workers")
-			}},
-			{"parallel-flip", "workload chase/implies_chain2: parallel arm flips the verdict (parallel=unknown serial=implied)", func(rep map[string]any) {
-				result(rep, "chase/implies_chain2/parallel")["verdict"] = "unknown"
-			}},
 			{"missing-warm", "workload chase/implies_chain2/serial: missing warm repeat column", func(rep map[string]any) {
 				delete(result(rep, "chase/implies_chain2/serial"), "warm_ns_per_op")
 			}},

@@ -1,15 +1,14 @@
 // Machine-readable benchmark emission: `tdbench -benchjson FILE` measures
 // the F1–F3 experiments plus the chase implication/decision workloads with
 // testing.Benchmark and writes one JSON document, so the performance
-// trajectory of the engine is tracked in-repo from PR to PR. The chase
-// workloads are measured at one worker (/serial) and, for implication, at
-// GOMAXPROCS workers (/parallel), each with a warm-start repeat column.
+// trajectory of the engine is tracked in-repo from PR to PR. Each chase
+// workload is one /serial arm; the implication workloads also carry a
+// warm-start repeat column.
 package main
 
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
 	"templatedep/internal/budget"
@@ -31,19 +30,13 @@ type benchResult struct {
 	// workloads (tuples in the final instance per second of chase time);
 	// zero for workloads that do not run the chase.
 	TuplesPerSec float64 `json:"tuples_per_sec,omitempty"`
-	// Verdict is the chase verdict of the workload (chase workloads only).
-	// -checkbench requires the serial and parallel arms of each workload to
-	// agree on it: the parallel round decomposition must never flip an
-	// answer.
+	// Verdict is the chase verdict of the workload (chase workloads only);
+	// -checkbench requires it, and requires the warm repeat to agree.
 	Verdict string `json:"verdict,omitempty"`
 	// Counters is the observability counter snapshot of one un-timed run of
 	// the workload (-metrics; chase workloads only). The timed loop always
 	// runs sink-free, so counters never perturb ns_per_op.
 	Counters map[string]int64 `json:"counters,omitempty"`
-	// Workers is the chase Workers option of the arm (chase workloads only).
-	// The /parallel arm records runtime.GOMAXPROCS(0) at generation time; on
-	// a single-CPU host that is 1 and the arm measures the serial path.
-	Workers int `json:"workers,omitempty"`
 	// WarmNsPerOp and WarmVerdict measure a warm-start repeat of the same
 	// workload: one cold run captures a chase-state snapshot, then the timed
 	// loop re-runs Implies seeded with that snapshot (fresh governor per
@@ -54,9 +47,6 @@ type benchResult struct {
 	WarmVerdict string  `json:"warm_verdict,omitempty"`
 }
 
-// benchReport's workers sweep is 1 vs the header's gomaxprocs, so a report
-// from a 1-CPU box documents that its /parallel arm could not exercise
-// real parallelism.
 type benchReport struct {
 	reportHost
 	Results []benchResult `json:"results"`
@@ -69,7 +59,7 @@ func writeBenchJSON(path string, metrics bool) {
 	rep := benchReport{reportHost: newReportHost()}
 
 	// record returns a pointer to the appended result so chase workloads can
-	// annotate it (workers, warm columns) before the next record call — the
+	// annotate it (warm columns) before the next record call — the
 	// pointer is invalidated by the following append.
 	record := func(name string, tuples int, verdict string, counters map[string]int64, fn func(b *testing.B)) *benchResult {
 		r := testing.Benchmark(fn)
@@ -152,9 +142,8 @@ func writeBenchJSON(path string, metrics bool) {
 		})
 	}
 
-	// Chase implication on the reduction output: a /serial arm at one worker
-	// and a /parallel arm at GOMAXPROCS workers, each with a warm-start
-	// repeat column. Every iteration gets a FRESH governor: budget meters
+	// Chase implication on the reduction output, with a warm-start repeat
+	// column. Every iteration gets a FRESH governor: budget meters
 	// accumulate across runs, so a shared governor exhausts after the first
 	// few iterations and the loop would measure setup-cost no-ops, not
 	// chases.
@@ -167,64 +156,51 @@ func writeBenchJSON(path string, metrics bool) {
 		{"chain3", words.ChainPresentation(3)},
 	} {
 		in := reduction.MustBuild(tc.p)
-		arms := []struct {
-			arm     string
-			workers int
-		}{
-			{"serial", 1},
-			{"parallel", runtime.GOMAXPROCS(0)},
+		mkOpt := func() chase.Options {
+			return chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000})}
 		}
-		for _, a := range arms {
-			mkOpt := func() chase.Options {
-				return chase.Options{
-					Governor: budget.New(nil, budget.Limits{Rounds: 32, Tuples: 200000}),
-					Workers:  a.workers,
-				}
-			}
-			res, err := chase.Implies(in.D, in.D0, mkOpt())
-			check(err)
-			tuples := res.Instance.Len()
-			br := record(fmt.Sprintf("chase/implies_%s/%s", tc.name, a.arm), tuples,
-				res.Verdict.String(), chaseCounters(in.D, in.D0, mkOpt()), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := chase.Implies(in.D, in.D0, mkOpt()); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			br.Workers = a.workers
-			capOpt := mkOpt()
-			capOpt.CaptureState = true
-			prod, err := chase.Implies(in.D, in.D0, capOpt)
-			check(err)
-			if prod.State == nil {
-				fmt.Fprintf(os.Stderr, "tdbench: %s: no chase state captured\n", br.Name)
-				os.Exit(1)
-			}
-			warmOpt := func() chase.Options {
-				o := mkOpt()
-				o.WarmState = prod.State
-				return o
-			}
-			wres, err := chase.Implies(in.D, in.D0, warmOpt())
-			check(err)
-			if !wres.WarmStarted || wres.Verdict != res.Verdict {
-				fmt.Fprintf(os.Stderr, "tdbench: %s: warm repeat diverged (warm-started %v, verdict %s vs %s)\n",
-					br.Name, wres.WarmStarted, wres.Verdict, res.Verdict)
-				os.Exit(1)
-			}
-			w := testing.Benchmark(func(b *testing.B) {
+		res, err := chase.Implies(in.D, in.D0, mkOpt())
+		check(err)
+		tuples := res.Instance.Len()
+		br := record(fmt.Sprintf("chase/implies_%s/serial", tc.name), tuples,
+			res.Verdict.String(), chaseCounters(in.D, in.D0, mkOpt()), func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := chase.Implies(in.D, in.D0, warmOpt()); err != nil {
+					if _, err := chase.Implies(in.D, in.D0, mkOpt()); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
-			br.WarmNsPerOp = float64(w.T.Nanoseconds()) / float64(w.N)
-			br.WarmVerdict = wres.Verdict.String()
-			fmt.Printf("%-34s %14.0f ns/op (warm repeat)\n", br.Name, br.WarmNsPerOp)
+		capOpt := mkOpt()
+		capOpt.CaptureState = true
+		prod, err := chase.Implies(in.D, in.D0, capOpt)
+		check(err)
+		if prod.State == nil {
+			fmt.Fprintf(os.Stderr, "tdbench: %s: no chase state captured\n", br.Name)
+			os.Exit(1)
 		}
+		warmOpt := func() chase.Options {
+			o := mkOpt()
+			o.WarmState = prod.State
+			return o
+		}
+		wres, err := chase.Implies(in.D, in.D0, warmOpt())
+		check(err)
+		if !wres.WarmStarted || wres.Verdict != res.Verdict {
+			fmt.Fprintf(os.Stderr, "tdbench: %s: warm repeat diverged (warm-started %v, verdict %s vs %s)\n",
+				br.Name, wres.WarmStarted, wres.Verdict, res.Verdict)
+			os.Exit(1)
+		}
+		w := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := chase.Implies(in.D, in.D0, warmOpt()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		br.WarmNsPerOp = float64(w.T.Nanoseconds()) / float64(w.N)
+		br.WarmVerdict = wres.Verdict.String()
+		fmt.Printf("%-34s %14.0f ns/op (warm repeat)\n", br.Name, br.WarmNsPerOp)
 	}
 
 	// Full-TD decision (E6 shape): terminating chase on full dependencies.
@@ -264,22 +240,19 @@ var benchExpectedChase = []string{
 	"chase/decide_full",
 }
 
-// benchExpectedSweep lists the chase workloads that additionally carry the
-// workers sweep (a /parallel arm at GOMAXPROCS workers) and warm-start
-// repeat columns on both arms.
-var benchExpectedSweep = []string{
+// benchExpectedWarm lists the chase workloads whose /serial arm
+// additionally carries the warm-start repeat columns.
+var benchExpectedWarm = []string{
 	"chase/implies_chain1", "chase/implies_chain2", "chase/implies_chain3",
 }
 
 // checkBenchJSON validates a BENCH_chase.json structurally, mirroring
 // -checksearch: the report must parse, every expected workload must be
-// present (chase workloads as a /serial arm with a verdict, implication
-// workloads also under the /parallel arm), measurements must be positive,
-// and the parallel arm must report the serial arm's verdict — the
-// soundness requirement of the parallel round decomposition. Warm columns
-// must be present on both implication arms, agree with the cold verdict,
-// and at least one workload must show the warm repeat at less than half
-// the cold latency — the point of keeping chase states at all.
+// present (chase workloads as a /serial arm with a verdict) and
+// measurements must be positive. Warm columns must be present on every
+// implication workload and agree with its cold verdict, and at least one
+// workload must show the warm repeat at less than half the cold latency —
+// the point of keeping chase states at all.
 func checkBenchJSON(path string) {
 	fail := reportFail(path)
 	var rep benchReport
@@ -306,33 +279,21 @@ func checkBenchJSON(path string) {
 		}
 	}
 	bestWarm := 0.0
-	for _, base := range benchExpectedSweep {
-		ser := byName[base+"/serial"]
-		par, ok := byName[base+"/parallel"]
-		if !ok {
-			fail("workload %s: missing /parallel arm", base)
+	for _, base := range benchExpectedWarm {
+		arm := byName[base+"/serial"]
+		if arm.WarmNsPerOp <= 0 {
+			fail("workload %s: missing warm repeat column", arm.Name)
 		}
-		if par.Workers < 1 {
-			fail("workload %s/parallel: workers not recorded", base)
+		if arm.WarmVerdict != arm.Verdict {
+			fail("workload %s: warm repeat flips the verdict (warm=%s cold=%s)", arm.Name, arm.WarmVerdict, arm.Verdict)
 		}
-		if par.Verdict != ser.Verdict {
-			fail("workload %s: parallel arm flips the verdict (parallel=%s serial=%s)", base, par.Verdict, ser.Verdict)
-		}
-		for _, arm := range []benchResult{ser, par} {
-			if arm.WarmNsPerOp <= 0 {
-				fail("workload %s: missing warm repeat column", arm.Name)
-			}
-			if arm.WarmVerdict != arm.Verdict {
-				fail("workload %s: warm repeat flips the verdict (warm=%s cold=%s)", arm.Name, arm.WarmVerdict, arm.Verdict)
-			}
-			if r := arm.NsPerOp / arm.WarmNsPerOp; r > bestWarm {
-				bestWarm = r
-			}
+		if r := arm.NsPerOp / arm.WarmNsPerOp; r > bestWarm {
+			bestWarm = r
 		}
 	}
 	if bestWarm < 2 {
 		fail("no workload shows a >=2x warm-start speedup (best %.2fx)", bestWarm)
 	}
-	fmt.Printf("%s: %d results, all %d+%d workloads present, serial and parallel verdicts identical, best warm speedup %.0fx\n",
+	fmt.Printf("%s: %d results, all %d+%d workloads present, warm verdicts identical, best warm speedup %.0fx\n",
 		path, len(rep.Results), len(benchExpectedPlain), len(benchExpectedChase), bestWarm)
 }

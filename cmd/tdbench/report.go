@@ -16,8 +16,8 @@ import (
 )
 
 // reportHost is the provenance header embedded in every report: when it
-// was generated, by which toolchain/platform, and on how many CPUs — a
-// parallel arm measured at GOMAXPROCS 1 measures the serial path. Older
+// was generated, by which toolchain/platform, and on how many CPUs — the
+// fuzz harness's workers and the load burst's clients share them. Older
 // committed reports predate some of these fields, so validators must treat
 // them as optional.
 type reportHost struct {

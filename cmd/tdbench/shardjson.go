@@ -23,7 +23,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
@@ -76,7 +75,6 @@ func (r *replica) start(peers []string) error {
 	r.st = st
 	r.s = serve.New(serve.Config{
 		RequestTimeout: 30 * time.Second,
-		Workers:        runtime.GOMAXPROCS(0),
 		Counters:       r.counters,
 		Store:          st,
 		Peers:          peers,

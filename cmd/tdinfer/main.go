@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"time"
 
@@ -75,7 +74,6 @@ func main() {
 		rounds     = flag.Int("rounds", 64, "chase round budget")
 		tuples     = flag.Int("tuples", 100000, "chase tuple budget")
 		fmTuples   = flag.Int("cx-tuples", 4, "finite-database enumeration: max tuples (bounds the enumerator only; a parity countermodel, tried on schemas of width at most 5, can hold up to 16 tuples)")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the chase (results are identical for every value; 1 = serial)")
 		pruneFlag  = flag.String("prune", "symmetry", "counterexample enumeration symmetry breaking: symmetry|none")
 		deadline   = flag.Duration("deadline", 0, "wall-clock budget for the whole run (0 = none)")
 		proof      = flag.Bool("proof", false, "print the proof object: the winning chase lease's added tuples for implied, the counter-database and witness table for finite-counterexample")
@@ -162,7 +160,6 @@ func main() {
 		PerDepStats: *depStats,
 	}
 	b.FiniteDB.Sizes = budget.Range{Lo: 1, Hi: *fmTuples}
-	b.Chase.Workers = *workers
 	prune, err := psearch.ParsePrune(*pruneFlag)
 	if err != nil {
 		fatal(err)

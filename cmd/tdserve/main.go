@@ -45,7 +45,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -63,7 +62,6 @@ func main() {
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrent engine runs (0 = unlimited)")
 		reqTimeout   = flag.Duration("request-timeout", 10*time.Second, "wall-clock budget per cold request (0 = meters only)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight runs before cancelling them")
-		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "chase worker goroutines per cold run (results are identical for every value; 1 = serial)")
 		stateCache   = flag.Int("state-cache", 0, "chase-state cache entries (0 = default 64, negative disables warm starts)")
 		rounds       = flag.Int("rounds", 0, "per-request chase round budget (0 = engine default)")
 		tuples       = flag.Int("tuples", 0, "per-request chase tuple budget (0 = engine default)")
@@ -101,7 +99,6 @@ func main() {
 		MaxInflight:    *maxInflight,
 		CacheSize:      *cacheSize,
 		StateCacheSize: *stateCache,
-		Workers:        *workers,
 		Counters:       counters,
 		Peers:          peerList,
 		Self:           *self,

@@ -31,18 +31,15 @@
 // by warm-start snapshots too.
 //
 // The chase has one configuration: the semi-naive restricted chase with
-// the index join, under DefaultLimits unless a governor says otherwise.
-// Options only choose how it is observed (Sink, PerDepStats), how many
-// workers enumerate triggers, and warm starts. Its independent reference is
-// eid.Chase, which tests run on the same inputs.
+// the index join, under DefaultLimits unless a governor says otherwise. Each
+// fair round is one sequential pass that enumerates triggers and applies
+// them as it goes. Options only choose how it is observed (Sink,
+// PerDepStats) and warm starts. Its independent reference is eid.Chase,
+// which tests run on the same inputs.
 package chase
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"templatedep/internal/budget"
 	"templatedep/internal/obs"
@@ -55,21 +52,14 @@ import (
 type Options struct {
 	// Governor bounds the run: its rounds meter caps fair rounds, its
 	// tuples meter caps the instance size, and its context is checked once
-	// per round so cancellation latency is one round. Nil resolves to a
-	// fresh governor with DefaultLimits per run.
+	// per round and every interruptBatch homomorphisms within one. Nil
+	// resolves to a fresh governor with DefaultLimits per run.
 	Governor *budget.Governor
-	// Workers > 1 enumerates triggers in parallel goroutines within each
-	// round: across dependencies, and — on semi-naive rounds — across
-	// contiguous shards of the delta within a single dependency. The delta
-	// row is pinned to the outermost backtracking level, so concatenating
-	// shard results in order reproduces the sequential enumeration exactly:
-	// the chase is deterministic and bit-identical for every Workers value.
-	Workers int
 	// Sink receives structured observability events (round boundaries,
 	// per-dependency firings, delta sizes, nulls, the verdict). Nil — the
-	// default — skips every emission; the engine only ever emits from its
-	// sequential merge phase, so the event stream is bit-identical for
-	// every Workers value. See docs/OBSERVABILITY.md for the schema.
+	// default — skips every emission. The run emits on the calling
+	// goroutine, so the event stream is a pure function of the problem and
+	// the limits. See docs/OBSERVABILITY.md for the schema.
 	Sink obs.Sink
 	// PerDepStats populates Stats.PerDep with per-dependency counters.
 	// Off by default so the untraced hot path allocates nothing extra.
@@ -96,10 +86,10 @@ type Options struct {
 // rounds and a 100000-tuple instance.
 var DefaultLimits = budget.Limits{Rounds: 64, Tuples: 100000}
 
-// interruptBatch is how many homomorphisms (enumerated, or active triggers
-// materialized) pass between context polls inside a round. One poll per
-// batch keeps the inner loops free of governor traffic while bounding
-// cancellation latency even when a single round diverges.
+// interruptBatch is how many enumerated homomorphisms pass between context
+// polls inside a round. One poll per batch keeps the inner loop free of
+// governor traffic while bounding cancellation latency even when a single
+// round diverges.
 const interruptBatch = 4096
 
 // Verdict is the three-valued outcome of an implication check.
@@ -144,7 +134,8 @@ type Stats struct {
 	TuplesAdded   int
 	// HomomorphismsSeen counts antecedent homomorphisms enumerated. On a
 	// round the tuple cap or a cancellation stops, it counts only the
-	// consumed prefix of the round's enumeration, in task order.
+	// consumed prefix of the round's enumeration: up to, not including, the
+	// trigger the tuple cap refused.
 	HomomorphismsSeen int
 	// NullsCreated counts labeled nulls invented for existential
 	// conclusion positions across the whole run.
@@ -221,73 +212,16 @@ type Engine struct {
 	schema *relation.Schema
 	deps   []*td.TD
 	opt    Options
-	// widths[i] is the total variable count of deps[i]'s tableau — the flat
-	// row width used by homBuffer.
-	widths []int
 }
 
 // NewEngine validates that all dependencies share the schema.
 func NewEngine(schema *relation.Schema, deps []*td.TD, opt Options) (*Engine, error) {
-	widths := make([]int, len(deps))
 	for i, d := range deps {
 		if !d.Schema().Equal(schema) {
 			return nil, fmt.Errorf("chase: dependency %d (%s) has a different schema", i, d.Name())
 		}
-		for _, a := range schema.Attrs() {
-			widths[i] += d.Tableau().VarCount(a)
-		}
 	}
-	return &Engine{schema: schema, deps: deps, opt: opt, widths: widths}, nil
-}
-
-// homBuffer accumulates a task's active triggers as flat rows of variable
-// values (column-major concatenation of the Assignment), so the collect
-// phase streams matches without allocating an Assignment clone per
-// trigger.
-type homBuffer struct {
-	vals  []relation.Value
-	width int
-	// seen[i] is how many homomorphisms the task enumerated before trigger
-	// i: the task's share of a round the merge stops at trigger i. Its
-	// length is the number of triggers buffered.
-	seen []int
-}
-
-func (hb *homBuffer) add(as tableau.Assignment, seen int) {
-	for _, col := range as {
-		hb.vals = append(hb.vals, col...)
-	}
-	hb.seen = append(hb.seen, seen)
-}
-
-// load copies trigger i into the (correctly shaped) scratch assignment.
-func (hb *homBuffer) load(i int, into tableau.Assignment) {
-	off := i * hb.width
-	for a := range into {
-		copy(into[a], hb.vals[off:off+len(into[a])])
-		off += len(into[a])
-	}
-}
-
-// collectTask is one unit of the trigger-enumeration phase: one dependency,
-// with row deltaRow restricted to instance indices [lo, hi). deltaRow < 0
-// means full enumeration over [0, hi). Tasks are independent and
-// read-only on the instance, so workers can run them in any order; results
-// are consumed in task order, which reproduces sequential enumeration.
-type collectTask struct {
-	dep      int
-	deltaRow int
-	lo, hi   int
-	// homs counts the homomorphisms the task enumerated; active buffers
-	// those whose conclusion the round-start instance does not witness.
-	homs   int
-	active homBuffer
-	// ns is the measured enumeration time of this task, folded into the
-	// engine's cost table after the round. It steers next round's CLAIM
-	// order only (heaviest first, so the dominant join starts immediately
-	// instead of behind a queue of cheap tasks); the merge always consumes
-	// results in task order, so timing never reaches the trace.
-	ns int64
+	return &Engine{schema: schema, deps: deps, opt: opt}, nil
 }
 
 // Chase closes start under the engine's dependencies (start is cloned).
@@ -311,15 +245,12 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 	res := Result{Instance: inst, bounds: []int{inst.Len()}}
 	sink := e.opt.Sink
 	// Resolved per run, not per engine, so a reused engine never carries an
-	// exhausted meter pool between chases. The tuple cap is fetched once,
-	// compared against inst.Len() in the merge and used to size the collect
-	// tasks' buffers — the hot path never touches the governor.
+	// exhausted meter pool between chases. The tuple cap is fetched once
+	// and compared against inst.Len() before each trigger is applied — the
+	// hot path never touches the governor's meters.
 	g := budget.Resolve(e.opt.Governor, DefaultLimits)
 	tupleCap := g.Limit(budget.Tuples)
 	roundsCap := g.Limit(budget.Rounds)
-	// All emissions happen on this goroutine, in the sequential sections
-	// of the round, so the stream is deterministic for every Workers
-	// value.
 	emitVerdict := func() {
 		if sink != nil {
 			sink.Event(obs.Event{Type: obs.EvVerdict, Src: "chase",
@@ -477,7 +408,7 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 	}
 	// captureAt snapshots the last completed round boundary into
 	// Result.State. ClonePrefix (never a plain Clone) renormalizes the
-	// fresh-value counters a cancelled merge phase may have advanced past
+	// fresh-value counters a round cut short may have advanced past
 	// the boundary, so a resumed run numbers its nulls exactly as a cold one
 	// would.
 	captureAt := func(complete bool) {
@@ -512,18 +443,8 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 		return res
 	}
 
-	// Per-dependency scratch assignments for replaying buffered triggers,
-	// reused across rounds.
-	scratch := make([]tableau.Assignment, len(e.deps))
-	// taskCost remembers the measured enumeration time of each (dependency,
-	// delta position) from the previous round. Chain-style workloads
-	// concentrate a round's cost in one deep backtracking join; claiming
-	// heaviest-first keeps that task off the queue's tail so the round's
-	// wall clock approaches max(heaviest, total/Workers). The schedule is
-	// timing-driven and therefore nondeterministic, but it only reorders
-	// CLAIMS — the merge consumes results in task order, so verdicts,
-	// Stats, and traces are unaffected.
-	var taskCost map[[2]int]int64
+	// ranges restricts each enumeration's rows; reused across rounds.
+	var ranges []tableau.Range
 
 	for round := startRound; ; round++ {
 		// One governor checkpoint per fair round: the charge refuses the
@@ -540,151 +461,13 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 		}
 		res.Stats.Rounds = round
 
-		// Phase 1: enumerate antecedent homomorphisms and keep the active
-		// triggers, those whose conclusion the round-start instance does not
-		// witness. The phase only reads the instance, so every task checks
-		// against that same round-start instance. The work is cut into
-		// tasks — one per dependency on full rounds; one per (dependency,
-		// delta position, delta shard) on semi-naive rounds — so Workers > 1
-		// parallelizes both across dependencies and within a single
-		// dependency's delta.
 		useDelta := round > 1
-		deltaLen := lastLen - prevLen
 		if sink != nil {
 			sink.Event(obs.Event{Type: obs.EvRoundStart, Src: "chase", Round: round, Tuples: lastLen})
 			if useDelta {
-				sink.Event(obs.Event{Type: obs.EvDeltaSize, Src: "chase", Round: round, N: deltaLen})
+				sink.Event(obs.Event{Type: obs.EvDeltaSize, Src: "chase", Round: round, N: lastLen - prevLen})
 			}
 		}
-		var tasks []collectTask
-		for di, d := range e.deps {
-			k := d.NumAntecedents()
-			if !useDelta {
-				tasks = append(tasks, collectTask{dep: di, deltaRow: -1, lo: 0, hi: lastLen})
-				continue
-			}
-			if deltaLen == 0 {
-				continue
-			}
-			// Delta decomposition: homomorphism position j maps to a tuple
-			// added in the previous round, earlier rows to older tuples,
-			// later rows to anything. Sharding splits the delta window of
-			// row j; the join pins that row outermost, so shard
-			// concatenation equals the unsharded enumeration.
-			shards := min(max(e.opt.Workers, 1), deltaLen)
-			for j := 0; j < k; j++ {
-				for s := 0; s < shards; s++ {
-					tasks = append(tasks, collectTask{
-						dep:      di,
-						deltaRow: j,
-						lo:       prevLen + deltaLen*s/shards,
-						hi:       prevLen + deltaLen*(s+1)/shards,
-					})
-				}
-			}
-		}
-		// An active trigger of an embedded dependency invents a null, so it
-		// always adds a tuple. Once a task holds headroom+1 of them, the
-		// merge stops at or before the last, at the tuple cap: enumerating
-		// further cannot change the run.
-		capActive := -1
-		if tupleCap > 0 {
-			capActive = max(tupleCap-lastLen, 0) + 1
-		}
-		runTask := func(t *collectTask) {
-			d := e.deps[t.dep]
-			concl := d.Conclusion()
-			limit := -1
-			if !d.IsFull() {
-				limit = capActive
-			}
-			t.active.width = e.widths[t.dep]
-			emit := func(as tableau.Assignment) bool {
-				t.homs++
-				// A single round's enumeration is unbounded on divergent
-				// instances, so cancellation latency cannot be per-round
-				// only: every batch of enumerated homomorphisms polls the
-				// context (cheap, lock-free, safe from worker goroutines)
-				// and aborts this task's join. Aborted buffers are
-				// discarded before any event is emitted, so the trace
-				// stays closed.
-				if t.homs%interruptBatch == 0 && g.Interrupted().Stopped() {
-					return false
-				}
-				if tableau.RowSatisfiable(concl, as, inst) {
-					return true
-				}
-				t.active.add(as, t.homs-1)
-				return len(t.active.seen) != limit
-			}
-			ranges := make([]tableau.Range, d.NumAntecedents())
-			for i := range ranges {
-				switch {
-				case t.deltaRow < 0 || i > t.deltaRow:
-					ranges[i] = tableau.Range{Lo: 0, Hi: lastLen}
-				case i < t.deltaRow:
-					ranges[i] = tableau.Range{Lo: 0, Hi: prevLen}
-				default:
-					ranges[i] = tableau.Range{Lo: t.lo, Hi: t.hi}
-				}
-			}
-			d.Tableau().EachRangeHomomorphism(inst, ranges, t.deltaRow, nil, emit)
-		}
-		if e.opt.Workers > 1 && len(tasks) > 1 {
-			// Workers claim tasks off a shared atomic cursor: no channel hop
-			// per task, no dispatcher goroutine, workers capped at the task
-			// count. Claim order does
-			// not affect the output — the merge below consumes results in
-			// task order — so the cursor walks a permutation sorted by last
-			// round's measured cost, heaviest first.
-			order := make([]int, len(tasks))
-			for i := range order {
-				order[i] = i
-			}
-			if len(taskCost) > 0 {
-				cost := func(i int) int64 {
-					return taskCost[[2]int{tasks[i].dep, tasks[i].deltaRow}]
-				}
-				sort.SliceStable(order, func(a, b int) bool {
-					return cost(order[a]) > cost(order[b])
-				})
-			}
-			workers := min(e.opt.Workers, len(tasks))
-			var cursor atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						ti := int(cursor.Add(1)) - 1
-						if ti >= len(tasks) {
-							return
-						}
-						t := &tasks[order[ti]]
-						start := time.Now()
-						runTask(t)
-						t.ns = int64(time.Since(start))
-					}
-				}()
-			}
-			wg.Wait()
-			if taskCost == nil {
-				taskCost = make(map[[2]int]int64, len(tasks))
-			} else {
-				clear(taskCost)
-			}
-			for i := range tasks {
-				taskCost[[2]int{tasks[i].dep, tasks[i].deltaRow}] += tasks[i].ns
-			}
-		} else {
-			for ti := range tasks {
-				runTask(&tasks[ti])
-			}
-		}
-
-		// Phase 2: one sequential, deterministic pass over the active
-		// triggers in task order, materializing each conclusion.
 		var homsRound, nullsRound, firedRound, addedRound int
 		// emitRoundTail closes the round's event group; it is also called
 		// on early exits so partial rounds replay to the reported Stats.
@@ -699,25 +482,9 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			sink.Event(obs.Event{Type: obs.EvRoundEnd, Src: "chase", Round: round,
 				Tuples: inst.Len(), N: firedRound, Homs: homsRound})
 		}
-		// stopMidRound abandons the round in flight: whatever was already
-		// counted is flushed as a well-formed round tail, then the stop and
-		// verdict events close the trace, so a cancelled run still replays
-		// to exactly the Stats it reports.
-		stopMidRound := func(o budget.Outcome) Result {
-			res.Verdict = Unknown
-			res.Budget = o
-			captureAt(false)
-			emitRoundTail()
-			emitStop()
-			emitVerdict()
-			return res
-		}
-		if o := g.Interrupted(); o.Stopped() {
-			return stopMidRound(o)
-		}
-		// Each dependency's triggers form one contiguous run of tasks, so
-		// per-dependency firing events aggregate into three scalars and
-		// flush at run boundaries, costing no allocations.
+		// Dependencies are walked in order, so per-dependency firing events
+		// aggregate into three scalars and flush when the firing dependency
+		// changes, costing no allocations.
 		curDep, curFired, curAdded := -1, 0, 0
 		flushDep := func() {
 			if sink != nil && curDep >= 0 {
@@ -726,64 +493,106 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			}
 			curFired, curAdded = 0, 0
 		}
-		for ti := range tasks {
-			t := &tasks[ti]
-			d := e.deps[t.dep]
-			if len(t.active.seen) > 0 && scratch[t.dep] == nil {
-				scratch[t.dep] = tableau.NewAssignment(d.Tableau())
+
+		// The round is one pass over the dependencies in order. A
+		// homomorphism whose conclusion the round-start instance (the prefix
+		// of length lastLen) does not witness is an active trigger, and its
+		// conclusion is added at once. Every row's range ends at lastLen, so
+		// tuples the round adds are invisible to its own enumeration and to
+		// the join's choice of rows.
+		var stop budget.Outcome
+		var di int
+		var d *td.TD
+		yield := func(as tableau.Assignment) bool {
+			homsRound++
+			// A single round's enumeration is unbounded on divergent
+			// instances, so cancellation latency cannot be per-round only:
+			// every batch of homomorphisms polls the context.
+			if homsRound%interruptBatch == 0 {
+				if stop = g.Interrupted(); stop.Stopped() {
+					return false
+				}
 			}
-			as := scratch[t.dep]
-			for i, seen := range t.active.seen {
-				var stop budget.Outcome
-				if tupleCap > 0 && inst.Len() >= tupleCap {
-					stop = budget.Exhausted(budget.Tuples)
-				} else if firedRound%interruptBatch == interruptBatch-1 {
-					stop = g.Interrupted()
-				}
-				if stop.Stopped() {
-					// The round counts the enumeration it consumed: every
-					// earlier task, and this task up to the refused trigger.
-					homsRound += seen
-					res.Stats.HomomorphismsSeen += seen
-					g.Add(budget.Tuples, addedRound)
-					flushDep()
-					return stopMidRound(stop)
-				}
-				if t.dep != curDep {
-					flushDep()
-					curDep = t.dep
-				}
-				t.active.load(i, as)
-				tup, nulls := conclusionTuple(d, as, inst)
-				_, added, err := inst.Add(tup)
-				if err != nil {
-					// Cannot happen: tuples are built against the schema.
-					panic(err)
-				}
-				res.Stats.TriggersFired++
-				res.Stats.NullsCreated += nulls
-				firedRound++
-				nullsRound += nulls
-				curFired++
+			if tableau.RowSatisfiableWithin(d.Conclusion(), as, inst, lastLen) {
+				return true
+			}
+			if tupleCap > 0 && inst.Len() >= tupleCap {
+				// The round counts the enumeration it consumed, up to but
+				// not including the refused trigger.
+				homsRound--
+				stop = budget.Exhausted(budget.Tuples)
+				return false
+			}
+			if di != curDep {
+				flushDep()
+				curDep = di
+			}
+			tup, nulls := conclusionTuple(d, as, inst)
+			_, added, err := inst.Add(tup)
+			if err != nil {
+				// Cannot happen: tuples are built against the schema.
+				panic(err)
+			}
+			res.Stats.TriggersFired++
+			res.Stats.NullsCreated += nulls
+			firedRound++
+			nullsRound += nulls
+			curFired++
+			if added {
+				res.Stats.TuplesAdded++
+				addedRound++
+				curAdded++
+				res.labels = append(res.labels, di)
+			}
+			if res.Stats.PerDep != nil {
+				ds := &res.Stats.PerDep[di]
+				ds.Fired++
+				ds.Nulls += nulls
 				if added {
-					res.Stats.TuplesAdded++
-					addedRound++
-					curAdded++
-					res.labels = append(res.labels, t.dep)
-				}
-				if res.Stats.PerDep != nil {
-					ds := &res.Stats.PerDep[t.dep]
-					ds.Fired++
-					ds.Nulls += nulls
-					if added {
-						ds.Added++
-					}
+					ds.Added++
 				}
 			}
-			homsRound += t.homs
-			res.Stats.HomomorphismsSeen += t.homs
+			return true
 		}
+		for di = 0; di < len(e.deps) && !stop.Stopped(); di++ {
+			d = e.deps[di]
+			k := d.NumAntecedents()
+			// Round 1 makes one full enumeration (j = -1). A later round makes
+			// one per delta position j: row j maps to a tuple the previous
+			// round added and is pinned outermost, earlier rows map to older
+			// tuples, later rows to anything.
+			lo, hi := 0, k
+			if !useDelta {
+				lo, hi = -1, 0
+			}
+			for j := lo; j < hi && !stop.Stopped(); j++ {
+				ranges = ranges[:0]
+				for i := 0; i < k; i++ {
+					r := tableau.Range{Lo: 0, Hi: lastLen}
+					if i < j {
+						r.Hi = prevLen
+					} else if i == j {
+						r.Lo = prevLen
+					}
+					ranges = append(ranges, r)
+				}
+				d.Tableau().EachRangeHomomorphism(inst, ranges, j, nil, yield)
+			}
+		}
+		res.Stats.HomomorphismsSeen += homsRound
 		flushDep()
+		g.Add(budget.Tuples, addedRound)
+		if stop.Stopped() {
+			// A round cut short still closes its event group, so a stopped
+			// run replays to exactly the Stats it reports.
+			res.Verdict = Unknown
+			res.Budget = stop
+			captureAt(false)
+			emitRoundTail()
+			emitStop()
+			emitVerdict()
+			return res
+		}
 		if firedRound == 0 {
 			res.FixpointReached = true
 			if goal == nil {
@@ -797,7 +606,6 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			return res
 		}
 		emitRoundTail()
-		g.Add(budget.Tuples, addedRound)
 		prevLen = lastLen
 		lastLen = inst.Len()
 		res.bounds = append(res.bounds, lastLen)

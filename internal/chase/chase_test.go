@@ -1,7 +1,6 @@
 package chase
 
 import (
-	"reflect"
 	"testing"
 
 	"templatedep/internal/budget"
@@ -258,103 +257,6 @@ func TestRoundBoundaries(t *testing.T) {
 	}
 	if prev != res.Instance.Len() {
 		t.Errorf("boundaries end at %d, instance has %d", prev, res.Instance.Len())
-	}
-}
-
-func TestParallelWorkersMatchSequential(t *testing.T) {
-	s := threeCol()
-	deps, err := td.ParseSet(s, `
-join:  R(a, b, c) & R(a, b', c') -> R(a, b, c')
-mirror: R(a, b, c) & R(a', b, c') -> R(a, b, c')
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := relation.NewInstance(s)
-	start.MustAdd(relation.Tuple{0, 0, 0})
-	start.MustAdd(relation.Tuple{0, 1, 1})
-	start.MustAdd(relation.Tuple{7, 1, 2})
-	run := func(workers int) Result {
-		e, err := NewEngine(s, deps, Options{Governor: budget.New(nil, budget.Limits{Rounds: 50, Tuples: 10000}), Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e.Chase(start, nil)
-	}
-	seq := run(1)
-	par := run(4)
-	if !seq.FixpointReached || !par.FixpointReached {
-		t.Fatal("no fixpoint")
-	}
-	if seq.Instance.Len() != par.Instance.Len() {
-		t.Fatalf("sizes differ: %d vs %d", seq.Instance.Len(), par.Instance.Len())
-	}
-	// Determinism: identical instances, not merely isomorphic.
-	for _, tup := range seq.Instance.Tuples() {
-		if !par.Instance.Contains(tup) {
-			t.Errorf("parallel run missing %v", tup)
-		}
-	}
-	if seq.Stats.TriggersFired != par.Stats.TriggersFired {
-		t.Errorf("fired %d vs %d", seq.Stats.TriggersFired, par.Stats.TriggersFired)
-	}
-}
-
-// Workers > 1 partitions the semi-naive delta within a single dependency.
-// Because the delta row is pinned to the outermost join level, the chase
-// must be bit-identical for every worker count: same tuples in the same
-// order (hence identical fresh-null numbering) and identical traces, even
-// with embedded dependencies inventing nulls. Run under -race this also
-// exercises the worker pool for data races.
-func TestIntraDependencyPartitioning(t *testing.T) {
-	s := threeCol()
-	deps, err := td.ParseSet(s, `
-join:   R(a, b, c) & R(a, b', c') -> R(a, b, c')
-invent: R(a, b, c) & R(a', b, c') -> R(a*, b, c')
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := relation.NewInstance(s)
-	for i := 0; i < 12; i++ {
-		start.MustAdd(relation.Tuple{relation.Value(i % 3), relation.Value(i % 4), relation.Value(i)})
-	}
-	run := func(workers int) Result {
-		e, err := NewEngine(s, deps, Options{
-			Governor: budget.New(nil, budget.Limits{Rounds: 4, Tuples: 4000}),
-			Workers:  workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e.Chase(start, nil)
-	}
-	ref := run(1)
-	for _, workers := range []int{2, 4, 7} {
-		got := run(workers)
-		if got.Instance.Len() != ref.Instance.Len() {
-			t.Fatalf("workers=%d: %d tuples, want %d", workers, got.Instance.Len(), ref.Instance.Len())
-		}
-		// Same tuples in the same insertion order: fresh-null numbering and
-		// all statistics must match the sequential run exactly.
-		for i, tup := range ref.Instance.Tuples() {
-			if !tup.Equal(got.Instance.Tuple(i)) {
-				t.Fatalf("workers=%d: tuple %d is %v, want %v", workers, i, got.Instance.Tuple(i), tup)
-			}
-		}
-		if !reflect.DeepEqual(got.Stats, ref.Stats) {
-			t.Errorf("workers=%d: stats %+v, want %+v", workers, got.Stats, ref.Stats)
-		}
-		gotProof, refProof := got.Proof(), ref.Proof()
-		if len(gotProof) != len(refProof) {
-			t.Fatalf("workers=%d: proof length %d, want %d", workers, len(gotProof), len(refProof))
-		}
-		for i := range refProof {
-			if gotProof[i].Dep != refProof[i].Dep || gotProof[i].Round != refProof[i].Round ||
-				!gotProof[i].Tuple.Equal(refProof[i].Tuple) {
-				t.Fatalf("workers=%d: proof[%d] = %+v, want %+v", workers, i, gotProof[i], refProof[i])
-			}
-		}
 	}
 }
 

@@ -25,18 +25,16 @@ import (
 // byte-for-byte what the cold run would have held.
 //
 // Snapshots only ever describe CLEAN round boundaries: a run cut mid-round
-// (tuple-cap or cancellation during materialization) truncates its snapshot
-// to the last completed round, discarding the partial round — resuming then
-// re-derives that round from the delta, which is exactly the cold
-// computation. relation.Instance.ClonePrefix rebuilds the truncated
+// (by the tuple cap or a cancellation) truncates its snapshot to the last
+// completed round, discarding the partial round — resuming then re-derives
+// that round from the delta, which is exactly the cold computation. relation.Instance.ClonePrefix rebuilds the truncated
 // instance from its rows, which also renormalizes the fresh-value counters
-// a cancelled merge phase may have advanced past the boundary.
+// a round cut short may have advanced past the boundary.
 
 // stateEligible reports whether this engine configuration can produce or
-// consume warm-start snapshots. Results are bit-identical for every worker
-// count, so only PerDepStats matters: it demands per-dependency detail a
-// boundary snapshot does not retain, and falls back to a cold run rather
-// than approximate.
+// consume warm-start snapshots. Only PerDepStats matters: it demands
+// per-dependency detail a boundary snapshot does not retain, and falls back
+// to a cold run rather than approximate.
 func (e *Engine) stateEligible() bool {
 	return !e.opt.PerDepStats
 }

@@ -48,8 +48,6 @@ import (
 // certify: every definitive verdict keeps the proof its winning engine
 // found, and the portfolio's Result.Cert serializes it on demand.
 type Budget struct {
-	// Chase.Workers parallelizes the chase; results and traces are
-	// identical for every value.
 	Chase chase.Options
 	// Closure bounds the derivation arm: its governor sets the words
 	// ceiling, and LengthCap the widest word-length window the arm opens

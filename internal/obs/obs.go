@@ -17,10 +17,10 @@
 //     sink costs only the call — Event values are passed on the stack and
 //     never escape. This is pinned by TestNopSinkAllocParity at the repo
 //     root.
-//  3. Deterministic where the engine is deterministic: the chase emits
-//     events only from its sequential merge phase, so the event stream is
-//     bit-identical for every Options.Workers value (pinned by
-//     TestEventStreamWorkerIndependent).
+//  3. Deterministic where the engine is deterministic: the chase runs and
+//     emits on its caller's goroutine, so its event stream is a pure
+//     function of the problem and the limits (pinned against golden traces
+//     by TestEventStreamWorkerIndependent).
 //
 // The full event and counter schema — every type, field, and unit — is
 // documented in docs/OBSERVABILITY.md, which CI keeps in sync with the
@@ -252,10 +252,9 @@ type Event struct {
 }
 
 // Sink receives events. Implementations must be safe for concurrent use:
-// the portfolio runs its arms on one goroutine and the chase emits from
-// its sequential merge phase (so the stream is deterministic even with
-// Options.Workers > 1), but a server emits from every in-flight request at
-// once into one shared sink. Events arrive in program order per emitting
+// the portfolio runs its arms on one goroutine and the chase emits from its
+// caller's, but a server emits from every in-flight request at once into
+// one shared sink. Events arrive in program order per emitting
 // goroutine; no cross-goroutine ordering is guaranteed.
 type Sink interface {
 	Event(Event)

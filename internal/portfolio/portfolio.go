@@ -47,10 +47,9 @@
 // for completion, window coverage for the backtracking searches), so the
 // whole decision sequence — and therefore the whole trace — is a pure
 // function of the input and the budget. Re-running with the same budget
-// yields a byte-identical trace for any Chase.Workers value: the chase arm's
-// merge-phase emission is deterministic under Workers > 1, and the two
-// backtracking searches walk on one goroutine, so a lease's node count and
-// stop point are functions of its grant.
+// yields a byte-identical trace: the chase arm runs each round as one pass
+// and the two backtracking searches walk their trees, all on this
+// goroutine, so a lease's work and stop point are functions of its grant.
 //
 // # Lease mechanics
 //

@@ -283,33 +283,21 @@ func traceOf(t *testing.T, name string, b core.Budget) (*Result, []byte) {
 }
 
 // The whole portfolio trace — every engine event and every reallocation
-// decision — must be byte-identical across re-runs and across Workers
-// values. This is the determinism contract that makes portfolio traces
-// replayable evidence.
+// decision — must be byte-identical across re-runs. This is the
+// determinism contract that makes portfolio traces replayable evidence.
 func TestTraceDeterminism(t *testing.T) {
 	for _, preset := range []string{"power", "gap"} {
-		base := core.Budget{}
+		b := core.Budget{}
 		if preset == "gap" {
-			base = tight()
+			b = tight()
 		}
-		o1 := base
-		o1.Chase.Workers = 1
-		res1, trace1 := traceOf(t, preset, o1)
-		res2, trace2 := traceOf(t, preset, o1)
+		res1, trace1 := traceOf(t, preset, b)
+		res2, trace2 := traceOf(t, preset, b)
 		if !bytes.Equal(trace1, trace2) {
 			t.Errorf("%s: re-run trace differs", preset)
 		}
 		if res1.Verdict != res2.Verdict || len(res1.Decisions) != len(res2.Decisions) {
 			t.Errorf("%s: re-run results differ", preset)
-		}
-		o4 := base
-		o4.Chase.Workers = 4
-		res4, trace4 := traceOf(t, preset, o4)
-		if !bytes.Equal(trace1, trace4) {
-			t.Errorf("%s: Workers=4 trace differs from Workers=1", preset)
-		}
-		if res1.Verdict != res4.Verdict {
-			t.Errorf("%s: Workers=4 verdict differs", preset)
 		}
 	}
 }

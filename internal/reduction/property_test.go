@@ -51,7 +51,7 @@ func TestDirectionARandomizedDerivable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := chase.Implies(in.D, in.D0, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 16, Tuples: 150000}), Workers: 4})
+		res, err := chase.Implies(in.D, in.D0, chase.Options{Governor: budget.New(nil, budget.Limits{Rounds: 16, Tuples: 150000})})
 		if err != nil {
 			t.Fatal(err)
 		}

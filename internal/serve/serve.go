@@ -89,9 +89,8 @@ type Config struct {
 	// negative disables state caching). State entries carry chased
 	// instances, so the default is much smaller than the verdict cache's.
 	StateCacheSize int
-	// Workers sets the chase's intra-run parallelism (round sharding) for
-	// every cold run; 0 keeps it serial. The portfolio runs its search
-	// arms serially. Results are bit-identical for every value.
+	// Workers has no effect: a cold run's chase, like its searches, runs
+	// on the request's goroutine.
 	Workers int
 	// Sink receives every event of every request, each stamped with the
 	// request's trace ID.
@@ -409,7 +408,6 @@ func (s *Server) budgetFor(p *Problem, sink obs.Sink) (core.Budget, *budget.Gove
 	g, cancel := budget.ForRequest(s.rootCtx, s.cfg.RequestTimeout, s.limitsFor(p))
 	b := core.Budget{Governor: g, Sink: sink}
 	b.Chase.Governor = g.Child(s.chaseLimits(p))
-	b.Chase.Workers = s.cfg.Workers
 	nodes := budget.Limits{Nodes: s.nodesFor(p)}
 	b.ModelSearch.Governor = g.Child(nodes)
 	b.FiniteDB.Governor = g.Child(nodes)

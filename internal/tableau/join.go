@@ -39,38 +39,24 @@ func FullRanges(inst *relation.Instance, n int) []Range {
 // EachRangeHomomorphism enumerates homomorphisms of the first len(ranges)
 // rows of t into inst, where row i may only map to tuples with index in
 // ranges[i], using the index-driven join. pin >= 0 forces that row to the
-// outermost backtracking level (the chase pins the delta row, which both
-// applies the most selective restriction first and keeps enumeration order
-// independent of how the delta is sharded across workers); pin < 0 lets
-// the selectivity heuristic choose every level. The assignment passed to
-// yield is reused across calls — clone it to retain. Enumeration order is
-// deterministic but unspecified; the set of yielded homomorphisms is
-// exactly that of the scan-based enumeration.
+// outermost backtracking level (the chase pins the delta row, which applies
+// the most selective restriction first); pin < 0 lets the selectivity
+// heuristic choose every level. A pinned row enumerates its candidates in
+// ascending instance index within its range, so splitting that range across
+// calls and concatenating the yields in range order reproduces the unsplit
+// enumeration exactly. The assignment passed to yield is reused across
+// calls — clone it to retain. Enumeration order is deterministic but
+// otherwise unspecified; the set of yielded homomorphisms is exactly that of
+// the scan-based enumeration.
 func (t *Tableau) EachRangeHomomorphism(inst *relation.Instance, ranges []Range, pin int, seed Assignment, yield func(Assignment) bool) {
-	var pins []int
-	if pin >= 0 {
-		pins = []int{pin}
-	}
-	t.EachPinnedHomomorphism(inst, ranges, pins, seed, yield)
-}
-
-// EachPinnedHomomorphism generalizes EachRangeHomomorphism to a pinned
-// prefix: pins[d] is forced to backtracking level d, and levels past the
-// prefix fall back to the selectivity heuristic. A pinned level enumerates
-// its candidates in ascending instance index within the row's range, so
-// splitting that range across calls and concatenating the yields in range
-// order reproduces the unsplit enumeration exactly — the property the chase
-// relies on to shard work across workers without perturbing the trace. Rows
-// in pins must be distinct and within the matched prefix.
-func (t *Tableau) EachPinnedHomomorphism(inst *relation.Instance, ranges []Range, pins []int, seed Assignment, yield func(Assignment) bool) {
 	n := len(ranges)
 	if n > len(t.rows) {
 		n = len(t.rows)
 		ranges = ranges[:n]
 	}
 	// Join state is pooled per tableau: the chase calls this once per
-	// (dependency, delta position, shard) task every round, and the
-	// assignment/scratch allocations would otherwise dominate small rounds.
+	// (dependency, delta position) every round, and the assignment/scratch
+	// allocations would otherwise dominate small rounds.
 	j, _ := t.joinPool.Get().(*join)
 	if j == nil {
 		j = &join{
@@ -95,14 +81,14 @@ func (t *Tableau) EachPinnedHomomorphism(inst *relation.Instance, ranges []Range
 			}
 		}
 	}
-	j.inst, j.ranges, j.n, j.pins, j.yield = inst, ranges, n, pins, yield
+	j.inst, j.ranges, j.n, j.pin, j.yield = inst, ranges, n, pin, yield
 	j.trail = j.trail[:0]
 	if n == 0 {
 		yield(j.as)
 	} else {
 		j.rec(0)
 	}
-	j.inst, j.ranges, j.pins, j.yield = nil, nil, nil, nil
+	j.inst, j.ranges, j.yield = nil, nil, nil
 	t.joinPool.Put(j)
 }
 
@@ -122,7 +108,7 @@ type join struct {
 	trail  [][2]int
 	levels []levelBuf
 	n      int // rows being matched (a prefix of the tableau)
-	pins   []int
+	pin    int // row forced to depth 0, or < 0
 	yield  func(Assignment) bool
 }
 
@@ -159,8 +145,8 @@ func (j *join) cost(ri int) int {
 // is bound yet, so every index in [lo, hi) is a candidate and cands is
 // meaningless.
 func (j *join) pick(depth int) (ri int, cands []int, wholeRange bool, lo, hi int) {
-	if depth < len(j.pins) && j.pins[depth] >= 0 && j.pins[depth] < j.n {
-		ri = j.pins[depth]
+	if depth == 0 && j.pin >= 0 && j.pin < j.n {
+		ri = j.pin
 	} else {
 		ri = -1
 		best := 0

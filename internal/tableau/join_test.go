@@ -91,7 +91,7 @@ func TestIndexJoinMatchesScan(t *testing.T) {
 
 // Property: range-restricted index enumeration (with and without a pinned
 // row) matches the scan over the equivalent candidate slices — the contract
-// the semi-naive chase's delta sharding relies on.
+// the semi-naive chase's delta join relies on.
 func TestRangeJoinMatchesCandidateScan(t *testing.T) {
 	f := func(seed64 int64) bool {
 		rng := rand.New(rand.NewSource(seed64))
@@ -166,5 +166,69 @@ func TestPinnedShardingPreservesOrder(t *testing.T) {
 				t.Fatalf("trial %d: order diverges at %d: %s vs %s", trial, i, whole[i], pieced[i])
 			}
 		}
+	}
+}
+
+// Tuples added to the instance during an enumeration whose ranges end before
+// them must change nothing: not the yielded homomorphisms, not their order
+// (the join's choice of row at each level). The chase applies each trigger
+// from inside its round's enumeration and relies on exactly this. The fixed
+// case ties rows 1 and 2 on candidate count once row 0 maps to (1, 1, 1),
+// and its growth lengthens row 1's posting list, so a cost estimate that
+// looked past a range's end would flip their order.
+func TestRangeJoinIgnoresTuplesAddedDuringEnumeration(t *testing.T) {
+	s := relation.MustSchema("A", "B", "C")
+	check := func(name string, tab *Tableau, inst *relation.Instance, ranges []Range, pin int, seed Assignment, grow func(*relation.Instance)) {
+		t.Helper()
+		var want []string
+		tab.EachRangeHomomorphism(inst, ranges, pin, seed, func(as Assignment) bool {
+			want = append(want, fmt.Sprint(as))
+			return true
+		})
+		grown := inst.Clone()
+		var got []string
+		tab.EachRangeHomomorphism(grown, ranges, pin, seed, func(as Assignment) bool {
+			got = append(got, fmt.Sprint(as))
+			grow(grown)
+			return true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d homs while growing, %d on the fixed instance", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: order diverges at %d: %s vs %s", name, i, got[i], want[i])
+			}
+		}
+	}
+
+	tab := MustNew(s, []VarTuple{{0, 0, 0}, {0, 1, 1}, {1, 0, 2}})
+	inst := relation.NewInstance(s)
+	for _, tup := range []relation.Tuple{{0, 0, 0}, {1, 1, 1}, {1, 2, 2}, {3, 1, 3}} {
+		inst.MustAdd(tup)
+	}
+	next := relation.Value(7)
+	check("fixed", tab, inst, FullRanges(inst, 3), -1, nil, func(in *relation.Instance) {
+		in.MustAdd(relation.Tuple{1, next, next})
+		next++
+	})
+
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 200; trial++ {
+		tab, inst, seed := randomJoinCase(rng)
+		n := inst.Len()
+		k := tab.Len()
+		ranges := make([]Range, k)
+		for i := range ranges {
+			lo := rng.Intn(n + 1)
+			ranges[i] = Range{lo, lo + rng.Intn(n-lo+1)}
+		}
+		check(fmt.Sprintf("trial %d", trial), tab, inst, ranges, rng.Intn(k+1)-1, seed, func(in *relation.Instance) {
+			for i := 0; i < 3; i++ {
+				in.MustAdd(relation.Tuple{
+					relation.Value(rng.Intn(3)), relation.Value(rng.Intn(5)), relation.Value(rng.Intn(5)),
+				})
+			}
+		})
 	}
 }

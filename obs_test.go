@@ -2,8 +2,13 @@ package templatedep_test
 
 import (
 	"bytes"
-	"templatedep/internal/budget"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
+
+	"templatedep/internal/budget"
 
 	"templatedep/internal/chase"
 	"templatedep/internal/obs"
@@ -61,15 +66,17 @@ func TestTraceReplayMatchesStats(t *testing.T) {
 	}
 }
 
-// The chase emits events only from its sequential merge phase, so the trace
-// must be byte-identical no matter how many workers enumerate triggers —
-// the same guarantee the engine gives for its results, extended to its
-// observability. The oracle cases are independence atoms from the oracle
-// corpus family (seed 1's oracle/017 and oracle/069) at the serving class.
-// The tuple cap stops their last round. There the collect tasks' trigger
-// cap binds under some worker counts, and the tasks themselves differ with
-// the worker count, so the round's consumed prefix must be counted the
-// same way across task boundaries.
+// The chase's event stream is a pure function of the problem and the
+// limits. Each case's golden trace in testdata/chase was recorded when the
+// engine still enumerated a round's triggers on a worker pool and merged
+// them afterwards; Workers 1, 2 and 4 gave those same bytes, and the
+// one-pass round must give them too. The oracle cases are independence
+// atoms from the oracle corpus family (seed 1's oracle/017 and oracle/069)
+// at the serving class: the tuple cap stops their last round, which pins
+// the round's consumed prefix, and they invent nulls. The invent case adds
+// an embedded dependency to a full one and pins the run's Stats and proof
+// as well; its embedded dependency never fires, because each of its
+// conclusions is witnessed by its own second antecedent.
 func TestEventStreamWorkerIndependent(t *testing.T) {
 	s3 := relation.MustSchema("A", "B", "C")
 	closure, err := td.ParseSet(s3, `
@@ -83,6 +90,17 @@ tail:   R(a, b, c) & R(a', b', c) -> R(a, b', c)
 	start := relation.NewInstance(s3)
 	for i := 0; i < 8; i++ {
 		start.MustAdd(relation.Tuple{relation.Value(i % 2), relation.Value(i % 3), relation.Value(i)})
+	}
+	invent, err := td.ParseSet(s3, `
+join:   R(a, b, c) & R(a, b', c') -> R(a, b, c')
+invent: R(a, b, c) & R(a', b, c') -> R(a*, b, c')
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	startInvent := relation.NewInstance(s3)
+	for i := 0; i < 12; i++ {
+		startInvent.MustAdd(relation.Tuple{relation.Value(i % 3), relation.Value(i % 4), relation.Value(i)})
 	}
 	s4 := relation.MustSchema("A", "B", "C", "D")
 	atom := func(deps, goal string) ([]*td.TD, *relation.Instance) {
@@ -112,29 +130,47 @@ d1: R(a0, b0, c0, d0) & R(a1, b1, c1, d1) -> R(a1, b0, c2, d2)
 		{"closure", closure, start, budget.Limits{Rounds: 50, Tuples: 20000}, budget.Outcome{}},
 		{"oracle-017", deps017, start017, serving, budget.Exhausted(budget.Tuples)},
 		{"oracle-069", deps069, start069, serving, budget.Exhausted(budget.Tuples)},
+		{"invent", invent, startInvent, budget.Limits{Rounds: 4, Tuples: 4000}, budget.Outcome{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			trace := func(workers int) []byte {
-				var buf bytes.Buffer
-				e, err := chase.NewEngine(tc.start.Schema(), tc.deps, chase.Options{Governor: budget.New(nil, tc.limits),
-					Workers: workers, Sink: obs.NewJSONLSink(&buf)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res := e.Chase(tc.start, nil); res.Budget != tc.want || !res.Budget.Stopped() && !res.FixpointReached {
-					t.Fatalf("workers %d: budget %v, fixpoint %v; want budget %v", workers, res.Budget, res.FixpointReached, tc.want)
-				}
-				return buf.Bytes()
+			var buf bytes.Buffer
+			e, err := chase.NewEngine(tc.start.Schema(), tc.deps, chase.Options{Governor: budget.New(nil, tc.limits),
+				Sink: obs.NewJSONLSink(&buf)})
+			if err != nil {
+				t.Fatal(err)
 			}
-			seq := trace(1)
-			for _, workers := range []int{2, 4} {
-				if par := trace(workers); !bytes.Equal(seq, par) {
-					t.Errorf("event streams differ between Workers=1 (%d bytes) and Workers=%d (%d bytes):\n--- 1:\n%s--- %d:\n%s",
-						len(seq), workers, len(par), seq, workers, par)
-				}
+			res := e.Chase(tc.start, nil)
+			if res.Budget != tc.want || !res.Budget.Stopped() && !res.FixpointReached {
+				t.Fatalf("budget %v, fixpoint %v; want budget %v", res.Budget, res.FixpointReached, tc.want)
+			}
+			golden := readGolden(t, tc.name+".jsonl")
+			if !bytes.Equal(buf.Bytes(), golden) {
+				t.Errorf("event stream differs from testdata/chase/%s.jsonl:\n--- got:\n%s--- want:\n%s", tc.name, buf.Bytes(), golden)
+			}
+			if tc.name != "invent" {
+				return
+			}
+			if want := (chase.Stats{Rounds: 2, TriggersFired: 36, TuplesAdded: 36, HomomorphismsSeen: 1344}); !reflect.DeepEqual(res.Stats, want) {
+				t.Errorf("stats %+v, want %+v", res.Stats, want)
+			}
+			var proof bytes.Buffer
+			for _, f := range res.Proof() {
+				fmt.Fprintf(&proof, "%d %d %v\n", f.Round, f.Dep, f.Tuple)
+			}
+			if golden := readGolden(t, "invent.proof"); !bytes.Equal(proof.Bytes(), golden) {
+				t.Errorf("proof differs from testdata/chase/invent.proof:\n--- got:\n%s--- want:\n%s", proof.Bytes(), golden)
 			}
 		})
 	}
+}
+
+func readGolden(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "chase", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // Attaching the no-op sink must not change the engine's allocation profile:

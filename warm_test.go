@@ -2,7 +2,6 @@ package templatedep_test
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -18,13 +17,12 @@ import (
 // only changes where a run begins observing it. These tests pin that down
 // on the paper's own workloads: warm and cold runs must agree on the
 // verdict, every Stats field, the tuple-for-tuple identity of the final
-// instance, and the chase proof — for serial and parallel workers alike.
+// instance, and the chase proof.
 
-func warmCase(t *testing.T, in *reduction.Instance, producer, consumer budget.Limits, workers int) {
+func warmCase(t *testing.T, in *reduction.Instance, producer, consumer budget.Limits) {
 	t.Helper()
 	prod, err := chase.Implies(in.D, in.D0, chase.Options{
-		Workers: workers, CaptureState: true,
-		Governor: budget.New(nil, producer)})
+		CaptureState: true, Governor: budget.New(nil, producer)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,13 +30,11 @@ func warmCase(t *testing.T, in *reduction.Instance, producer, consumer budget.Li
 		t.Fatal("producer run captured no state")
 	}
 	warm, err := chase.Implies(in.D, in.D0, chase.Options{
-		Workers: workers, WarmState: prod.State,
-		Governor: budget.New(nil, consumer)})
+		WarmState: prod.State, Governor: budget.New(nil, consumer)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cold, err := chase.Implies(in.D, in.D0, chase.Options{
-		Workers:  workers,
 		Governor: budget.New(nil, consumer)})
 	if err != nil {
 		t.Fatal(err)
@@ -91,11 +87,9 @@ func TestWarmVsColdIdentical(t *testing.T) {
 			budget.Limits{Rounds: 4, Tuples: 200000}},
 	} {
 		in := reduction.MustBuild(tc.p)
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				warmCase(t, in, tc.producer, tc.consumer, workers)
-			})
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			warmCase(t, in, tc.producer, tc.consumer)
+		})
 	}
 }
 
