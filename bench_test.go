@@ -469,31 +469,6 @@ func BenchmarkAssociativity(b *testing.B) {
 	}
 }
 
-// Ablation: forward-only vs bidirectional derivation search. The A0 = 0
-// goal's zero endpoint has a huge rewrite neighbourhood (absorption
-// equations), so the two strategies trade places depending on the target.
-func BenchmarkSearchStrategies(b *testing.B) {
-	p := words.ChainPresentation(8)
-	for _, tc := range []struct {
-		name string
-		run  func() words.Result
-	}{
-		{"forward/goal", func() words.Result { return words.DeriveGoal(p, words.ClosureOptions{}) }},
-		{"bidirectional/goal", func() words.Result { return words.DeriveGoalBidirectional(p, words.ClosureOptions{}) }},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := tc.run()
-				if res.Verdict != words.Derivable {
-					b.Fatal("not derivable")
-				}
-				b.ReportMetric(float64(res.WordsExplored), "words")
-			}
-		})
-	}
-}
-
 // Ablation: equational-closure BFS effort vs derivation length.
 func BenchmarkWordClosure(b *testing.B) {
 	for _, n := range []int{1, 4, 16} {

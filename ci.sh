@@ -146,7 +146,7 @@ stage_static() {
 
     # And for the serving layer's counter vocabulary: every serve.* counter
     # the server bumps must appear in the schema docs.
-    for token in serve.requests serve.cache_hits serve.cache_misses serve.dedups serve.warm serve.shutdowns serve.cert_checked serve.cert_rejected \
+    for token in serve.requests serve.cache_hits serve.cache_misses serve.dedups serve.shutdowns serve.cert_checked serve.cert_rejected \
         serve.store_hits serve.peer_fills serve.peer_ok serve.peer_rejected serve.peer_unknown serve.peer_down; do
         if ! grep -q -- "$token" docs/OBSERVABILITY.md; then
             echo "docs/OBSERVABILITY.md: serve counter \"$token\" (from internal/serve) is undocumented" >&2
@@ -225,11 +225,10 @@ stage_unit() {
 
 stage_race() {
     # The full suite again under the race detector. The serving layer's
-    # singleflight/drain/state-flight tests, the peer-fill ring tests and
-    # the corpus and difffuzz worker pools all run real concurrency, so this
-    # sweep covers every concurrent path in the repo, including the
-    # warm-start state cache shared across requests. Each chase runs on its
-    # caller's goroutine.
+    # singleflight/drain tests, the peer-fill ring tests and the corpus and
+    # difffuzz worker pools all run real concurrency, so this sweep covers
+    # every concurrent path in the repo. Each chase runs on its caller's
+    # goroutine.
     go test -race -count=1 ./...
 }
 

@@ -661,7 +661,7 @@ func TestCLI(t *testing.T) {
 			t.Fatalf("tdserve exit: %v; output:\n%s", err, strings.Join(lines, "\n"))
 		}
 		out := strings.Join(lines, "\n")
-		if !strings.Contains(out, "tdserve: drained. requests=2 cold=1 warm=0 cache_hits=1 dedups=0") {
+		if !strings.Contains(out, "tdserve: drained. requests=2 cold=1 cache_hits=1 dedups=0") {
 			t.Errorf("drain summary:\n%s", out)
 		}
 		data, err := os.ReadFile(trace)

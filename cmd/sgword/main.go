@@ -52,7 +52,6 @@ func main() {
 	maxOrder := fs.Int("max-order", 6, "model search: largest semigroup order")
 	maxNodes := fs.Int("max-nodes", 5_000_000, "model search: node budget")
 	maxRules := fs.Int("max-rules", 500, "completion: rule budget")
-	bidi := fs.Bool("bidirectional", false, "derive: meet-in-the-middle search")
 	quotient := fs.Int("quotient", 0, "model: try nilpotent quotients up to this class before the table search (0 = off)")
 	pruneFlag := fs.String("prune", "symmetry", "model/analyze: symmetry breaking in the model search: symmetry|none")
 	emitCert := fs.Bool("cert", false, "derive: emit a machine-checkable certificate instead of the pretty chain")
@@ -100,12 +99,7 @@ func main() {
 			Governor:  budget.New(ctx, budget.Limits{Words: *maxWords}),
 			LengthCap: *maxLen,
 		}
-		var res words.Result
-		if *bidi {
-			res = words.DeriveGoalBidirectional(p, opts)
-		} else {
-			res = words.DeriveGoal(p, opts)
-		}
+		res := words.DeriveGoal(p, opts)
 		if *emitCert {
 			if res.Derivation == nil {
 				fatal(fmt.Errorf("no derivation found (verdict %s); nothing to certify", res.Verdict))

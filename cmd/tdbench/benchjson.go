@@ -41,8 +41,8 @@ type benchResult struct {
 	// workload: one cold run captures a chase-state snapshot, then the timed
 	// loop re-runs Implies seeded with that snapshot (fresh governor per
 	// iteration, like the cold loop). The replay skips straight to the goal
-	// probe, so warm_ns_per_op is the incremental-path latency the serve
-	// layer gets on a state-cache hit.
+	// probe, so warm_ns_per_op is the latency of replaying a captured
+	// snapshot up to its goal (chase.Options.WarmState).
 	WarmNsPerOp float64 `json:"warm_ns_per_op,omitempty"`
 	WarmVerdict string  `json:"warm_verdict,omitempty"`
 }

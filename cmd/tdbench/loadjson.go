@@ -41,8 +41,8 @@ func loadProblems() []serve.Request {
 
 type loadResult struct {
 	// Problem is the index into the request mix; Key/Verdict are as
-	// reported by the server; Source is "cold", "warm", "cache", "dedup",
-	// "store", or "peer".
+	// reported by the server; Source is "cold", "cache", "dedup", "store",
+	// or "peer".
 	Problem   int     `json:"problem"`
 	Key       string  `json:"key"`
 	Source    string  `json:"source"`
@@ -57,7 +57,6 @@ type loadReport struct {
 	Workers   int     `json:"workers"`
 	Problems  int     `json:"problems"`
 	Cold      int     `json:"cold"`
-	Warm      int     `json:"warm"`
 	CacheHits int     `json:"cache_hits"`
 	Dedups    int     `json:"dedups"`
 	StoreHits int     `json:"store_hits"`
@@ -178,8 +177,6 @@ func writeLoadJSON(path, server string, n, c int) {
 		switch r.Source {
 		case "cold":
 			rep.Cold++
-		case "warm":
-			rep.Warm++
 		case "cache":
 			rep.CacheHits++
 		case "dedup":
@@ -210,8 +207,7 @@ func writeLoadJSON(path, server string, n, c int) {
 		"serve.requests":     int64(n),
 		"serve.cache_hits":   int64(rep.CacheHits),
 		"serve.dedups":       int64(rep.Dedups),
-		"serve.warm":         int64(rep.Warm),
-		"serve.cache_misses": int64(rep.Cold + rep.Warm),
+		"serve.cache_misses": int64(rep.Cold),
 		"serve.store_hits":   int64(rep.StoreHits),
 		"serve.peer_ok":      int64(rep.PeerFills),
 	} {

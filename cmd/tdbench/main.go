@@ -130,7 +130,6 @@ func main() {
 	e8()
 	e9()
 	e10()
-	e11()
 	e12()
 }
 
@@ -368,25 +367,6 @@ func e10() {
 			c.Order, c.Classes, c.WithZero, c.WithIdentity, c.Commutative, c.WitnessClass, c.JTrivial)
 	}
 	fmt.Println("(class counts cross-validated against OEIS A027851: 1, 5, 24, 188, ...)")
-}
-
-func e11() {
-	header("E11 (search strategies)", "forward vs bidirectional derivation search; the zero endpoint is high-degree")
-	fmt.Printf("%-10s %-22s %-10s %-22s %-10s\n", "instance", "forward", "", "bidirectional", "")
-	fmt.Printf("%-10s %-10s %-11s %-10s %-11s\n", "", "verdict", "words", "verdict", "words")
-	for _, tc := range []struct {
-		name string
-		p    *words.Presentation
-	}{
-		{"chain4", words.ChainPresentation(4)},
-		{"chain8", words.ChainPresentation(8)},
-		{"twostep", words.TwoStepPresentation()},
-	} {
-		f := words.DeriveGoal(tc.p, words.ClosureOptions{})
-		bi := words.DeriveGoalBidirectional(tc.p, words.ClosureOptions{})
-		fmt.Printf("%-10s %-10s %-11d %-10s %-11d\n",
-			tc.name, f.Verdict, f.WordsExplored, bi.Verdict, bi.WordsExplored)
-	}
 }
 
 func e12() {

@@ -105,7 +105,6 @@ func (r *replica) kill() error {
 type shardPhase struct {
 	Requests  int     `json:"requests"`
 	Cold      int     `json:"cold"`
-	Warm      int     `json:"warm"`
 	CacheHits int     `json:"cache_hits"`
 	Dedups    int     `json:"dedups"`
 	StoreHits int     `json:"store_hits"`
@@ -261,8 +260,6 @@ func writeShardJSON(path string, quick bool) {
 				switch res.Source {
 				case "cold":
 					rep.Burst.Cold++
-				case "warm":
-					rep.Burst.Warm++
 				case "cache":
 					rep.Burst.CacheHits++
 				case "dedup":
@@ -399,7 +396,7 @@ func checkServeJSON(path string) {
 	if b.Requests <= 0 {
 		fail("burst carries no requests")
 	}
-	if got := b.Cold + b.Warm + b.CacheHits + b.Dedups + b.StoreHits + b.PeerFills; got != b.Requests {
+	if got := b.Cold + b.CacheHits + b.Dedups + b.StoreHits + b.PeerFills; got != b.Requests {
 		fail("burst sources sum to %d of %d requests", got, b.Requests)
 	}
 	if b.HitRate <= 0 || b.HitRate >= 1 {

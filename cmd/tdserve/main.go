@@ -14,11 +14,9 @@
 //
 // Each request is canonicalized up to symbol renaming and equation order
 // before lookup, so renamed repeats of a problem share one cache line and
-// one engine run. TD requests additionally share chase computations: goals
-// over the same dependency set and antecedent tableau warm-start from a
-// cached chase state instead of chasing from round 1. Responses carry a
-// "source" field ("cold", "warm", "cache", "dedup", "store", "peer") and
-// the request trace ID, which stamps every JSONL event the request caused.
+// one engine run. Responses carry a "source" field ("cold", "cache",
+// "dedup", "store", "peer") and the request trace ID, which stamps every
+// JSONL event the request caused.
 //
 // -store FILE persists every answered verdict in an append-log; a
 // restarted replica replays it on boot and answers previously-settled keys
@@ -62,7 +60,6 @@ func main() {
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrent engine runs (0 = unlimited)")
 		reqTimeout   = flag.Duration("request-timeout", 10*time.Second, "wall-clock budget per cold request (0 = meters only)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight runs before cancelling them")
-		stateCache   = flag.Int("state-cache", 0, "chase-state cache entries (0 = default 64, negative disables warm starts)")
 		rounds       = flag.Int("rounds", 0, "per-request chase round budget (0 = engine default)")
 		tuples       = flag.Int("tuples", 0, "per-request chase tuple budget (0 = engine default)")
 		nodes        = flag.Int("nodes", 0, "per-request search node budget (0 = engine default)")
@@ -98,7 +95,6 @@ func main() {
 		RequestTimeout: *reqTimeout,
 		MaxInflight:    *maxInflight,
 		CacheSize:      *cacheSize,
-		StateCacheSize: *stateCache,
 		Counters:       counters,
 		Peers:          peerList,
 		Self:           *self,
@@ -185,10 +181,8 @@ func main() {
 	if flushTrace != nil {
 		flushTrace()
 	}
-	fmt.Printf("tdserve: drained. requests=%d cold=%d warm=%d cache_hits=%d dedups=%d store_hits=%d peer_fills=%d\n",
-		counters.Get("serve.requests"),
-		counters.Get("serve.cache_misses")-counters.Get("serve.warm"),
-		counters.Get("serve.warm"),
+	fmt.Printf("tdserve: drained. requests=%d cold=%d cache_hits=%d dedups=%d store_hits=%d peer_fills=%d\n",
+		counters.Get("serve.requests"), counters.Get("serve.cache_misses"),
 		counters.Get("serve.cache_hits"), counters.Get("serve.dedups"),
 		counters.Get("serve.store_hits"), counters.Get("serve.peer_fills"))
 }

@@ -65,14 +65,14 @@ type Options struct {
 	// Off by default so the untraced hot path allocates nothing extra.
 	PerDepStats bool
 	// WarmState, when non-nil, warm-starts the run from a snapshot captured
-	// by an earlier run over the same dependency set and start instance
+	// by an earlier run over the same dependency list and start instance
 	// (see State). Verdicts, Stats, tuple identity and the proof match a
 	// cold run exactly; only wall-clock changes. Incompatible states
-	// (different start, a dependency with no twin here, budget class) and
-	// PerDepStats runs silently fall back to a cold run. Warm
-	// starts take effect through Engine.Implies — a plain Chase has no
-	// prefix-goal predicate to replay with — and Result.WarmStarted
-	// reports whether the snapshot was actually used.
+	// (another dependency list or start, budget class) and PerDepStats
+	// runs silently fall back to a cold run. Warm starts take effect
+	// through Engine.Implies — a plain Chase has no prefix-goal predicate
+	// to replay with — and Result.WarmStarted reports whether the snapshot
+	// was actually used.
 	WarmState *State
 	// CaptureState asks the run to snapshot its last completed round into
 	// Result.State for reuse via WarmState. Ignored (Result.State stays
@@ -294,8 +294,7 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 	// have cut the producing run mid-round) falls back to a cold run
 	// instead.
 	warm := e.opt.WarmState
-	depMap, ok := warm.compatibleWith(e, start)
-	if !ok || pgoal == nil || !e.stateEligible() ||
+	if !warm.compatibleWith(e, start) || pgoal == nil || !e.stateEligible() ||
 		!warm.ReusableUnder(budget.Limits{Rounds: roundsCap, Tuples: tupleCap}) {
 		warm = nil
 	}
@@ -318,7 +317,7 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			res.Stats = warm.cum[i]
 			res.Instance = warm.inst.ClonePrefix(warm.bounds[i])
 			res.bounds = warm.bounds[: i+1 : i+1]
-			res.labels = warm.labelsFor(i, depMap)
+			res.labels = warm.labelsFor(i)
 			g.Add(budget.Rounds, i)
 			g.Add(budget.Tuples, warm.cum[i].TuplesAdded)
 			if capturing {
@@ -377,7 +376,7 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			res.Stats = warm.final
 			res.Instance = warm.inst.Clone()
 			res.bounds = warm.bounds
-			res.labels = warm.labelsFor(k, depMap)
+			res.labels = warm.labelsFor(k)
 			res.FixpointReached = true
 			res.Verdict = NotImplied
 			g.Add(budget.Rounds, k+1)
@@ -395,7 +394,7 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			inst = warm.inst.Clone()
 			res.Instance = inst
 			res.bounds = append([]int(nil), warm.bounds...)
-			res.labels = warm.labelsFor(k, depMap)
+			res.labels = warm.labelsFor(k)
 			prevLen = warm.bounds[k-1]
 			lastLen = warm.bounds[k]
 			res.Stats = warm.cum[k]

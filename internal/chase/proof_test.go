@@ -109,19 +109,17 @@ func TestProveImpliesNotImpliedPassesThrough(t *testing.T) {
 	}
 }
 
-// A state key may ignore dependency order and duplicates, so a snapshot
-// captured over [join, mirror] can seed a run over [mirror, join, join].
-// The consumer's proof must name its own dependencies: the labels are
-// remapped by tableau, or ValidateTrace rejects the join steps as mirror
-// steps.
-func TestWarmProofRemapsDependencies(t *testing.T) {
+// A snapshot only seeds a run over its own dependency list: one captured
+// over [join, mirror] and fed to a run over [mirror, join, join] is
+// ignored, and the run chases cold with a proof in its own dependency
+// indices.
+func TestWarmStateOverOtherDependenciesRunsCold(t *testing.T) {
 	s := threeCol()
 	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
 	mirror := td.MustParse(s, "R(a, b, c) & R(a', b, c') -> R(a, b, c')", "mirror")
 	goal := td.MustParse(s, "R(a, b, c) & R(a, b', c') & R(a', b', c'') -> R(a, b, c'')", "goal")
 	consumerDeps := []*td.TD{mirror, join, join}
-	// One producer stops after round 1 (the consumer resumes it); the
-	// other reaches the goal (the consumer replays it).
+	// One producer stops after round 1, the other reaches the goal.
 	for _, producer := range []budget.Limits{{Rounds: 1, Tuples: 1000}, {Rounds: 8, Tuples: 1000}} {
 		prod, err := Implies([]*td.TD{join, mirror}, goal, Options{
 			CaptureState: true, Governor: budget.New(nil, producer)})
@@ -130,15 +128,8 @@ func TestWarmProofRemapsDependencies(t *testing.T) {
 		}
 		res := proveImplies(t, consumerDeps, goal, Options{
 			WarmState: prod.State, Governor: budget.New(nil, budget.Limits{Rounds: 16, Tuples: 2000})})
-		if res.Verdict != Implied || !res.WarmStarted {
+		if res.Verdict != Implied || res.WarmStarted {
 			t.Fatalf("producer %+v: verdict %v, warm %v", producer, res.Verdict, res.WarmStarted)
-		}
-		used := map[int]bool{}
-		for _, f := range res.Proof() {
-			used[f.Dep] = true
-		}
-		if !used[0] || !used[1] {
-			t.Errorf("producer %+v: proof uses dependencies %v, want both mirror (0) and join (1)", producer, used)
 		}
 	}
 }

@@ -15,14 +15,15 @@ import (
 // tuples, so recording the instance together with the per-round length
 // boundaries and cumulative Stats captures every intermediate state of the
 // run at once — and, with the dependency label of every added tuple, its
-// whole chase sequence, so a resumed run keeps its proof. A later query
-// over the same prefix replays those boundaries (checking its own goal
-// against each prefix via tableau.RowSatisfiableWithin) and, when the
-// snapshot is not complete, resumes the round loop exactly where the
-// producing run left off — with identical verdicts, Stats, tuple identity
-// and proof to a cold run, because the restored loop state (instance,
-// delta frontier, fresh-value counters, cumulative meters) is
-// byte-for-byte what the cold run would have held.
+// whole chase sequence, so a resumed run keeps its proof. A later run over
+// the same dependency list and start instance replays those boundaries
+// (checking its own goal against each prefix via
+// tableau.RowSatisfiableWithin) and, when the snapshot is not complete,
+// resumes the round loop exactly where the producing run left off — with
+// identical verdicts, Stats, tuple identity and proof to a cold run,
+// because the restored loop state (instance, delta frontier, fresh-value
+// counters, cumulative meters) is byte-for-byte what the cold run would
+// have held.
 //
 // Snapshots only ever describe CLEAN round boundaries: a run cut mid-round
 // (by the tuple cap or a cancellation) truncates its snapshot to the last
@@ -75,12 +76,6 @@ type State struct {
 // Rounds returns the number of completed rounds the snapshot holds.
 func (s *State) Rounds() int { return len(s.bounds) - 1 }
 
-// Tuples returns the instance size at the snapshot's last boundary.
-func (s *State) Tuples() int { return s.bounds[len(s.bounds)-1] }
-
-// Complete reports whether the snapshot's chase reached a fixpoint.
-func (s *State) Complete() bool { return s.complete }
-
 // Stopped reports whether the snapshot was truncated by meter exhaustion.
 func (s *State) Stopped() bool { return s.stopped }
 
@@ -108,59 +103,19 @@ func largerLimit(next, prior int) bool {
 	return next > prior
 }
 
-// Extends reports whether s supersedes old in a state cache: a complete
-// snapshot beats any paused one, and among paused snapshots more completed
-// rounds win (larger-budget runs overwrite the states of smaller ones).
-func (s *State) Extends(old *State) bool {
-	if old == nil {
-		return true
-	}
-	if old.complete {
-		return false
-	}
-	if s.complete {
-		return true
-	}
-	return s.Rounds() > old.Rounds()
-}
-
 // labelsFor returns a copy of the dependency labels of the tuples added
-// through round i, in the consuming engine's indices (depMap; nil is the
-// identity).
-func (s *State) labelsFor(i int, depMap []int) []int {
-	out := append([]int(nil), s.labels[:s.bounds[i]-s.bounds[0]]...)
-	for j := 0; depMap != nil && j < len(out); j++ {
-		out[j] = depMap[out[j]]
-	}
-	return out
+// through round i.
+func (s *State) labelsFor(i int) []int {
+	return append([]int(nil), s.labels[:s.bounds[i]-s.bounds[0]]...)
 }
 
 // compatibleWith reports whether the snapshot describes the computation
-// this engine would run from start: same schema and the same start
-// instance tuple-for-tuple, so a state key collision (or caller misuse)
-// degrades to a cold run instead of a wrong answer.
-// depMap sends each producing dependency's index to the first of e's with
-// an identical tableau (nil: the identity), for the labels: a state key
-// may ignore dependency order and duplicates (serve.CanonChaseState). A
-// producing dependency with no counterpart is incompatible.
-func (s *State) compatibleWith(e *Engine, start *relation.Instance) (depMap []int, ok bool) {
-	if s == nil || s.inst == nil || len(s.bounds) == 0 || len(s.cum) != len(s.bounds) ||
-		!s.complete && len(s.bounds) < 2 || !s.inst.Schema().Equal(e.schema) ||
-		s.bounds[0] != start.Len() || !s.inst.EqualPrefix(start, start.Len()) {
-		return nil, false
-	}
-	if slices.Equal(s.deps, e.deps) {
-		return nil, true
-	}
-	first := make(map[string]int, len(e.deps))
-	for j := len(e.deps) - 1; j >= 0; j-- {
-		first[e.deps[j].Format()] = j
-	}
-	depMap = make([]int, len(s.deps))
-	for i, d := range s.deps {
-		if depMap[i], ok = first[d.Format()]; !ok {
-			return nil, false
-		}
-	}
-	return depMap, true
+// this engine would run from start: the same dependency list, schema and
+// start instance tuple-for-tuple, so a snapshot from another computation
+// (or caller misuse) degrades to a cold run instead of a wrong answer.
+func (s *State) compatibleWith(e *Engine, start *relation.Instance) bool {
+	return s != nil && s.inst != nil && len(s.bounds) > 0 && len(s.cum) == len(s.bounds) &&
+		(s.complete || len(s.bounds) >= 2) && slices.Equal(s.deps, e.deps) &&
+		s.inst.Schema().Equal(e.schema) &&
+		s.bounds[0] == start.Len() && s.inst.EqualPrefix(start, start.Len())
 }

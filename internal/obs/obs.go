@@ -110,8 +110,7 @@ const (
 	// problem and options, so replayed traces reproduce it exactly.
 	EvPortfolioRealloc EventType = "portfolio_realloc"
 	// EvServeRequest closes one inference-service request (Src "serve").
-	// Fields: Req, Key, Source ("cold" for a fresh engine run, "warm" for an
-	// engine run that warm-started from the chase-state cache, "cache" for
+	// Fields: Req, Key, Source ("cold" for a fresh engine run, "cache" for
 	// an LRU verdict-cache answer, "dedup" for a request collapsed into an
 	// identical in-flight run), Verdict.
 	EvServeRequest EventType = "serve_request"
@@ -123,11 +122,6 @@ const (
 	// run instead of starting its own (singleflight), emitted before the
 	// request's serve_request line. Fields: Req, Key.
 	EvServeDedup EventType = "serve_dedup"
-	// EvServeWarm reports that a request's engine run warm-started from the
-	// service's chase-state cache, emitted before the request's
-	// serve_request line. Key is the chase-state key digest, not the
-	// request's verdict-cache key. Fields: Req, Key.
-	EvServeWarm EventType = "serve_warm"
 	// EvServeShutdown reports that the service drained and stopped.
 	// Fields: N (engine runs that were in flight when the drain began —
 	// each completed, and closed its trace, before this line was written).
@@ -241,8 +235,8 @@ type Event struct {
 	// for requests that are equal up to symbol renaming and equation
 	// order.
 	Key string `json:"key,omitempty"`
-	// Source tells how a serve request was answered: "cold", "warm",
-	// "cache", "dedup", "store", or "peer". For serve_peer_fill it is the
+	// Source tells how a serve request was answered: "cold", "cache",
+	// "dedup", "store", or "peer". For serve_peer_fill it is the
 	// owner peer's base URL; for store_put it is the write disposition.
 	Source string `json:"source,omitempty"`
 	// Bytes is a byte count: torn-tail bytes dropped by store_recover,

@@ -43,12 +43,9 @@ type Totals struct {
 	// ServeRequests counts serve_request events (one per request the
 	// inference service answered).
 	ServeRequests int
-	// ServeMisses counts serve_request events with source "cold" or "warm"
-	// — the requests that actually ran an engine.
+	// ServeMisses counts serve_request events with source "cold" — the
+	// requests that actually ran an engine.
 	ServeMisses int
-	// ServeWarm counts serve_warm events (engine runs that warm-started
-	// from the chase-state cache).
-	ServeWarm int
 	// ServeCacheHits counts serve_cache_hit events.
 	ServeCacheHits int
 	// ServeDedups counts serve_dedup events (requests collapsed into an
@@ -144,15 +141,13 @@ func Replay(r io.Reader) (Totals, error) {
 			t.RulesAdded++
 		case EvServeRequest:
 			t.ServeRequests++
-			if e.Source == "cold" || e.Source == "warm" {
+			if e.Source == "cold" {
 				t.ServeMisses++
 			}
 		case EvServeCacheHit:
 			t.ServeCacheHits++
 		case EvServeDedup:
 			t.ServeDedups++
-		case EvServeWarm:
-			t.ServeWarm++
 		case EvServeShutdown:
 			t.ServeShutdowns++
 		case EvCertCheck:

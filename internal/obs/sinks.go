@@ -113,7 +113,7 @@ func (s *JSONLSink) Event(e Event) {
 		b = appendStr(b, "key", e.Key)
 		b = appendStr(b, "source", e.Source)
 		b = appendStr(b, "verdict", e.Verdict)
-	case EvServeCacheHit, EvServeDedup, EvServeWarm:
+	case EvServeCacheHit, EvServeDedup:
 		b = appendStr(b, "key", e.Key)
 	case EvServeShutdown:
 		appendInt("n", e.N)
@@ -311,18 +311,15 @@ func (s *CounterSink) Event(e Event) {
 		s.C.Add(e.Src+".verdicts", 1)
 	case EvServeRequest:
 		s.C.Add("serve.requests", 1)
-		// A "cold" or "warm" request is one that actually ran an engine —
-		// the cache-miss count of the serving layer (warm runs skipped
-		// chase rounds but still missed the verdict cache).
-		if e.Source == "cold" || e.Source == "warm" {
+		// A "cold" request is one that actually ran an engine — the
+		// cache-miss count of the serving layer.
+		if e.Source == "cold" {
 			s.C.Add("serve.cache_misses", 1)
 		}
 	case EvServeCacheHit:
 		s.C.Add("serve.cache_hits", 1)
 	case EvServeDedup:
 		s.C.Add("serve.dedups", 1)
-	case EvServeWarm:
-		s.C.Add("serve.warm", 1)
 	case EvServeShutdown:
 		s.C.Add("serve.shutdowns", 1)
 	case EvCertCheck:

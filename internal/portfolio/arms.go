@@ -158,28 +158,8 @@ func chaseArm(deps []*td.TD, d0 *td.TD, b core.Budget, res *Result, scale int) *
 		cur:   budget.Limits{Rounds: 2 * scale, Tuples: 8192 * scale},
 		max:   armCeilings(b.Chase.Governor, chase.DefaultLimits),
 	}
-	carry := b.Chase.WarmState
-	// A carried state is only reusable under a lease whose budget class
-	// strictly dominates the one it stopped under; grow the opening grant
-	// until it does (or the ceiling makes warm reuse impossible, in which
-	// case the first lease falls back to a cold run).
-	for carry != nil && !carry.ReusableUnder(a.cur) {
-		grew := false
-		for _, r := range []budget.Resource{budget.Rounds, budget.Tuples} {
-			v := a.cur.Of(r)
-			if m := a.max.Of(r); m <= 0 || v < m {
-				nv := v * 2
-				if m := a.max.Of(r); m > 0 && nv > m {
-					nv = m
-				}
-				a.cur = a.cur.With(r, nv)
-				grew = true
-			}
-		}
-		if !grew {
-			break
-		}
-	}
+	// carry is the previous lease's snapshot; the first lease runs cold.
+	var carry *chase.State
 	var prevRounds, prevTuples int
 	var lastRate float64
 	var hasRate bool

@@ -164,7 +164,7 @@ type Result struct {
 	// Instance is the reduction's (D, D0); presentation runs only.
 	Instance *reduction.Instance
 	// Chase is the chase arm's final lease (its Proof is the proof when
-	// the chase won; its State warm-starts a later run).
+	// the chase won).
 	Chase *chase.Result
 	// Counterexample is the finite database violating D0, when an arm
 	// found one.

@@ -4,7 +4,6 @@ import (
 	"container/list"
 
 	"templatedep/internal/cert"
-	"templatedep/internal/chase"
 	"templatedep/internal/core"
 	"templatedep/internal/store"
 )
@@ -29,14 +28,6 @@ type CachedVerdict struct {
 	// ColdMS is the engine wall-clock of the cold run, echoed on hits so
 	// clients can see what the cache saved them.
 	ColdMS float64
-	// State is the chase-state snapshot the run captured, set by the runner
-	// for td-mode problems. The server moves it into the state cache and
-	// strips it before the verdict cache stores the entry — verdicts are
-	// small, snapshots hold instances.
-	State *chase.State
-	// Warm reports that the run warm-started from a cached chase state
-	// (Response.Source "warm").
-	Warm bool
 	// Cert is the verifiable certificate backing a definitive verdict,
 	// nil for Unknown verdicts (and for the rare definitive run whose
 	// certifying replay itself ran out of budget). The server re-checks
@@ -115,62 +106,3 @@ func (l *lru) Delete(key string) bool {
 	delete(l.m, key)
 	return true
 }
-
-// stateLRU is the bounded chase-state cache, keyed by the canonical
-// dependency-set + goal-antecedent prefix (CanonChaseState). Like the
-// verdict lru it is not self-locking: the server accesses it under its own
-// mutex. It holds far fewer, far larger entries than the verdict cache —
-// each value carries a chased instance — so it gets its own (smaller) cap.
-type stateLRU struct {
-	cap int
-	ll  *list.List // front = most recently used
-	m   map[string]*list.Element
-}
-
-type stateEntry struct {
-	key string
-	st  *chase.State
-}
-
-func newStateLRU(cap int) *stateLRU {
-	return &stateLRU{cap: cap, ll: list.New(), m: make(map[string]*list.Element)}
-}
-
-// Get returns the cached state for key (nil if absent), promoting it.
-func (l *stateLRU) Get(key string) *chase.State {
-	el, ok := l.m[key]
-	if !ok {
-		return nil
-	}
-	l.ll.MoveToFront(el)
-	return el.Value.(*stateEntry).st
-}
-
-// Put stores st under key when it extends what is already there — complete
-// snapshots beat paused ones, deeper paused snapshots (larger-budget runs)
-// overwrite shallower ones, and anything else leaves the entry alone.
-// Returns whether st was stored.
-func (l *stateLRU) Put(key string, st *chase.State) bool {
-	if st == nil {
-		return false
-	}
-	if el, ok := l.m[key]; ok {
-		e := el.Value.(*stateEntry)
-		l.ll.MoveToFront(el)
-		if !st.Extends(e.st) {
-			return false
-		}
-		e.st = st
-		return true
-	}
-	l.m[key] = l.ll.PushFront(&stateEntry{key: key, st: st})
-	if l.ll.Len() > l.cap {
-		oldest := l.ll.Back()
-		l.ll.Remove(oldest)
-		delete(l.m, oldest.Value.(*stateEntry).key)
-	}
-	return true
-}
-
-// Len returns the number of cached states.
-func (l *stateLRU) Len() int { return l.ll.Len() }

@@ -306,21 +306,6 @@ func CanonInference(deps []*td.TD, goal *td.TD) string {
 		strings.Join(forms, ";") + ">>" + canonTD(goal)
 }
 
-// CanonChaseState returns the canonical chase-state cache key of a TD
-// instance: the CanonInference form truncated before the goal's conclusion
-// row. The chase of deps ⊨? goal starts from the goal's frozen antecedents
-// and is otherwise goal-independent — tableau variable numbering is
-// first-occurrence order with antecedents first, so the antecedent rows'
-// canonical rendering is unaffected by the conclusion — which means two
-// goals sharing a dependency set and antecedent tableau chase the SAME
-// deterministic computation and can share one snapshot.
-func CanonChaseState(deps []*td.TD, goal *td.TD) string {
-	full := CanonInference(deps, goal)
-	// canonTD renders antecedents '>' conclusion; the last '>' therefore
-	// cuts exactly the goal's conclusion row off the full key.
-	return "cs:" + full[:strings.LastIndexByte(full, '>')]
-}
-
 func canonTD(d *td.TD) string {
 	row := func(r []int) string {
 		parts := make([]string, len(r))

@@ -13,18 +13,7 @@
 //     is answered without touching an engine;
 //   - a singleflight table collapsing identical in-flight queries: N
 //     concurrent requests for one problem run ONE chase, and the other
-//     N−1 wait for its verdict;
-//   - a chase-state cache keyed by the canonical (dependency set, goal
-//     antecedents) prefix (CanonChaseState): the chase is goal-conclusion-
-//     independent, so queries sharing that prefix share one deterministic
-//     chase computation. A td-mode cold run captures its chase state; later
-//     queries over the same prefix warm-start from it (Source "warm") with
-//     verdicts and Stats identical to a cold run, and concurrent queries
-//     over the prefix singleflight on the STATE key too, so a batch of
-//     goals over one dependency set chases its fixpoint once. States
-//     truncated by meter exhaustion are only reused by strictly larger
-//     budget classes (chase.State.ReusableUnder) and are overwritten by the
-//     deeper states larger-budget runs produce (chase.State.Extends).
+//     N−1 wait for its verdict.
 //
 // Each cold request runs under a governor derived from the server-wide
 // limits via budget.ForRequest: its context is a child of the server's
@@ -40,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -85,9 +75,8 @@ type Config struct {
 	MaxInflight int
 	// CacheSize bounds the verdict cache (entries; 0 = 1024).
 	CacheSize int
-	// StateCacheSize bounds the chase-state cache (entries; 0 = 64;
-	// negative disables state caching). State entries carry chased
-	// instances, so the default is much smaller than the verdict cache's.
+	// StateCacheSize has no effect: a cold run chases from its goal's
+	// frozen antecedents, with no snapshot shared across requests.
 	StateCacheSize int
 	// Workers has no effect: a cold run's chase, like its searches, runs
 	// on the request's goroutine.
@@ -124,9 +113,8 @@ type Config struct {
 }
 
 const (
-	defaultCacheSize      = 1024
-	defaultStateCacheSize = 64
-	defaultPeerTimeout    = 2 * time.Second
+	defaultCacheSize   = 1024
+	defaultPeerTimeout = 2 * time.Second
 )
 
 // Problem is a parsed, canonicalized request.
@@ -142,9 +130,6 @@ type Problem struct {
 	Key string
 	// Hash is the short digest of Key used on the wire and in events.
 	Hash string
-	// StateKey is the chase-state cache key (CanonChaseState), set for td
-	// problems; queries sharing it share one chase computation.
-	StateKey string
 	// Limits carries the request's per-meter budget overrides (zero
 	// fields defer to the server-wide limits). Deliberately NOT part of
 	// the canonical Key: the problem class is the same whatever budget a
@@ -198,7 +183,6 @@ type Response struct {
 	// Mode is "presentation" or "td".
 	Mode string `json:"mode"`
 	// Source says how the verdict was obtained: "cold" (an engine ran),
-	// "warm" (an engine ran, warm-started from the chase-state cache),
 	// "cache" (verdict cache), "dedup" (collapsed into an identical
 	// in-flight run), "store" (disk-backed verdict store — a restart-warm
 	// hit), or "peer" (certificate-verified fill from the ring owner).
@@ -231,15 +215,6 @@ type call struct {
 	dups atomic.Int64
 }
 
-// stateCall is one in-flight chase-state computation: the first cold run
-// over a state key becomes its leader; runs for OTHER goals sharing the key
-// wait on done and then warm-start from whatever state the leader
-// published. (Identical goals never get here — the verdict singleflight
-// collapses them first.)
-type stateCall struct {
-	done chan struct{}
-}
-
 // Server answers inference requests. Create with New, serve via Handler,
 // stop via BeginDrain + Shutdown.
 type Server struct {
@@ -251,13 +226,11 @@ type Server struct {
 	ring       *ring.Ring
 	peerClient *http.Client
 
-	mu          sync.Mutex
-	cache       *lru
-	states      *stateLRU
-	inflight    map[string]*call
-	stateFlight map[string]*stateCall
-	draining    bool
-	drainN      int
+	mu       sync.Mutex
+	cache    *lru
+	inflight map[string]*call
+	draining bool
+	drainN   int
 
 	// wg tracks cold engine runs; Shutdown waits on it.
 	wg           sync.WaitGroup
@@ -271,9 +244,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = defaultCacheSize
-	}
-	if cfg.StateCacheSize == 0 {
-		cfg.StateCacheSize = defaultStateCacheSize
 	}
 	if cfg.Runner == nil {
 		cfg.Runner = PortfolioRunner
@@ -293,10 +263,6 @@ func New(cfg Config) *Server {
 		rootCancel: cancel,
 		cache:      newLRU(cfg.CacheSize),
 		inflight:   make(map[string]*call),
-	}
-	if cfg.StateCacheSize > 0 {
-		s.states = newStateLRU(cfg.StateCacheSize)
-		s.stateFlight = make(map[string]*stateCall)
 	}
 	if cfg.MaxInflight > 0 {
 		s.sem = make(chan struct{}, cfg.MaxInflight)
@@ -368,8 +334,7 @@ func (s *Server) limitsFor(p *Problem) budget.Limits {
 }
 
 // chaseLimits resolves the per-request chase meter limits — the budget
-// class every td-mode run executes under, which also gates reuse of
-// budget-stopped chase states (chase.State.ReusableUnder).
+// class every td-mode run executes under.
 func (s *Server) chaseLimits(p *Problem) budget.Limits {
 	l := s.limitsFor(p)
 	return budget.Limits{
@@ -416,9 +381,7 @@ func (s *Server) budgetFor(p *Problem, sink obs.Sink) (core.Budget, *budget.Gove
 
 // PortfolioRunner is the default Runner: every arm runs under one
 // adaptive portfolio governor, with meter headroom reallocated between
-// arms from live progress signals. The chase-state cache keeps working
-// unchanged — the chase arm threads the request's warm state into its
-// first lease and its final lease's snapshot back out.
+// arms from live progress signals.
 func PortfolioRunner(_ context.Context, p *Problem, b core.Budget) (CachedVerdict, error) {
 	var res *portfolio.Result
 	var err error
@@ -430,15 +393,7 @@ func PortfolioRunner(_ context.Context, p *Problem, b core.Budget) (CachedVerdic
 	if err != nil {
 		return CachedVerdict{}, err
 	}
-	v := CachedVerdict{Verdict: res.Verdict, Winner: res.Winner, Cert: res.Cert()}
-	if res.Chase != nil {
-		v.State = res.Chase.State
-		// The portfolio warm-carries its own snapshots between leases;
-		// a request only counts as "warm" when the state came from the
-		// service's cache, not from intra-run carry.
-		v.Warm = res.Chase.WarmStarted && b.Chase.WarmState != nil
-	}
-	return v, nil
+	return CachedVerdict{Verdict: res.Verdict, Winner: res.Winner, Cert: res.Cert()}, nil
 }
 
 // ParseRequest validates a wire request and canonicalizes it into a
@@ -509,8 +464,7 @@ func parseProblem(req Request) (*Problem, error) {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 		key := CanonInference(deps, goal)
-		return &Problem{Mode: "td", Deps: deps, Goal: goal, Key: key, Hash: keyDigest(key),
-			StateKey: CanonChaseState(deps, goal)}, nil
+		return &Problem{Mode: "td", Deps: deps, Goal: goal, Key: key, Hash: keyDigest(key)}, nil
 	}
 }
 
@@ -630,8 +584,8 @@ func (s *Server) Infer(p *Problem) (Response, error) {
 		return Response{}, c.err
 	}
 	if src != "store" {
-		// Write-through: everything this replica answered — cold, warm,
-		// and peer-filled verdicts alike — lands on disk, so a restart
+		// Write-through: everything this replica answered — cold and
+		// peer-filled verdicts alike — lands on disk, so a restart
 		// re-answers it from the store (src "store" was already there).
 		s.storePut(p, c.val)
 	}
@@ -649,79 +603,11 @@ func (s *Server) lead(p *Problem, sink obs.Sink) (CachedVerdict, string, error) 
 		return v, "peer", nil
 	}
 	v, err := s.runCold(p, sink)
-	if err != nil {
-		return CachedVerdict{}, "", err
-	}
-	src := "cold"
-	if v.Warm {
-		src = "warm"
-		sink.Event(obs.Event{Type: obs.EvServeWarm, Src: "serve",
-			Key: keyDigest(p.StateKey)})
-	}
-	return v, src, nil
-}
-
-// leaseState resolves how a cold run interacts with the chase-state cache.
-// A reusable complete state warm-starts the run immediately (no flight
-// needed — nothing is left to compute for the key). Otherwise the first run
-// over the key leads a state computation, possibly seeded by a reusable
-// paused state; later runs for OTHER goals sharing the key follow, waiting
-// for the leader's published state. Budget-stopped states whose class is
-// not strictly below this request's are skipped (ReusableUnder).
-func (s *Server) leaseState(p *Problem) (warm *chase.State, flight *stateCall, lead bool) {
-	if s.states == nil || p.StateKey == "" {
-		return nil, nil, false
-	}
-	limits := s.chaseLimits(p)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st := s.states.Get(p.StateKey); st != nil && st.ReusableUnder(limits) {
-		if st.Complete() {
-			return st, nil, false
-		}
-		warm = st
-	}
-	if c, ok := s.stateFlight[p.StateKey]; ok {
-		return nil, c, false
-	}
-	s.stateFlight[p.StateKey] = &stateCall{done: make(chan struct{})}
-	return warm, nil, true
-}
-
-// closeStateFlight releases the state-key singleflight entry, waking
-// followers (who then re-read the state cache). Only the leader calls it.
-func (s *Server) closeStateFlight(key string) {
-	s.mu.Lock()
-	c := s.stateFlight[key]
-	delete(s.stateFlight, key)
-	s.mu.Unlock()
-	if c != nil {
-		close(c.done)
-	}
+	return v, "cold", err
 }
 
 // runCold executes the engines for one leader request.
 func (s *Server) runCold(p *Problem, sink obs.Sink) (CachedVerdict, error) {
-	warm, flight, lead := s.leaseState(p)
-	if lead {
-		defer s.closeStateFlight(p.StateKey)
-	}
-	if flight != nil {
-		// Follower of an in-flight state computation: wait for its leader
-		// to publish, then warm-start from whatever landed in the cache.
-		// The wait happens before any semaphore slot is held and the leader
-		// never waits on followers, so this cannot deadlock.
-		select {
-		case <-flight.done:
-		case <-s.rootCtx.Done():
-			return CachedVerdict{}, s.rootCtx.Err()
-		}
-		s.mu.Lock()
-		if st := s.states.Get(p.StateKey); st != nil && st.ReusableUnder(s.chaseLimits(p)) {
-			warm = st
-		}
-		s.mu.Unlock()
-	}
 	if s.sem != nil {
 		select {
 		case s.sem <- struct{}{}:
@@ -741,23 +627,11 @@ func (s *Server) runCold(p *Problem, sink obs.Sink) (CachedVerdict, error) {
 
 	b, g, cancel := s.budgetFor(p, sink)
 	defer cancel()
-	if s.states != nil && p.StateKey != "" {
-		b.Chase.CaptureState = true
-		b.Chase.WarmState = warm
-	}
 	t0 := time.Now()
 	v, err := s.cfg.Runner(g.Context(), p, b)
 	if err != nil {
 		return CachedVerdict{}, err
 	}
-	if v.State != nil && s.states != nil && p.StateKey != "" {
-		s.mu.Lock()
-		s.states.Put(p.StateKey, v.State)
-		s.mu.Unlock()
-	}
-	// The snapshot lives in the state cache only: the verdict cache and
-	// dedup followers get a State-free value.
-	v.State = nil
 	v.ColdMS = float64(time.Since(t0)) / float64(time.Millisecond)
 	if o := g.Interrupted(); o.Stopped() {
 		v.Stop = o.String()
@@ -826,7 +700,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 type Stats struct {
 	Requests     int64 `json:"requests"`
 	CacheEntries int   `json:"cache_entries"`
-	StateEntries int   `json:"state_entries"`
 	Inflight     int64 `json:"inflight"`
 	InflightPeak int64 `json:"inflight_peak"`
 	Draining     bool  `json:"draining"`
@@ -841,16 +714,11 @@ type Stats struct {
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	entries := s.cache.Len()
-	stateEntries := 0
-	if s.states != nil {
-		stateEntries = s.states.Len()
-	}
 	draining := s.draining
 	s.mu.Unlock()
 	st := Stats{
 		Requests:     s.requestsSeen.Load(),
 		CacheEntries: entries,
-		StateEntries: stateEntries,
 		Inflight:     s.engineNow.Load(),
 		InflightPeak: s.enginePeak.Load(),
 		Draining:     draining,
@@ -897,15 +765,23 @@ func writeErr(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
+// decodeRequest reads one /infer body: a JSON object whose fields are all
+// Request's.
+func decodeRequest(body io.Reader) (Request, error) {
+	var req Request
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(r.Body)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}

@@ -7,12 +7,12 @@ import (
 
 	"templatedep/internal/core"
 	"templatedep/internal/obs"
+	"templatedep/internal/portfolio"
 )
 
 // tdProblem parses a TD-mode request with the shared join dependency and
-// the given goal. All goals below share the dependency set and the
-// antecedent tableau, so they canonicalize to one chase-state key while
-// keeping distinct verdict keys.
+// the given goal. The goals below share the dependency set and the
+// antecedent tableau but keep distinct verdict keys.
 func tdProblem(t *testing.T, goal string) *Problem {
 	t.Helper()
 	p, err := ParseRequest(Request{
@@ -31,136 +31,33 @@ const (
 	goalSwapConcl = "R(x,y,z) & R(x,y2,z2) -> R(x,y2,z)" // same antecedents, swapped conclusion
 )
 
-// Two goals over the same dependency set and antecedent tableau share one
-// chase computation: the first request runs cold and deposits its chase
-// state, the second warm-starts from it and reports source "warm".
-func TestWarmStartSharesChaseAcrossGoals(t *testing.T) {
-	p1 := tdProblem(t, goalSameConcl)
-	p2 := tdProblem(t, goalSwapConcl)
-	if p1.StateKey == "" || p1.StateKey != p2.StateKey {
-		t.Fatalf("state keys differ: %q vs %q", p1.StateKey, p2.StateKey)
-	}
-	if p1.Key == p2.Key {
-		t.Fatalf("verdict keys collide: %q", p1.Key)
-	}
-
+// Two goals over one dependency set and antecedent tableau share no chase
+// work: each runs its own portfolio from its frozen antecedents, answers
+// source "cold", and gets the verdict and winner of a standalone
+// portfolio.Infer on the same problem.
+func TestGoalsSharingAntecedentsRunCold(t *testing.T) {
 	counters := obs.NewCounters()
 	s := New(Config{Counters: counters, RequestTimeout: 5 * time.Second})
 	defer s.Shutdown(context.Background())
-
-	cold, err := s.Infer(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Source != "cold" || cold.Verdict != core.Implied {
-		t.Fatalf("first goal: source=%s verdict=%v", cold.Source, cold.Verdict)
-	}
-	if got := s.Stats().StateEntries; got != 1 {
-		t.Fatalf("state entries after cold run = %d, want 1", got)
-	}
-
-	warm, err := s.Infer(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Source != "warm" {
-		t.Fatalf("second goal source = %s, want warm", warm.Source)
-	}
-	if got := counters.Get("serve.warm"); got != 1 {
-		t.Fatalf("serve.warm = %d, want 1", got)
-	}
-	// Warm runs count as misses (an engine run happened), not hits.
-	if got := counters.Get("serve.cache_misses"); got != 2 {
-		t.Fatalf("serve.cache_misses = %d, want 2", got)
-	}
-
-	// The warm verdict must equal what a fresh server computes cold.
-	fresh := New(Config{RequestTimeout: 5 * time.Second})
-	defer fresh.Shutdown(context.Background())
-	ref, err := fresh.Infer(tdProblem(t, goalSwapConcl))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Verdict != ref.Verdict {
-		t.Fatalf("warm verdict %v differs from cold reference %v", warm.Verdict, ref.Verdict)
-	}
-
-	// The verdict cache still works on top: an exact repeat is a pure hit.
-	if resp, err := s.Infer(tdProblem(t, goalSwapConcl)); err != nil || resp.Source != "cache" {
-		t.Fatalf("repeat: source=%v err=%v", resp.Source, err)
-	}
-}
-
-// Disabling the state cache disables warm starts but changes nothing else.
-func TestStateCacheDisabled(t *testing.T) {
-	counters := obs.NewCounters()
-	s := New(Config{Counters: counters, StateCacheSize: -1, RequestTimeout: 5 * time.Second})
-	defer s.Shutdown(context.Background())
 	for _, goal := range []string{goalSameConcl, goalSwapConcl} {
-		resp, err := s.Infer(tdProblem(t, goal))
+		p := tdProblem(t, goal)
+		resp, err := s.Infer(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Source != "cold" || resp.Verdict != core.Implied {
-			t.Fatalf("%s: source=%s verdict=%v", goal, resp.Source, resp.Verdict)
-		}
-	}
-	if got := counters.Get("serve.warm"); got != 0 {
-		t.Fatalf("serve.warm = %d, want 0", got)
-	}
-	if got := s.Stats().StateEntries; got != 0 {
-		t.Fatalf("state entries = %d, want 0", got)
-	}
-}
-
-// Concurrent different-goal requests on one state key must not deadlock:
-// the leader registers the state flight, the follower parks on it, and when
-// the leader's runner yields no reusable state the follower falls back to
-// its own cold run.
-func TestStateFlightFallsBackWhenNoState(t *testing.T) {
-	r := &gatedRunner{release: make(chan struct{}), verdict: core.Unknown}
-	s := New(Config{Runner: r.run})
-	defer s.Shutdown(context.Background())
-	p1 := tdProblem(t, goalSameConcl)
-	p2 := tdProblem(t, goalSwapConcl)
-
-	results := make(chan Response, 2)
-	errs := make(chan error, 2)
-	run := func(p *Problem) {
-		resp, err := s.Infer(p)
+		ref, err := portfolio.Infer(p.Deps, p.Goal, core.Budget{})
 		if err != nil {
-			errs <- err
-			return
+			t.Fatal(err)
 		}
-		results <- resp
-	}
-	go run(p1)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Inflight != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("leader never started")
+		if resp.Source != "cold" {
+			t.Errorf("%s: source = %s, want cold", goal, resp.Source)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	go run(p2)
-	// Give the follower time to park on the leader's state flight; the
-	// assertions below hold regardless of exactly where it is blocked.
-	time.Sleep(50 * time.Millisecond)
-	close(r.release)
-
-	for i := 0; i < 2; i++ {
-		select {
-		case resp := <-results:
-			if resp.Source != "cold" {
-				t.Fatalf("source = %s, want cold (stub runner returns no state)", resp.Source)
-			}
-		case err := <-errs:
-			t.Fatalf("Infer: %v", err)
-		case <-time.After(5 * time.Second):
-			t.Fatal("request deadlocked on the state flight")
+		if resp.Verdict != core.Implied || resp.Verdict != ref.Verdict || resp.Winner != ref.Winner {
+			t.Errorf("%s: served %v by %q, standalone portfolio %v by %q",
+				goal, resp.Verdict, resp.Winner, ref.Verdict, ref.Winner)
 		}
 	}
-	if r.count() != 2 {
-		t.Fatalf("engine ran %d times, want 2 (distinct goals, no state to share)", r.count())
+	if got := counters.Get("serve.cache_misses"); got != 2 {
+		t.Fatalf("serve.cache_misses = %d, want 2", got)
 	}
 }

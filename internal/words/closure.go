@@ -61,8 +61,7 @@ type ClosureOptions struct {
 }
 
 // DefaultLimits is the single definition of the closure search's default
-// word budget, shared by Derive, DeriveBidirectional, and
-// EquivalenceClass.
+// word budget, shared by Derive and EquivalenceClass.
 var DefaultLimits = budget.Limits{Words: 100000}
 
 // Step records one rewrite in a derivation: equation Eq of the presentation
