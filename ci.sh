@@ -24,13 +24,16 @@
 #                   tdserve under a duplicate-heavy tdbench -loadjson
 #                   burst, served derivation certificates for collapse:4
 #                   (kb) and a Turing-machine instance (the derivation
-#                   arm) checked by tdcheck (needs jq), a golden chase
+#                   arm) checked by tdcheck (needs jq), a preset past
+#                   its family's cap refused with a 400, a golden chase
 #                   trace of chain:1, and graceful-drain assertions
 #   shard   (300) — the multi-replica tier: 3 tdserve replicas with disk
 #                   stores and a consistent-hash ring,
 #                   certificate-verified peer fills under a burst, then a
 #                   kill+restart with the first repeat served from the
-#                   store (no recompute)
+#                   store (no recompute); and a replica on a copy of a
+#                   committed TDVSTOR1 log answering every key it holds
+#                   from the store and rewriting it as TDVSTOR2
 #   bench   (900) — structural validation of the benchmark emitters:
 #                   fresh -searchjson, -portfoliojson, and -shardjson
 #                   reports plus the committed BENCH_chase.json,
@@ -394,6 +397,15 @@ stage_smoke() {
         echo "ci: serve smoke: served TM certificate rejected" >&2
         exit 1
     }
+    # Preset bound: a preset past its family's cap is refused with a 400
+    # before it is built (chain:10000 canonicalizes for minutes).
+    local code
+    code=$(curl -s -m 10 -o /dev/null -w '%{http_code}' -d '{"preset":"chain:10000"}' \
+        "http://$serve_addr/infer" || true)
+    [[ "$code" == 400 ]] || {
+        echo "ci: serve smoke: chain:10000 got status $code, want 400" >&2
+        exit 1
+    }
     kill -TERM "$srv_pid"
     wait "$srv_pid" || {
         echo "ci: serve smoke: tdserve exited nonzero:" >&2
@@ -505,6 +517,34 @@ stage_shard() {
     for pid in "${shard_pids[@]}"; do
         wait "$pid" || true
     done
+
+    # Migration smoke: testdata/store/v1.log is a TDVSTOR1 log an earlier
+    # tdserve wrote while answering testdata/store/v1-requests.jsonl. A
+    # replica started on a copy must answer every one of those requests
+    # from its store, and leave the log rewritten as TDVSTOR2.
+    cp testdata/store/v1.log "$sharddir/v1.log"
+    "$smoke/tdserve" -addr 127.0.0.1:7474 -store "$sharddir/v1.log" >>"$sharddir/rep7474.out" 2>&1 &
+    local v1_pid=$!
+    await_replica 7474
+    local body resp
+    while read -r body; do
+        resp=$(curl -sf -d "$body" "http://127.0.0.1:7474/infer")
+        grep -q '"source":"store"' <<<"$resp" || {
+            echo "ci: migration smoke: $body was not answered from the migrated store:" >&2
+            echo "$resp" >&2
+            exit 1
+        }
+    done <testdata/store/v1-requests.jsonl
+    kill -TERM "$v1_pid"
+    wait "$v1_pid" || {
+        echo "ci: migration smoke: tdserve exited nonzero:" >&2
+        cat "$sharddir/rep7474.out" >&2
+        exit 1
+    }
+    [[ "$(head -c 8 "$sharddir/v1.log")" == TDVSTOR2 ]] || {
+        echo "ci: migration smoke: the log was not rewritten as TDVSTOR2" >&2
+        exit 1
+    }
 }
 
 stage_bench() {

@@ -152,6 +152,8 @@ const (
 	// tail truncated. Fields: N (live records indexed), Added (superseded
 	// records skipped during the scan — rewritten entries awaiting
 	// compaction), Bytes (torn-tail bytes dropped; 0 for a clean log).
+	// For a TDVSTOR1 log the counts describe the old log, which is then
+	// rewritten as TDVSTOR2 by one store_compact.
 	EvStoreRecover EventType = "store_recover"
 	// EvStorePut reports one write-through store put (Src "store").
 	// Fields: Key, Source ("insert" for a first write, "overwrite" for a

@@ -11,8 +11,9 @@ import (
 // request must keep its canonical key across a JSON round trip of its Wire
 // form, which is what a peer fill forwards to the key's owner. The seeds in
 // testdata/fuzz/FuzzParseRequest are a preset, a presentation, a TD
-// request, the Turing-machine body of testdata/tm-write-one.json, and
-// malformed bodies.
+// request, the Turing-machine body of testdata/tm-write-one.json,
+// malformed bodies, and presets past their family's cap, which
+// ParseRequest must refuse before building them.
 func FuzzParseRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := decodeRequest(bytes.NewReader(body))

@@ -74,9 +74,9 @@ func verdictOf(rec store.Record) (CachedVerdict, bool) {
 
 // storeGet answers a leader's miss from the disk store when it can: a
 // definitive record whose certificate (if any) re-verifies, or an unknown
-// record whose budget class covers this request's. A certificate that
-// fails re-verification tombstones the record — disk content is an input
-// here, not an authority.
+// record whose budget class covers this request's. A record that does not
+// decode, or whose certificate fails re-verification, is tombstoned —
+// disk content is an input here, not an authority.
 func (s *Server) storeGet(p *Problem, sink obs.Sink) (CachedVerdict, bool) {
 	if s.cfg.Store == nil {
 		return CachedVerdict{}, false
@@ -87,6 +87,7 @@ func (s *Server) storeGet(p *Problem, sink obs.Sink) (CachedVerdict, bool) {
 	}
 	v, ok := verdictOf(rec)
 	if !ok {
+		s.cfg.Store.Delete(p.Key)
 		return CachedVerdict{}, false
 	}
 	if v.Verdict == core.Unknown && s.requestClass(p).Exceeds(v.Class) {

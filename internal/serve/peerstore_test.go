@@ -218,6 +218,59 @@ func TestStoreLoadsRecordsWithRetiredWordsClass(t *testing.T) {
 	}
 }
 
+// TestStoreReplacesUndecodableRecords: the store's recovery parses only a
+// record's frame, so a stored record whose metadata is not JSON, and one
+// whose certificate is not, both reach the lookup ladder. Each must cost
+// one cold run whose verdict replaces it on disk, so that a restarted
+// replica answers both from the store.
+func TestStoreReplacesUndecodableRecords(t *testing.T) {
+	dir := t.TempDir()
+	badMeta, badCert := presetProblem(t, "twostep"), presetProblem(t, "power")
+	// The TDVSTOR2 framing: magic, then per record its length and CRC-32
+	// (little-endian uint32s) before the payload: the key's uvarint length
+	// and bytes, a flag byte, the metadata's uvarint length and bytes, and
+	// the certificate.
+	log := []byte("TDVSTOR2")
+	for _, r := range []struct{ key, meta, cert string }{
+		{badMeta.Key, `{"verdict":`, ""},
+		{badCert.Key, `{"verdict":"finite-counterexample","winner":"model-search"}`, `{"version":1,`},
+	} {
+		payload := binary.AppendUvarint(nil, uint64(len(r.key)))
+		payload = append(append(payload, r.key...), 0)
+		payload = binary.AppendUvarint(payload, uint64(len(r.meta)))
+		payload = append(append(payload, r.meta...), r.cert...)
+		log = binary.LittleEndian.AppendUint32(log, uint32(len(payload)))
+		log = binary.LittleEndian.AppendUint32(log, crc32.ChecksumIEEE(payload))
+		log = append(log, payload...)
+	}
+	if err := os.WriteFile(store.DefaultPath(dir), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st := tempVerdictStore(t, dir)
+	s := New(Config{Store: st, RequestTimeout: 10 * time.Second})
+	for _, p := range []*Problem{badMeta, badCert} {
+		if resp, err := s.Infer(p); err != nil || resp.Source != "cold" {
+			t.Fatalf("undecodable record: source=%v err=%v, want a cold run", resp.Source, err)
+		}
+	}
+	s.Shutdown(context.Background())
+	st.Close()
+
+	r := &gatedRunner{verdict: core.Unknown}
+	s2 := New(Config{Store: tempVerdictStore(t, dir), Runner: r.run})
+	defer s2.Shutdown(context.Background())
+	for _, p := range []*Problem{badMeta, badCert} {
+		if resp, err := s2.Infer(p); err != nil || resp.Source != "store" || resp.Verdict == core.Unknown {
+			t.Fatalf("after a restart: source=%v verdict=%v err=%v, want the cold run's verdict from the store",
+				resp.Source, resp.Verdict, err)
+		}
+	}
+	if r.count() != 0 {
+		t.Fatalf("the restarted replica ran %d engines", r.count())
+	}
+}
+
 // twoReplicas wires two serve.Servers into a two-peer ring over real HTTP
 // listeners (the URLs must exist before New, so the handlers are bound
 // through late-binding shims).

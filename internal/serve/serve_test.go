@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -343,6 +344,7 @@ func TestHTTPSurface(t *testing.T) {
 		`{"schema":["A"],"deps":[],"goal":""}`,
 		`{"unknown_field":1}`,
 		`{"preset":"power","words":1}`,
+		`{"preset":"chain:10000"}`,
 	} {
 		resp, _ := post(bad)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -369,6 +371,24 @@ func TestHTTPSurface(t *testing.T) {
 	mr.Body.Close()
 	if metrics.Gauges.Requests < 3 || metrics.Counters["serve.requests"] < 3 {
 		t.Fatalf("metrics report %+v", metrics)
+	}
+}
+
+// TestPresetCaps: each parameterized preset family is served up to its
+// cap and refused one past it.
+func TestPresetCaps(t *testing.T) {
+	for _, tc := range []struct {
+		family string
+		max    int
+	}{{"chain", 64}, {"nilpotent", 32}, {"tower", 32}, {"collapse", 4}} {
+		admitted := fmt.Sprintf("%s:%d", tc.family, tc.max)
+		if _, err := ParseRequest(Request{Preset: admitted}); err != nil {
+			t.Errorf("%s refused: %v", admitted, err)
+		}
+		refused := fmt.Sprintf("%s:%d", tc.family, tc.max+1)
+		if _, err := ParseRequest(Request{Preset: refused}); err == nil {
+			t.Errorf("%s admitted", refused)
+		}
 	}
 }
 

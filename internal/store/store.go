@@ -34,10 +34,25 @@
 // crash mid-compaction leaves the old log intact). Puts auto-compact once
 // dead bytes exceed both a floor and the live size, keeping the log within
 // ~2x of its live content.
+//
+// The log format is TDVSTOR2: the 8-byte magic, then per record a 4-byte
+// little-endian payload length, the payload's CRC-32 (IEEE), and the
+// payload — a uvarint key length, the key, one flag byte (bit 0 marks a
+// tombstone), a uvarint metadata length, the metadata (the Record's
+// verdict, winner, stop, cold time and class as JSON), and the certificate
+// bytes verbatim. Recovery checks each frame's length and checksum and
+// parses only that binary prefix, so opening a log decodes no JSON: the
+// index keeps each live key's value bytes, Get decodes a record's small
+// metadata when it is asked for, and Put, Delete and Compact write frames
+// without re-encoding a certificate. A TDVSTOR1 log (one JSON Record per
+// payload, as earlier versions wrote) is read with a JSON decoder and
+// rewritten as TDVSTOR2 by the same temp-file + rename compaction before
+// Open returns.
 package store
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -53,9 +68,18 @@ import (
 	"templatedep/internal/obs"
 )
 
-// magic opens every log file; a file that exists but does not start with
-// it is refused rather than silently rewritten.
-var magic = []byte("TDVSTOR1")
+// magic opens every log file this package writes; a file that exists but
+// starts with neither it nor magicV1 is refused rather than silently
+// rewritten.
+var magic = []byte("TDVSTOR2")
+
+// magicV1 opens a log of the earlier format, whose payloads are JSON
+// Records. Open reads one and rewrites it as TDVSTOR2.
+var magicV1 = []byte("TDVSTOR1")
+
+// flagTombstone is the payload flag bit of a tombstone; no other bit is
+// defined.
+const flagTombstone = 1
 
 // recordHeaderLen is the per-record framing: a 4-byte little-endian
 // payload length followed by the payload's CRC-32 (IEEE).
@@ -93,6 +117,16 @@ type Record struct {
 	// written by Delete so an eviction survives restart (recovery drops
 	// the key; compaction drops the tombstone itself).
 	Deleted bool `json:"deleted,omitempty"`
+}
+
+// meta is a record's metadata as a TDVSTOR2 payload holds it: the Record
+// without its key, certificate and tombstone flag.
+type meta struct {
+	Verdict string  `json:"verdict,omitempty"`
+	Winner  string  `json:"winner,omitempty"`
+	Stop    string  `json:"stop,omitempty"`
+	ColdMS  float64 `json:"cold_ms,omitempty"`
+	Class   Class   `json:"class,omitempty"`
 }
 
 // Class is a budget class: the effective per-meter limits a run executed
@@ -143,6 +177,101 @@ func keyDigest(key string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
+// entry is one live record in the index.
+type entry struct {
+	// val is the record's value: the metadata JSON, then the certificate.
+	val []byte
+	// meta is the length of val's metadata prefix.
+	meta int
+	// frame is the record's framed length in the log.
+	frame int64
+}
+
+// newEntry builds rec's entry; frame is set when the frame is written.
+func newEntry(rec Record) (entry, error) {
+	m, err := json.Marshal(meta{Verdict: rec.Verdict, Winner: rec.Winner,
+		Stop: rec.Stop, ColdMS: rec.ColdMS, Class: rec.Class})
+	if err != nil {
+		return entry{}, fmt.Errorf("store: %w", err)
+	}
+	val := make([]byte, 0, len(m)+len(rec.Cert))
+	return entry{val: append(append(val, m...), rec.Cert...), meta: len(m)}, nil
+}
+
+// record decodes e as key's Record. It reports false when the metadata is
+// not JSON: such a record answers nothing, and any Put for its key
+// replaces it. The certificate is returned as stored, unscanned.
+func (e entry) record(key string) (Record, bool) {
+	var m meta
+	if json.Unmarshal(e.val[:e.meta], &m) != nil {
+		return Record{}, false
+	}
+	rec := Record{Key: key, Verdict: m.Verdict, Winner: m.Winner, Stop: m.Stop,
+		ColdMS: m.ColdMS, Class: m.Class}
+	if len(e.val) > e.meta {
+		rec.Cert = e.val[e.meta:len(e.val):len(e.val)]
+	}
+	return rec, true
+}
+
+// appendFrame appends key's framed record to buf: the length and CRC
+// header, then the payload of key, flag, metadata length and val.
+func appendFrame(buf []byte, key string, flag byte, e entry) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, recordHeaderLen)...)
+	buf = binary.AppendUvarint(buf, uint64(len(key)))
+	buf = append(buf, key...)
+	buf = append(buf, flag)
+	buf = binary.AppendUvarint(buf, uint64(e.meta))
+	buf = append(buf, e.val...)
+	payload := buf[start+recordHeaderLen:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf
+}
+
+// decodeRecord parses a TDVSTOR2 payload's binary prefix. It reports
+// false for an empty key, a key or metadata length past the payload, an
+// unknown flag bit, or a tombstone that carries a value.
+func decodeRecord(payload []byte) (key string, e entry, deleted, ok bool) {
+	klen, n := binary.Uvarint(payload)
+	if n <= 0 || klen == 0 || klen > uint64(len(payload)-n) {
+		return "", entry{}, false, false
+	}
+	rest := payload[n+int(klen):]
+	if len(rest) == 0 || rest[0]&^flagTombstone != 0 {
+		return "", entry{}, false, false
+	}
+	deleted = rest[0] == flagTombstone
+	mlen, m := binary.Uvarint(rest[1:])
+	if m <= 0 || mlen > uint64(len(rest)-1-m) {
+		return "", entry{}, false, false
+	}
+	val := rest[1+m:]
+	if deleted && len(val) > 0 {
+		return "", entry{}, false, false
+	}
+	key = string(payload[n : n+int(klen)])
+	if deleted {
+		return key, entry{}, true, true
+	}
+	return key, entry{val: bytes.Clone(val), meta: int(mlen)}, false, true
+}
+
+// decodeRecordV1 parses a TDVSTOR1 payload, one JSON Record. It reports
+// false when the payload is not a keyed Record.
+func decodeRecordV1(payload []byte) (key string, e entry, deleted, ok bool) {
+	var rec Record
+	if json.Unmarshal(payload, &rec) != nil || rec.Key == "" {
+		return "", entry{}, false, false
+	}
+	if rec.Deleted {
+		return rec.Key, entry{}, true, true
+	}
+	e, err := newEntry(rec)
+	return rec.Key, e, false, err == nil
+}
+
 // Options configures Open.
 type Options struct {
 	// Sink receives the store's lifecycle events (store_recover,
@@ -163,7 +292,7 @@ type Store struct {
 	path string
 	opts Options
 
-	index map[string]Record
+	index map[string]entry
 	// liveBytes / deadBytes partition the log's record bytes (framing
 	// included) into the newest record per key vs superseded ones.
 	liveBytes int64
@@ -184,21 +313,28 @@ type RecoverStats struct {
 }
 
 // Open opens (or creates) the verdict store at path, replaying the log
-// into the in-memory index and truncating any torn tail. The parent
-// directory must exist.
+// into the in-memory index and truncating any torn tail. A TDVSTOR1 log is
+// rewritten as TDVSTOR2 before Open returns; if that fails, the old log is
+// left as it was. The parent directory must exist.
 func Open(path string, opts Options) (*Store, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{f: f, path: path, opts: opts, index: make(map[string]Record)}
-	st, err := s.recover()
+	s := &Store{f: f, path: path, opts: opts, index: make(map[string]entry)}
+	st, v1, err := s.recover()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	s.emit(obs.Event{Type: obs.EvStoreRecover, N: st.Records,
 		Added: st.Superseded, Bytes: int(st.DroppedBytes)})
+	if v1 {
+		if err := s.compactLocked(); err != nil {
+			s.f.Close()
+			return nil, err
+		}
+	}
 	return s, nil
 }
 
@@ -210,35 +346,43 @@ func (s *Store) emit(e obs.Event) {
 	s.opts.Sink.Event(e)
 }
 
-// recover replays the log. Called with the store not yet shared, so no
-// locking.
-func (s *Store) recover() (RecoverStats, error) {
+// recover replays the log into the index, and reports whether it is a
+// TDVSTOR1 log, which Open then rewrites. Called with the store not yet
+// shared, so no locking.
+func (s *Store) recover() (RecoverStats, bool, error) {
 	var st RecoverStats
 	info, err := s.f.Stat()
 	if err != nil {
-		return st, fmt.Errorf("store: %w", err)
+		return st, false, fmt.Errorf("store: %w", err)
 	}
 	if info.Size() == 0 {
 		// Fresh store: stamp the magic header.
 		if _, err := s.f.Write(magic); err != nil {
-			return st, fmt.Errorf("store: %w", err)
+			return st, false, fmt.Errorf("store: %w", err)
 		}
 		s.size = int64(len(magic))
-		return st, nil
+		return st, false, nil
 	}
 	// One buffered reader serves the whole scan, so a record costs no
 	// syscalls of its own. It reads ahead of offset: the file position
 	// is set back to offset after the scan.
 	r := bufio.NewReaderSize(s.f, 64<<10)
 	hdr := make([]byte, len(magic))
-	if _, err := io.ReadFull(r, hdr); err != nil || string(hdr) != string(magic) {
-		return st, fmt.Errorf("store: %s is not a verdict store (bad magic)", s.path)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return st, false, fmt.Errorf("store: %s is not a verdict store (bad magic)", s.path)
 	}
-	// Scan records until EOF or the first frame that fails its length or
-	// checksum — the torn tail. bytesAt tracks the framed size of each
-	// key's newest record so superseded records count as dead immediately.
+	decode := decodeRecord
+	v1 := string(hdr) == string(magicV1)
+	if v1 {
+		decode = decodeRecordV1
+	} else if string(hdr) != string(magic) {
+		return st, false, fmt.Errorf("store: %s is not a verdict store (bad magic)", s.path)
+	}
+	// Scan records until EOF or the first frame that fails its length,
+	// checksum or decoding — the torn tail. A later record for a seen key
+	// supersedes it: the log's append order IS the supersession order (Put
+	// appends only superseding records, Delete only tombstones).
 	offset := int64(len(magic))
-	bytesAt := make(map[string]int64, 64)
 	frame := make([]byte, recordHeaderLen)
 	var payload []byte
 	for {
@@ -250,7 +394,7 @@ func (s *Store) recover() (RecoverStats, error) {
 				st.DroppedBytes = info.Size() - offset
 				break
 			}
-			return st, fmt.Errorf("store: %w", err)
+			return st, false, fmt.Errorf("store: %w", err)
 		}
 		plen := binary.LittleEndian.Uint32(frame[:4])
 		sum := binary.LittleEndian.Uint32(frame[4:])
@@ -270,81 +414,69 @@ func (s *Store) recover() (RecoverStats, error) {
 			st.DroppedBytes = info.Size() - offset
 			break
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.Key == "" {
+		key, e, deleted, ok := decode(payload)
+		if !ok {
 			st.DroppedBytes = info.Size() - offset
 			break
 		}
-		recBytes := recordHeaderLen + int64(plen)
-		if prevBytes, ok := bytesAt[rec.Key]; ok {
-			// A later record for a seen key: the log's append order IS the
-			// supersession order (Put appends only superseding records,
-			// Delete only tombstones), so the earlier record is dead.
-			s.deadBytes += prevBytes
+		e.frame = recordHeaderLen + int64(plen)
+		if prev, ok := s.index[key]; ok {
+			s.liveBytes -= prev.frame
+			s.deadBytes += prev.frame
 			st.Superseded++
 		}
-		if rec.Deleted {
+		if deleted {
 			// The tombstone itself is dead weight too; it only exists to
 			// outlive the record it kills until the next compaction.
-			delete(bytesAt, rec.Key)
-			delete(s.index, rec.Key)
-			s.deadBytes += recBytes
+			delete(s.index, key)
+			s.deadBytes += e.frame
 		} else {
-			bytesAt[rec.Key] = recBytes
-			s.index[rec.Key] = rec
+			s.index[key] = e
+			s.liveBytes += e.frame
 		}
-		offset += recBytes
+		offset += e.frame
+	}
+	st.Records = len(s.index)
+	if v1 {
+		// Open's rewrite replaces the whole file, torn tail included.
+		return st, true, nil
 	}
 	if st.DroppedBytes > 0 {
 		if err := s.f.Truncate(offset); err != nil {
-			return st, fmt.Errorf("store: truncating torn tail: %w", err)
+			return st, false, fmt.Errorf("store: truncating torn tail: %w", err)
 		}
 	}
 	if _, err := s.f.Seek(offset, io.SeekStart); err != nil {
-		return st, fmt.Errorf("store: %w", err)
+		return st, false, fmt.Errorf("store: %w", err)
 	}
 	s.size = offset
-	for _, b := range bytesAt {
-		s.liveBytes += b
-	}
-	st.Records = len(s.index)
-	return st, nil
+	return st, false, nil
 }
 
-// Get returns the live record for key.
+// Get returns the live record for key. A record whose metadata does not
+// decode is reported absent. The returned Cert shares the index's bytes
+// and must not be modified.
 func (s *Store) Get(key string) (Record, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.index[key]
-	return rec, ok
+	e, ok := s.index[key]
+	s.mu.Unlock()
+	if !ok {
+		return Record{}, false
+	}
+	// An entry's bytes are never written after it is indexed, so the
+	// decode needs no lock.
+	return e.record(key)
 }
 
-// append frames and writes one record payload, updating the size gauges.
-// Caller holds the lock.
-func (s *Store) append(rec Record) (int, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	frame := make([]byte, recordHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[recordHeaderLen:], payload)
+// append frames and writes one record, updating the size gauge, and
+// returns the frame's length. Caller holds the lock.
+func (s *Store) append(key string, flag byte, e entry) (int64, error) {
+	frame := appendFrame(nil, key, flag, e)
 	if _, err := s.f.Write(frame); err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
 	s.size += int64(len(frame))
-	return len(frame), nil
-}
-
-// frameLen estimates the framed byte length of rec as stored (re-encoding;
-// only used for dead/live accounting, where an estimate is fine).
-func frameLen(rec Record) int64 {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return 0
-	}
-	return recordHeaderLen + int64(len(b))
+	return int64(len(frame)), nil
 }
 
 // Put writes rec through to disk if it supersedes the stored record for
@@ -356,33 +488,39 @@ func (s *Store) Put(rec Record) (bool, error) {
 	if rec.Key == "" || rec.Deleted {
 		return false, errors.New("store: invalid record")
 	}
+	e, err := newEntry(rec)
+	if err != nil {
+		return false, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return false, errors.New("store: closed")
 	}
 	old, exists := s.index[rec.Key]
-	if exists && !rec.Supersedes(old) {
-		s.emit(obs.Event{Type: obs.EvStorePut, Key: keyDigest(rec.Key), Source: "skip"})
-		return false, nil
+	if exists {
+		// A stored record whose metadata does not decode answers nothing,
+		// so any record supersedes it.
+		if prev, ok := old.record(rec.Key); ok && !rec.Supersedes(prev) {
+			s.emit(obs.Event{Type: obs.EvStorePut, Key: keyDigest(rec.Key), Source: "skip"})
+			return false, nil
+		}
 	}
-	n, err := s.append(rec)
-	if err != nil {
+	if e.frame, err = s.append(rec.Key, 0, e); err != nil {
 		return false, err
 	}
 	if exists {
-		b := frameLen(old)
-		s.liveBytes -= b
-		s.deadBytes += b
+		s.liveBytes -= old.frame
+		s.deadBytes += old.frame
 	}
-	s.index[rec.Key] = rec
-	s.liveBytes += int64(n)
+	s.index[rec.Key] = e
+	s.liveBytes += e.frame
 	disposition := "insert"
 	if exists {
 		disposition = "overwrite"
 	}
 	s.emit(obs.Event{Type: obs.EvStorePut, Key: keyDigest(rec.Key),
-		Source: disposition, Bytes: n})
+		Source: disposition, Bytes: int(e.frame)})
 	if !s.opts.NoAutoCompact && s.deadBytes > autoCompactFloor && s.deadBytes > s.liveBytes {
 		return true, s.compactLocked()
 	}
@@ -390,26 +528,26 @@ func (s *Store) Put(rec Record) (bool, error) {
 }
 
 // Delete removes key, appending a tombstone so the eviction survives a
-// restart. Used when a stored certificate fails re-verification: the
-// entry must not answer another request, this process or the next.
+// restart. Used when a stored record does not decode or its certificate
+// fails re-verification: the entry must not answer another request, this
+// process or the next.
 func (s *Store) Delete(key string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return errors.New("store: closed")
 	}
-	rec, ok := s.index[key]
+	e, ok := s.index[key]
 	if !ok {
 		return nil
 	}
-	n, err := s.append(Record{Key: key, Deleted: true})
+	n, err := s.append(key, flagTombstone, entry{})
 	if err != nil {
 		return err
 	}
 	delete(s.index, key)
-	b := frameLen(rec)
-	s.liveBytes -= b
-	s.deadBytes += b + int64(n)
+	s.liveBytes -= e.frame
+	s.deadBytes += e.frame + n
 	return nil
 }
 
@@ -434,26 +572,23 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	defer os.Remove(tmpPath) // no-op after a successful rename
-	if _, err := tmp.Write(magic); err != nil {
+	// The rewritten entries carry their new frame lengths; they replace
+	// the index only once the new log is in place.
+	index := make(map[string]entry, len(s.index))
+	w := bufio.NewWriterSize(tmp, 64<<10)
+	w.Write(magic) // a write error sticks to w and surfaces at Flush
+	size := int64(len(magic))
+	var frame []byte
+	for key, e := range s.index {
+		frame = appendFrame(frame[:0], key, 0, e)
+		w.Write(frame)
+		e.frame = int64(len(frame))
+		index[key] = e
+		size += e.frame
+	}
+	if err := w.Flush(); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: compact: %w", err)
-	}
-	size := int64(len(magic))
-	for _, rec := range s.index {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: compact: %w", err)
-		}
-		frame := make([]byte, recordHeaderLen+len(payload))
-		binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-		copy(frame[recordHeaderLen:], payload)
-		if _, err := tmp.Write(frame); err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: compact: %w", err)
-		}
-		size += int64(len(frame))
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
@@ -473,6 +608,7 @@ func (s *Store) compactLocked() error {
 	}
 	s.f.Close()
 	s.f = f
+	s.index = index
 	s.size = size
 	s.liveBytes = size - int64(len(magic))
 	s.deadBytes = 0

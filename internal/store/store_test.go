@@ -1,9 +1,15 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
 	"templatedep/internal/obs"
@@ -81,7 +87,7 @@ func TestPutGetSupersession(t *testing.T) {
 func TestReopenRebuildsIndex(t *testing.T) {
 	s, path := tempStore(t, Options{NoAutoCompact: true})
 	mustPut(t, s, Record{Key: "def", Verdict: "implied", Winner: "chase",
-		ColdMS: 12.5, Cert: json.RawMessage(`{"v":1}`)})
+		ColdMS: 12.5, Cert: json.RawMessage(`{"v": 1}`)})
 	mustPut(t, s, Record{Key: "unk", Verdict: "unknown", Stop: "exhausted:tuples",
 		Class: Class{Rounds: 4, Tuples: 100}})
 	mustPut(t, s, Record{Key: "unk", Verdict: "unknown", Stop: "exhausted:rounds",
@@ -100,8 +106,8 @@ func TestReopenRebuildsIndex(t *testing.T) {
 		t.Fatalf("reopen: %d records, want 2", s2.Len())
 	}
 	def, ok := s2.Get("def")
-	if !ok || def.Verdict != "implied" || def.Winner != "chase" || def.ColdMS != 12.5 || len(def.Cert) == 0 {
-		t.Fatalf("definitive record did not survive reopen: %+v ok=%v", def, ok)
+	if !ok || def.Verdict != "implied" || def.Winner != "chase" || def.ColdMS != 12.5 || string(def.Cert) != `{"v": 1}` {
+		t.Fatalf("definitive record did not survive reopen with its certificate's bytes: %+v ok=%v", def, ok)
 	}
 	unk, ok := s2.Get("unk")
 	if !ok || (unk.Class != Class{Rounds: 32, Tuples: 100}) {
@@ -341,4 +347,141 @@ func TestClosedStoreRefusesWrites(t *testing.T) {
 	if _, ok := s.Get("k"); !ok {
 		t.Fatalf("Get after close lost the index")
 	}
+}
+
+// v1Log is a TDVSTOR1 log of recs, each framed around its JSON encoding.
+func v1Log(t *testing.T, recs ...Record) []byte {
+	t.Helper()
+	log := append([]byte{}, magicV1...)
+	for _, rec := range recs {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = binary.LittleEndian.AppendUint32(log, uint32(len(payload)))
+		log = binary.LittleEndian.AppendUint32(log, crc32.ChecksumIEEE(payload))
+		log = append(log, payload...)
+	}
+	return log
+}
+
+// TestInterruptedMigrationKeepsV1Log: a TDVSTOR1 log is rewritten through
+// the compaction's temp file. A rewrite that fails before its rename
+// leaves the old log byte for byte, and a crash that left a partial temp
+// file behind does not stop the next Open from migrating the same
+// records.
+func TestInterruptedMigrationKeepsV1Log(t *testing.T) {
+	path := DefaultPath(t.TempDir())
+	log := v1Log(t,
+		Record{Key: "a", Verdict: "unknown", Class: Class{Rounds: 4}},
+		Record{Key: "b", Verdict: "implied", Winner: "chase", Cert: json.RawMessage(`{"v":1}`)},
+		Record{Key: "a", Verdict: "finite-counterexample", ColdMS: 3.5, Cert: json.RawMessage(`{"v":2}`)},
+		Record{Key: "b", Deleted: true},
+		Record{Key: "c", Verdict: "implied"})
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := scanLog(log[len(magicV1):])
+
+	// A directory where the temp file goes makes the rewrite fail.
+	if err := os.Mkdir(path+".compact", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := Open(path, Options{}); err == nil {
+		s.Close()
+		t.Fatalf("Open succeeded though the log could not be rewritten")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, log) {
+		t.Fatalf("a failed migration changed the TDVSTOR1 log (err %v)", err)
+	}
+
+	// A crash mid-rewrite leaves a partial temp file beside the old log.
+	if err := os.Remove(path + ".compact"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".compact", []byte("TDVSTOR2\x10\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("Open after an interrupted migration: %v", err)
+	}
+	defer s.Close()
+	if got := records(s); !reflect.DeepEqual(got, want) {
+		t.Fatalf("migrated records %v, the TDVSTOR1 log holds %v", got, want)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(got, magic) {
+		t.Fatalf("the log was not rewritten as TDVSTOR2 (err %v)", err)
+	}
+	if _, err := os.Stat(path + ".compact"); !os.IsNotExist(err) {
+		t.Fatalf("the temp file outlived the migration: %v", err)
+	}
+}
+
+// TestPutReplacesUndecodableRecord: a record whose metadata is not JSON
+// passes recovery (only the binary prefix is parsed there), reads as
+// absent, and is replaced by the next Put for its key, whatever that
+// Put's record — here an unknown with an empty budget class, which
+// supersedes no record that decodes.
+func TestPutReplacesUndecodableRecord(t *testing.T) {
+	path := DefaultPath(t.TempDir())
+	bad := entry{val: []byte(`{"verdict":"implied"`), meta: len(`{"verdict":"implied"`)}
+	log := appendFrame(append([]byte{}, magic...), "k", 0, bad)
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, Options{NoAutoCompact: true})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	if s.Len() != 1 {
+		t.Fatalf("recovery kept %d records, want the undecodable one", s.Len())
+	}
+	if rec, ok := s.Get("k"); ok {
+		t.Fatalf("Get answered an undecodable record: %+v", rec)
+	}
+	mustPut(t, s, Record{Key: "k", Verdict: "unknown"})
+	if rec, ok := s.Get("k"); !ok || rec.Verdict != "unknown" {
+		t.Fatalf("Put did not replace the undecodable record: %+v ok=%v", rec, ok)
+	}
+	if st := s.Stats(); st.DeadBytes != int64(len(log)-len(magic)) {
+		t.Fatalf("dead bytes %d, want the replaced frame's %d", st.DeadBytes, len(log)-len(magic))
+	}
+}
+
+// TestConcurrentUse: Get decodes a record outside the store lock, so reads
+// run beside Put, Delete and Compact. Under the race detector this checks
+// that an entry's bytes are never written once they are indexed.
+func TestConcurrentUse(t *testing.T) {
+	s, _ := tempStore(t, Options{NoAutoCompact: true})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				key := fmt.Sprintf("k%d", i%7)
+				var err error
+				switch (w + i) % 4 {
+				case 0:
+					_, err = s.Put(Record{Key: key, Verdict: "unknown", Class: Class{Rounds: i},
+						Cert: json.RawMessage(`{"v":1}`)})
+				case 1:
+					err = s.Delete(key)
+				case 2:
+					if i%50 == 2 {
+						err = s.Compact()
+					}
+				}
+				if rec, ok := s.Get(key); ok && (rec.Key != key || string(rec.Cert) != `{"v":1}`) {
+					t.Errorf("Get(%s) = %+v", key, rec)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
