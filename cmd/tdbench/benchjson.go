@@ -2,13 +2,11 @@
 // the F1–F3 experiments plus the chase implication/decision workloads with
 // testing.Benchmark and writes one JSON document, so the performance
 // trajectory of the engine is tracked in-repo from PR to PR. Each chase
-// workload is one /serial arm; the implication workloads also carry a
-// warm-start repeat column.
+// workload is one /serial arm.
 package main
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"templatedep/internal/budget"
@@ -31,20 +29,12 @@ type benchResult struct {
 	// zero for workloads that do not run the chase.
 	TuplesPerSec float64 `json:"tuples_per_sec,omitempty"`
 	// Verdict is the chase verdict of the workload (chase workloads only);
-	// -checkbench requires it, and requires the warm repeat to agree.
+	// -checkbench requires it.
 	Verdict string `json:"verdict,omitempty"`
 	// Counters is the observability counter snapshot of one un-timed run of
 	// the workload (-metrics; chase workloads only). The timed loop always
 	// runs sink-free, so counters never perturb ns_per_op.
 	Counters map[string]int64 `json:"counters,omitempty"`
-	// WarmNsPerOp and WarmVerdict measure a warm-start repeat of the same
-	// workload: one cold run captures a chase-state snapshot, then the timed
-	// loop re-runs Implies seeded with that snapshot (fresh governor per
-	// iteration, like the cold loop). The replay skips straight to the goal
-	// probe, so warm_ns_per_op is the latency of replaying a captured
-	// snapshot up to its goal (chase.Options.WarmState).
-	WarmNsPerOp float64 `json:"warm_ns_per_op,omitempty"`
-	WarmVerdict string  `json:"warm_verdict,omitempty"`
 }
 
 type benchReport struct {
@@ -58,10 +48,7 @@ func writeBenchJSON(path string, metrics bool) {
 
 	rep := benchReport{reportHost: newReportHost()}
 
-	// record returns a pointer to the appended result so chase workloads can
-	// annotate it (warm columns) before the next record call — the
-	// pointer is invalidated by the following append.
-	record := func(name string, tuples int, verdict string, counters map[string]int64, fn func(b *testing.B)) *benchResult {
+	record := func(name string, tuples int, verdict string, counters map[string]int64, fn func(b *testing.B)) {
 		r := testing.Benchmark(fn)
 		br := benchResult{
 			Name:        name,
@@ -76,7 +63,6 @@ func writeBenchJSON(path string, metrics bool) {
 		}
 		rep.Results = append(rep.Results, br)
 		fmt.Printf("%-34s %14.0f ns/op %8d allocs/op\n", name, br.NsPerOp, br.AllocsPerOp)
-		return &rep.Results[len(rep.Results)-1]
 	}
 
 	// chaseCounters runs the workload once with a counter sink and returns
@@ -142,11 +128,10 @@ func writeBenchJSON(path string, metrics bool) {
 		})
 	}
 
-	// Chase implication on the reduction output, with a warm-start repeat
-	// column. Every iteration gets a FRESH governor: budget meters
-	// accumulate across runs, so a shared governor exhausts after the first
-	// few iterations and the loop would measure setup-cost no-ops, not
-	// chases.
+	// Chase implication on the reduction output. Every iteration gets a
+	// FRESH governor: budget meters accumulate across runs, so a shared
+	// governor exhausts after the first few iterations and the loop would
+	// measure setup-cost no-ops, not chases.
 	for _, tc := range []struct {
 		name string
 		p    *words.Presentation
@@ -162,7 +147,7 @@ func writeBenchJSON(path string, metrics bool) {
 		res, err := chase.Implies(in.D, in.D0, mkOpt())
 		check(err)
 		tuples := res.Instance.Len()
-		br := record(fmt.Sprintf("chase/implies_%s/serial", tc.name), tuples,
+		record(fmt.Sprintf("chase/implies_%s/serial", tc.name), tuples,
 			res.Verdict.String(), chaseCounters(in.D, in.D0, mkOpt()), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -171,36 +156,6 @@ func writeBenchJSON(path string, metrics bool) {
 					}
 				}
 			})
-		capOpt := mkOpt()
-		capOpt.CaptureState = true
-		prod, err := chase.Implies(in.D, in.D0, capOpt)
-		check(err)
-		if prod.State == nil {
-			fmt.Fprintf(os.Stderr, "tdbench: %s: no chase state captured\n", br.Name)
-			os.Exit(1)
-		}
-		warmOpt := func() chase.Options {
-			o := mkOpt()
-			o.WarmState = prod.State
-			return o
-		}
-		wres, err := chase.Implies(in.D, in.D0, warmOpt())
-		check(err)
-		if !wres.WarmStarted || wres.Verdict != res.Verdict {
-			fmt.Fprintf(os.Stderr, "tdbench: %s: warm repeat diverged (warm-started %v, verdict %s vs %s)\n",
-				br.Name, wres.WarmStarted, wres.Verdict, res.Verdict)
-			os.Exit(1)
-		}
-		w := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := chase.Implies(in.D, in.D0, warmOpt()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		br.WarmNsPerOp = float64(w.T.Nanoseconds()) / float64(w.N)
-		br.WarmVerdict = wres.Verdict.String()
-		fmt.Printf("%-34s %14.0f ns/op (warm repeat)\n", br.Name, br.WarmNsPerOp)
 	}
 
 	// Full-TD decision (E6 shape): terminating chase on full dependencies.
@@ -240,19 +195,10 @@ var benchExpectedChase = []string{
 	"chase/decide_full",
 }
 
-// benchExpectedWarm lists the chase workloads whose /serial arm
-// additionally carries the warm-start repeat columns.
-var benchExpectedWarm = []string{
-	"chase/implies_chain1", "chase/implies_chain2", "chase/implies_chain3",
-}
-
 // checkBenchJSON validates a BENCH_chase.json structurally, mirroring
 // -checksearch: the report must parse, every expected workload must be
 // present (chase workloads as a /serial arm with a verdict) and
-// measurements must be positive. Warm columns must be present on every
-// implication workload and agree with its cold verdict, and at least one
-// workload must show the warm repeat at less than half the cold latency —
-// the point of keeping chase states at all.
+// measurements must be positive.
 func checkBenchJSON(path string) {
 	fail := reportFail(path)
 	var rep benchReport
@@ -278,22 +224,6 @@ func checkBenchJSON(path string) {
 			fail("workload %s: missing verdict (regenerate with a current tdbench)", base)
 		}
 	}
-	bestWarm := 0.0
-	for _, base := range benchExpectedWarm {
-		arm := byName[base+"/serial"]
-		if arm.WarmNsPerOp <= 0 {
-			fail("workload %s: missing warm repeat column", arm.Name)
-		}
-		if arm.WarmVerdict != arm.Verdict {
-			fail("workload %s: warm repeat flips the verdict (warm=%s cold=%s)", arm.Name, arm.WarmVerdict, arm.Verdict)
-		}
-		if r := arm.NsPerOp / arm.WarmNsPerOp; r > bestWarm {
-			bestWarm = r
-		}
-	}
-	if bestWarm < 2 {
-		fail("no workload shows a >=2x warm-start speedup (best %.2fx)", bestWarm)
-	}
-	fmt.Printf("%s: %d results, all %d+%d workloads present, warm verdicts identical, best warm speedup %.0fx\n",
-		path, len(rep.Results), len(benchExpectedPlain), len(benchExpectedChase), bestWarm)
+	fmt.Printf("%s: %d results, all %d+%d workloads present\n",
+		path, len(rep.Results), len(benchExpectedPlain), len(benchExpectedChase))
 }

@@ -27,19 +27,21 @@
 // implied conclusion is found given enough budget.
 //
 // Every run records its own proof: the per-round boundaries and the
-// dependency that added each tuple (Result.Proof, Result.Bounds), carried
-// by warm-start snapshots too.
+// dependency that added each tuple (Result.Proof, Result.Bounds).
 //
 // The chase has one configuration: the semi-naive restricted chase with
 // the index join, under DefaultLimits unless a governor says otherwise. Each
 // fair round is one sequential pass that enumerates triggers and applies
 // them as it goes. Options only choose how it is observed (Sink,
-// PerDepStats) and warm starts. Its independent reference is eid.Chase,
-// which tests run on the same inputs.
+// PerDepStats). A run can pause and resume under a growing budget
+// (Engine.Start, Run.Resume), which is how the portfolio's chase arm
+// carries its rounds from lease to lease. Its independent reference is
+// eid.Chase, which tests run on the same inputs.
 package chase
 
 import (
 	"fmt"
+	"slices"
 
 	"templatedep/internal/budget"
 	"templatedep/internal/obs"
@@ -50,10 +52,11 @@ import (
 
 // Options bounds and configures a chase run.
 type Options struct {
-	// Governor bounds the run: its rounds meter caps fair rounds, its
-	// tuples meter caps the instance size, and its context is checked once
-	// per round and every interruptBatch homomorphisms within one. Nil
-	// resolves to a fresh governor with DefaultLimits per run.
+	// Governor bounds Chase and Implies runs (Run.Resume takes its own):
+	// its rounds meter caps fair rounds, its tuples meter caps the instance
+	// size, and its context is checked once per round and every
+	// interruptBatch homomorphisms within one. Nil resolves to a fresh
+	// governor with DefaultLimits per run.
 	Governor *budget.Governor
 	// Sink receives structured observability events (round boundaries,
 	// per-dependency firings, delta sizes, nulls, the verdict). Nil — the
@@ -64,22 +67,6 @@ type Options struct {
 	// PerDepStats populates Stats.PerDep with per-dependency counters.
 	// Off by default so the untraced hot path allocates nothing extra.
 	PerDepStats bool
-	// WarmState, when non-nil, warm-starts the run from a snapshot captured
-	// by an earlier run over the same dependency list and start instance
-	// (see State). Verdicts, Stats, tuple identity and the proof match a
-	// cold run exactly; only wall-clock changes. Incompatible states
-	// (another dependency list or start, budget class) and PerDepStats
-	// runs silently fall back to a cold run. Warm starts take effect
-	// through Engine.Implies — a plain Chase has no prefix-goal predicate
-	// to replay with — and Result.WarmStarted reports whether the snapshot
-	// was actually used.
-	WarmState *State
-	// CaptureState asks the run to snapshot its last completed round into
-	// Result.State for reuse via WarmState. Ignored (Result.State stays
-	// nil) under PerDepStats (stateEligible) and for runs that never
-	// complete a round. Capture costs one prefix clone of the final
-	// instance, paid once at the end of the run.
-	CaptureState bool
 }
 
 // DefaultLimits are the meter caps an ungoverned chase runs under: 64 fair
@@ -169,13 +156,6 @@ type Result struct {
 	// — partial — either way.
 	Budget budget.Outcome
 	Stats  Stats
-	// State is the run's reusable snapshot when Options.CaptureState was
-	// set and the configuration was eligible; nil otherwise. A warm-started
-	// run that learned nothing new returns the snapshot it consumed.
-	State *State
-	// WarmStarted reports that the run reused Options.WarmState instead of
-	// chasing from round 1.
-	WarmStarted bool
 
 	// bounds is Bounds(); labels[j] is the index of the dependency that
 	// added tuple bounds[0]+j. The instance is append-only, so the two are
@@ -224,33 +204,98 @@ func NewEngine(schema *relation.Schema, deps []*td.TD, opt Options) (*Engine, er
 	return &Engine{schema: schema, deps: deps, opt: opt}, nil
 }
 
-// Chase closes start under the engine's dependencies (start is cloned).
-// The goal callback, if non-nil, is evaluated after the initial state and
-// after every round; when it returns true the chase stops early with
-// Verdict Implied.
-//
-// Chase has no prefix-goal predicate, so Options.WarmState is ignored here;
-// warm starts flow through Engine.Implies. Options.CaptureState works from
-// either entry point.
+// Chase closes start under the engine's dependencies (start is cloned)
+// under Options.Governor. The goal callback, if non-nil, is evaluated
+// after the initial state and after every round; when it returns true the
+// chase stops early with Verdict Implied.
 func (e *Engine) Chase(start *relation.Instance, goal func(*relation.Instance) bool) Result {
-	return e.chase(start, goal, nil)
+	return e.start(start.Clone(), goal).Resume(e.opt.Governor)
 }
 
-// chase is the engine core behind Chase and Implies. pgoal, when non-nil,
-// evaluates the goal against the instance prefix of the given length — the
-// capability warm-start replay needs to re-answer "was the goal witnessed
-// after round i" from a snapshot without materializing each prefix.
-func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) bool, pgoal func(*relation.Instance, int) bool) Result {
-	inst := start.Clone()
-	res := Result{Instance: inst, bounds: []int{inst.Len()}}
-	sink := e.opt.Sink
-	// Resolved per run, not per engine, so a reused engine never carries an
-	// exhausted meter pool between chases. The tuple cap is fetched once
-	// and compared against inst.Len() before each trigger is applied — the
-	// hot path never touches the governor's meters.
-	g := budget.Resolve(e.opt.Governor, DefaultLimits)
+// Implies checks whether the engine's dependency set logically implies d0,
+// by chasing d0's frozen antecedents under Options.Governor and watching
+// for its conclusion.
+func (e *Engine) Implies(d0 *td.TD) (Result, error) {
+	r, err := e.Start(d0)
+	if err != nil {
+		return Result{}, err
+	}
+	return r.Resume(e.opt.Governor), nil
+}
+
+// Start returns the chase of d0's frozen antecedents, watching for d0's
+// conclusion, paused before round 1.
+func (e *Engine) Start(d0 *td.TD) (*Run, error) {
+	if !d0.Schema().Equal(e.schema) {
+		return nil, fmt.Errorf("chase: goal dependency has a different schema")
+	}
+	frozen, as := d0.FrozenAntecedents()
+	concl := d0.Conclusion()
+	return e.start(frozen, func(inst *relation.Instance) bool {
+		return tableau.RowSatisfiable(concl, as, inst)
+	}), nil
+}
+
+func (e *Engine) start(inst *relation.Instance, goal func(*relation.Instance) bool) *Run {
+	r := &Run{e: e, goal: goal, inst: inst, bounds: []int{inst.Len()}}
+	if e.opt.PerDepStats {
+		r.stats.PerDep = make([]DepStats, len(e.deps))
+	}
+	return r
+}
+
+// Run is one chase computation that pauses whenever its governor stops it
+// and continues under the next governor it is given. The instance is
+// append-only and each round appends a contiguous block of tuples, so the
+// instance, its round boundaries, the dependency label of every added
+// tuple and the Stats of the last completed round are the run's whole
+// state: the delta frontier of round i+1 is bounds[i-1] to bounds[i].
+type Run struct {
+	e    *Engine
+	goal func(*relation.Instance) bool
+	inst *relation.Instance
+	// bounds[i] is the instance size after round i, bounds[0] the start's;
+	// labels[j] is the index of the dependency that added tuple
+	// bounds[0]+j. Both end at the last completed round.
+	bounds []int
+	labels []int
+	// stats is the Stats through the last completed round.
+	stats Stats
+}
+
+// Resume continues the run under g (nil resolves to DefaultLimits) until
+// the goal is witnessed, a fixpoint is reached or g stops it. It first
+// charges g with the rounds and tuples of the rounds already completed and
+// emits one chase_warmstart event for them, so g's meters, the Stats and a
+// replayed trace read as if the run had started under g. If the previous
+// Resume stopped inside a round, the run first rolls back to that round's
+// start and chases the round again in full.
+//
+// The one precondition: g's caps are never below the previous Resume's
+// (the portfolio's lease growth guarantees it). Under it the Result is
+// exactly that of one cold run under g's caps: verdict, Stats, instance
+// and proof. The Result shares the run's instance and is valid until the
+// next Resume; a run that returned Implied or reached a fixpoint is
+// finished.
+func (r *Run) Resume(g *budget.Governor) Result {
+	e, sink := r.e, r.e.opt.Sink
+	done := len(r.bounds) - 1
+	if n := r.bounds[done]; r.inst.Len() > n {
+		// ClonePrefix also resets the fresh-value counters the cut round
+		// advanced, so the re-run numbers its nulls as a cold run would.
+		// Copying the labels too leaves the stopped Result whole.
+		r.inst = r.inst.ClonePrefix(n)
+		r.labels = slices.Clone(r.labels)
+	}
+	inst := r.inst
+	res := Result{Instance: inst, Stats: r.stats, bounds: r.bounds, labels: r.labels}
+	res.Stats.PerDep = slices.Clone(r.stats.PerDep)
+	// Resolved per Resume, so a reused engine never carries an exhausted
+	// meter pool between chases. The tuple cap is fetched once and compared
+	// against inst.Len() before each trigger is applied — the hot path never
+	// touches the governor's meters.
+	g = budget.Resolve(g, DefaultLimits)
 	tupleCap := g.Limit(budget.Tuples)
-	roundsCap := g.Limit(budget.Rounds)
 	emitVerdict := func() {
 		if sink != nil {
 			sink.Event(obs.Event{Type: obs.EvVerdict, Src: "chase",
@@ -270,174 +315,21 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 		sink.Event(obs.Event{Type: typ, Src: "chase",
 			Round: res.Stats.Rounds, Resource: res.Budget.Reason()})
 	}
-	if e.opt.PerDepStats {
-		res.Stats.PerDep = make([]DepStats, len(e.deps))
-	}
 
-	// Delta tracking for semi-naive evaluation.
-	prevLen := 0 // tuples with index < prevLen existed before last round
-	lastLen := inst.Len()
-	startRound := 1
-
-	capturing := e.opt.CaptureState && e.stateEligible()
-	// cum[i] is the cumulative Stats through round i, kept beside
-	// res.bounds for a captured State.
-	cum := []Stats{{}}
-
-	// Warm-start path: replay a compatible snapshot's round boundaries
-	// against this run's goal and budget, then answer directly or resume the
-	// round loop where the snapshot left off. The replay mirrors the cold
-	// run decision-for-decision — including governor accounting — so
-	// verdicts, Stats, and tuple identity are exactly the cold run's.
-	// Anything that would force a divergence (incompatible snapshot,
-	// ineligible configuration, budget-class rule, a tuple cap that would
-	// have cut the producing run mid-round) falls back to a cold run
-	// instead.
-	warm := e.opt.WarmState
-	if !warm.compatibleWith(e, start) || pgoal == nil || !e.stateEligible() ||
-		!warm.ReusableUnder(budget.Limits{Rounds: roundsCap, Tuples: tupleCap}) {
-		warm = nil
-	}
-	if warm != nil {
-		k := warm.Rounds()
-		// emitWarm reports the skipped prefix as one event carrying its
-		// cumulative totals, so a warm trace still replays to the same
-		// Stats the run reports (TestTraceReplayMatchesStats invariant).
-		emitWarm := func(rounds int, st Stats, tuples int) {
-			res.WarmStarted = true
-			if sink != nil {
-				sink.Event(obs.Event{Type: obs.EvChaseWarmStart, Src: "chase",
-					Round: rounds, Tuples: tuples, N: st.TriggersFired, Added: st.TuplesAdded,
-					Homs: st.HomomorphismsSeen, Nulls: st.NullsCreated})
-			}
+	if done > 0 {
+		// The completed prefix is reported as one event carrying its
+		// cumulative totals, so the trace still replays to the Stats the
+		// run reports (TestTraceReplayMatchesStats invariant).
+		g.Add(budget.Rounds, done)
+		g.Add(budget.Tuples, r.stats.TuplesAdded)
+		if sink != nil {
+			st := r.stats
+			sink.Event(obs.Event{Type: obs.EvChaseWarmStart, Src: "chase",
+				Round: done, Tuples: r.bounds[done], N: st.TriggersFired, Added: st.TuplesAdded,
+				Homs: st.HomomorphismsSeen, Nulls: st.NullsCreated})
 		}
-		// finishReplay pins the result to boundary i — exactly the state a
-		// cold run holds after completing round i.
-		finishReplay := func(i int) {
-			res.Stats = warm.cum[i]
-			res.Instance = warm.inst.ClonePrefix(warm.bounds[i])
-			res.bounds = warm.bounds[: i+1 : i+1]
-			res.labels = warm.labelsFor(i)
-			g.Add(budget.Rounds, i)
-			g.Add(budget.Tuples, warm.cum[i].TuplesAdded)
-			if capturing {
-				res.State = warm
-			}
-		}
-		bail := false
-		for i := 0; i <= k; i++ {
-			if i > 0 {
-				if roundsCap > 0 && i > roundsCap {
-					// The cold run's round-i charge would have been refused:
-					// report its Unknown at boundary i-1, with the refused
-					// charge settled the way Charge would have.
-					finishReplay(i - 1)
-					emitWarm(i-1, warm.cum[i-1], warm.bounds[i-1])
-					g.Add(budget.Rounds, 1)
-					res.Verdict = Unknown
-					res.Budget = budget.Exhausted(budget.Rounds)
-					emitStop()
-					emitVerdict()
-					return res
-				}
-				if tupleCap > 0 && warm.bounds[i] >= tupleCap {
-					// This tuple cap would have stopped the cold run
-					// mid-round — a state a boundary snapshot cannot
-					// reproduce. Run cold.
-					bail = true
-					break
-				}
-			}
-			if pgoal(warm.inst, warm.bounds[i]) {
-				finishReplay(i)
-				res.Verdict = Implied
-				res.Stats.Rounds = i
-				emitWarm(i, warm.cum[i], warm.bounds[i])
-				emitVerdict()
-				return res
-			}
-		}
-		switch {
-		case bail:
-			warm = nil
-		case warm.complete:
-			// The snapshot's chase reached a fixpoint without the goal:
-			// replay the final (empty) fixpoint round too.
-			if roundsCap > 0 && k+1 > roundsCap {
-				finishReplay(k)
-				emitWarm(k, warm.cum[k], warm.bounds[k])
-				g.Add(budget.Rounds, 1)
-				res.Verdict = Unknown
-				res.Budget = budget.Exhausted(budget.Rounds)
-				emitStop()
-				emitVerdict()
-				return res
-			}
-			res.Stats = warm.final
-			res.Instance = warm.inst.Clone()
-			res.bounds = warm.bounds
-			res.labels = warm.labelsFor(k)
-			res.FixpointReached = true
-			res.Verdict = NotImplied
-			g.Add(budget.Rounds, k+1)
-			g.Add(budget.Tuples, warm.final.TuplesAdded)
-			if capturing {
-				res.State = warm
-			}
-			emitWarm(k+1, warm.final, warm.bounds[k])
-			emitVerdict()
-			return res
-		default:
-			// Paused snapshot, goal not yet witnessed: restore the loop
-			// state the producing run held at its last clean boundary and
-			// continue chasing from the next round.
-			inst = warm.inst.Clone()
-			res.Instance = inst
-			res.bounds = append([]int(nil), warm.bounds...)
-			res.labels = warm.labelsFor(k)
-			prevLen = warm.bounds[k-1]
-			lastLen = warm.bounds[k]
-			res.Stats = warm.cum[k]
-			startRound = k + 1
-			g.Add(budget.Rounds, k)
-			g.Add(budget.Tuples, warm.cum[k].TuplesAdded)
-			emitWarm(k, warm.cum[k], warm.bounds[k])
-			cum = append([]Stats(nil), warm.cum...)
-		}
-	}
-	// captureAt snapshots the last completed round boundary into
-	// Result.State. ClonePrefix (never a plain Clone) renormalizes the
-	// fresh-value counters a round cut short may have advanced past
-	// the boundary, so a resumed run numbers its nulls exactly as a cold one
-	// would.
-	captureAt := func(complete bool) {
-		if !capturing {
-			return
-		}
-		k := len(res.bounds) - 1
-		if k == 0 && !complete {
-			return
-		}
-		st := &State{
-			inst:        inst.ClonePrefix(res.bounds[k]),
-			bounds:      res.bounds,
-			labels:      res.labels[:res.bounds[k]-res.bounds[0]],
-			deps:        e.deps,
-			cum:         cum,
-			complete:    complete,
-			stopped:     res.Budget.Code == budget.CodeExhausted,
-			classRounds: roundsCap,
-			classTuples: tupleCap,
-		}
-		if complete {
-			st.final = res.Stats
-		}
-		res.State = st
-	}
-
-	if startRound == 1 && goal != nil && goal(inst) {
+	} else if r.goal != nil && r.goal(inst) {
 		res.Verdict = Implied
-		res.FixpointReached = false
 		emitVerdict()
 		return res
 	}
@@ -445,7 +337,7 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 	// ranges restricts each enumeration's rows; reused across rounds.
 	var ranges []tableau.Range
 
-	for round := startRound; ; round++ {
+	for round := done + 1; ; round++ {
 		// One governor checkpoint per fair round: the charge refuses the
 		// round when the rounds meter is spent or the context is done, so a
 		// cancelled run stops within one round and Stats still counts only
@@ -453,14 +345,20 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 		if o := g.Charge(budget.Rounds, 1); o.Stopped() {
 			res.Verdict = Unknown
 			res.Budget = o
-			captureAt(false)
 			emitStop()
 			emitVerdict()
 			return res
 		}
 		res.Stats.Rounds = round
 
+		// Delta tracking for semi-naive evaluation: tuples with index <
+		// prevLen existed before the last round, and the round sees the
+		// prefix of length lastLen.
 		useDelta := round > 1
+		lastLen, prevLen := r.bounds[round-1], 0
+		if useDelta {
+			prevLen = r.bounds[round-2]
+		}
 		if sink != nil {
 			sink.Event(obs.Event{Type: obs.EvRoundStart, Src: "chase", Round: round, Tuples: lastLen})
 			if useDelta {
@@ -567,13 +465,13 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			for j := lo; j < hi && !stop.Stopped(); j++ {
 				ranges = ranges[:0]
 				for i := 0; i < k; i++ {
-					r := tableau.Range{Lo: 0, Hi: lastLen}
+					rg := tableau.Range{Lo: 0, Hi: lastLen}
 					if i < j {
-						r.Hi = prevLen
+						rg.Hi = prevLen
 					} else if i == j {
-						r.Lo = prevLen
+						rg.Lo = prevLen
 					}
-					ranges = append(ranges, r)
+					ranges = append(ranges, rg)
 				}
 				d.Tableau().EachRangeHomomorphism(inst, ranges, j, nil, yield)
 			}
@@ -586,7 +484,6 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 			// run replays to exactly the Stats it reports.
 			res.Verdict = Unknown
 			res.Budget = stop
-			captureAt(false)
 			emitRoundTail()
 			emitStop()
 			emitVerdict()
@@ -594,24 +491,23 @@ func (e *Engine) chase(start *relation.Instance, goal func(*relation.Instance) b
 		}
 		if firedRound == 0 {
 			res.FixpointReached = true
-			if goal == nil {
+			if r.goal == nil {
 				res.Verdict = Unknown
 			} else {
 				res.Verdict = NotImplied
 			}
-			captureAt(true)
 			emitRoundTail()
 			emitVerdict()
 			return res
 		}
 		emitRoundTail()
-		prevLen = lastLen
-		lastLen = inst.Len()
-		res.bounds = append(res.bounds, lastLen)
-		cum = append(cum, res.Stats)
-		if goal != nil && goal(inst) {
+		r.bounds = append(r.bounds, inst.Len())
+		r.labels = res.labels
+		r.stats = res.Stats
+		r.stats.PerDep = slices.Clone(res.Stats.PerDep)
+		res.bounds = r.bounds
+		if r.goal != nil && r.goal(inst) {
 			res.Verdict = Implied
-			captureAt(false)
 			emitVerdict()
 			return res
 		}
@@ -633,25 +529,6 @@ func conclusionTuple(d *td.TD, as tableau.Assignment, inst *relation.Instance) (
 		}
 	}
 	return tup, nulls
-}
-
-// Implies checks whether the engine's dependency set logically implies d0,
-// by chasing d0's frozen antecedents and watching for its conclusion.
-func (e *Engine) Implies(d0 *td.TD) (Result, error) {
-	if !d0.Schema().Equal(e.schema) {
-		return Result{}, fmt.Errorf("chase: goal dependency has a different schema")
-	}
-	frozen, as := d0.FrozenAntecedents()
-	concl := d0.Conclusion()
-	goal := func(inst *relation.Instance) bool {
-		return tableau.RowSatisfiable(concl, as, inst)
-	}
-	// The prefix-goal predicate lets a warm start re-answer "was the
-	// conclusion witnessed after round i" against snapshot boundaries.
-	pgoal := func(inst *relation.Instance, limit int) bool {
-		return tableau.RowSatisfiableWithin(concl, as, inst, limit)
-	}
-	return e.chase(frozen, goal, pgoal), nil
 }
 
 // Implies is a convenience one-shot wrapper around Engine.Implies.

@@ -3,7 +3,6 @@ package chase
 import (
 	"testing"
 
-	"templatedep/internal/budget"
 	"templatedep/internal/relation"
 	"templatedep/internal/tableau"
 	"templatedep/internal/td"
@@ -106,30 +105,5 @@ func TestProveImpliesNotImpliedPassesThrough(t *testing.T) {
 	res := proveImplies(t, []*td.TD{join}, goal, Options{})
 	if res.Verdict != NotImplied {
 		t.Errorf("verdict %v", res.Verdict)
-	}
-}
-
-// A snapshot only seeds a run over its own dependency list: one captured
-// over [join, mirror] and fed to a run over [mirror, join, join] is
-// ignored, and the run chases cold with a proof in its own dependency
-// indices.
-func TestWarmStateOverOtherDependenciesRunsCold(t *testing.T) {
-	s := threeCol()
-	join := td.MustParse(s, "R(a, b, c) & R(a, b', c') -> R(a, b, c')", "join")
-	mirror := td.MustParse(s, "R(a, b, c) & R(a', b, c') -> R(a, b, c')", "mirror")
-	goal := td.MustParse(s, "R(a, b, c) & R(a, b', c') & R(a', b', c'') -> R(a, b, c'')", "goal")
-	consumerDeps := []*td.TD{mirror, join, join}
-	// One producer stops after round 1, the other reaches the goal.
-	for _, producer := range []budget.Limits{{Rounds: 1, Tuples: 1000}, {Rounds: 8, Tuples: 1000}} {
-		prod, err := Implies([]*td.TD{join, mirror}, goal, Options{
-			CaptureState: true, Governor: budget.New(nil, producer)})
-		if err != nil || prod.State == nil {
-			t.Fatalf("producer %+v: state %v, err %v", producer, prod.State, err)
-		}
-		res := proveImplies(t, consumerDeps, goal, Options{
-			WarmState: prod.State, Governor: budget.New(nil, budget.Limits{Rounds: 16, Tuples: 2000})})
-		if res.Verdict != Implied || res.WarmStarted {
-			t.Fatalf("producer %+v: verdict %v, warm %v", producer, res.Verdict, res.WarmStarted)
-		}
 	}
 }

@@ -19,7 +19,7 @@
 // chase, with the same verdicts under the same governor. It joins through
 // the same index join (tableau.EachPrefixHomomorphism), but re-joins the
 // whole instance every round instead of only the semi-naive delta, and has
-// no parallel tasks, warm starts or certificates. So it is not a serving
+// no parallel tasks, resumable runs or certificates. So it is not a serving
 // engine: the portfolio does not run it. It is the independent reference
 // the TD chase is cross-checked against (internal/difffuzz and the chase
 // tests), and the only chase here for EIDs whose conclusion has more than

@@ -57,12 +57,13 @@ const (
 	// round the tuple cap or a cancellation stopped, only the consumed
 	// prefix of the enumeration, in task order).
 	EvRoundEnd EventType = "round_end"
-	// EvChaseWarmStart reports that a chase run reused a prior snapshot
-	// instead of re-deriving its rounds, emitted before any round event of
-	// the run. It carries the cumulative totals of the skipped prefix so a
-	// warm trace still replays to the run's Stats. Fields: Round (completed
-	// rounds skipped), Tuples (instance size at the reused boundary), N
-	// (triggers fired skipped), Added, Homs, Nulls.
+	// EvChaseWarmStart reports that a lease resumed a paused chase run
+	// (chase.Run.Resume) instead of re-deriving its completed rounds,
+	// emitted before any round event of the lease. It carries the
+	// cumulative totals of those rounds so the lease's trace still replays
+	// to its Stats. Fields: Round (completed rounds resumed from), Tuples
+	// (instance size at that boundary), N (triggers fired in them), Added,
+	// Homs, Nulls.
 	EvChaseWarmStart EventType = "chase_warmstart"
 	// EvSearchNode reports a batch of backtracking nodes in a finite-model
 	// search (Src "search" for the semigroup engine, Src "finitemodel" for

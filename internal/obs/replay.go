@@ -26,11 +26,11 @@ type Totals struct {
 	SearchNodes int
 	// RulesAdded counts rule_added events.
 	RulesAdded int
-	// WarmStarts counts chase_warmstart events. The skipped-prefix totals
-	// those events carry are folded into the chase aggregates above, so a
-	// warm trace replays to the same Stats a cold run of the same query
-	// reports — but not into PerDepFired, whose per-dependency attribution
-	// a boundary snapshot does not retain.
+	// WarmStarts counts chase_warmstart events, one per resumed lease. The
+	// totals of the resumed rounds those events carry are folded into the
+	// chase aggregates above, so a resumed lease's trace replays to the same
+	// Stats a cold run of the same query reports — but not into
+	// PerDepFired: the event carries no per-dependency attribution.
 	WarmStarts int
 	// PortfolioReallocs counts portfolio_realloc events — the adaptive
 	// portfolio's full reallocation decision sequence, withheld grants

@@ -145,12 +145,10 @@ func kbArm(sys *rewrite.System, b core.Budget, res *Result, scale int) *arm {
 	return a
 }
 
-// chaseArm runs the TD chase with warm-state carry: each lease resumes
-// the previous lease's snapshot when the budget-class rule allows, so the
-// arm's meters stay cumulative without re-doing rounds, and the winning
-// lease's Proof covers the whole run. PerDepStats makes snapshots
-// ineligible, and then every lease re-runs cold under the bigger
-// cumulative cap — same verdicts, more wall-clock.
+// chaseArm runs one chase of D0 that every lease resumes (chase.Run): a
+// lease charges the rounds already done to its governor and continues from
+// the last completed round, so the arm's meters stay cumulative without
+// re-doing rounds, and the winning lease's Proof covers the whole run.
 func chaseArm(deps []*td.TD, d0 *td.TD, b core.Budget, res *Result, scale int) *arm {
 	a := &arm{
 		name:  "chase",
@@ -158,25 +156,26 @@ func chaseArm(deps []*td.TD, d0 *td.TD, b core.Budget, res *Result, scale int) *
 		cur:   budget.Limits{Rounds: 2 * scale, Tuples: 8192 * scale},
 		max:   armCeilings(b.Chase.Governor, chase.DefaultLimits),
 	}
-	// carry is the previous lease's snapshot; the first lease runs cold.
-	var carry *chase.State
+	// run is started by the first lease; Resume's precondition holds
+	// because a.grown never shrinks a grant.
+	var run *chase.Run
 	var prevRounds, prevTuples int
 	var lastRate float64
 	var hasRate bool
 	a.run = func(g *budget.Governor) (leaseResult, error) {
-		co := b.Chase
-		co.Governor = g
-		co.Sink = b.Sink
-		co.WarmState = carry
-		co.CaptureState = true
-		cres, err := chase.Implies(deps, d0, co)
-		if err != nil {
-			return leaseResult{}, err
+		if run == nil {
+			co := b.Chase
+			co.Sink = b.Sink
+			e, err := chase.NewEngine(d0.Schema(), deps, co)
+			if err != nil {
+				return leaseResult{}, err
+			}
+			if run, err = e.Start(d0); err != nil {
+				return leaseResult{}, err
+			}
 		}
+		cres := run.Resume(g)
 		res.Chase = &cres
-		if cres.State != nil {
-			carry = cres.State
-		}
 		switch cres.Verdict {
 		case chase.Implied:
 			return leaseResult{win: core.Implied, verdict: "implied"}, nil
@@ -359,7 +358,7 @@ func analyzePresentation(p *words.Presentation, b core.Budget, scale int) (*Resu
 // Infer runs the TD-level portfolio: the chase, the parity countermodels
 // and the finite-database enumerator, in that fixed scheduling order. The
 // chase leads because it is the only arm that can prove Implied and the
-// only one that can snapshot across leases; its opening lease settles
+// only one that carries its work across leases; its opening lease settles
 // most implied instances before the parity arm costs anything. The
 // parity arm runs only when the goal's schema is at most
 // finitemodel.ParityMaxWidth wide: at width 6 its 63 candidates of 32

@@ -33,10 +33,10 @@
 // The EID chase (internal/eid) is deliberately not an arm. Every TD is an
 // EID with a one-atom conclusion, so on the portfolio's inputs it is the
 // same restricted chase as the chase arm, with the same verdicts under the
-// same governor — minus the index join, the semi-naive delta and the warm
-// carry. As an arm it would only re-do the chase arm's work, and settle
-// the re-done rounds and tuples into the shared parent pool the chase
-// draws on.
+// same governor — minus the index join, the semi-naive delta and the
+// resumable run. As an arm it would only re-do the chase arm's work, and
+// settle the re-done rounds and tuples into the shared parent pool the
+// chase draws on.
 //
 // # Scheduling model and determinism
 //
@@ -53,16 +53,16 @@
 //
 // # Lease mechanics
 //
-// Grants are CUMULATIVE caps, not increments. Arms that cannot snapshot
-// (the searches) re-run from scratch under the bigger cap, re-doing their
-// prefix; the chase arm resumes from its captured State (the warm
-// replay re-charges the prefix, so its meters still read cumulatively) and
-// Knuth–Bendix keeps one System whose rules are re-charged at the top of
-// every completion call. The parent pool is settled with the per-lease
-// DELTA of each meter — the pool meters logical frontier progress, not
-// re-done prefix work — and when the parent caps a meter, Remaining
-// headroom clamps every grant, so the portfolio never promises an arm more
-// than the pool has left.
+// Grants are CUMULATIVE caps, not increments. The searches re-run from
+// scratch under the bigger cap, re-doing their prefix; the chase arm
+// resumes one paused chase.Run (each resume re-charges the completed
+// rounds, so its meters still read cumulatively) and Knuth–Bendix keeps
+// one System whose rules are re-charged at the top of every completion
+// call. A grant never shrinks, which is the precondition of a resume. The
+// parent pool is settled with the per-lease DELTA of each meter — the pool
+// meters logical frontier progress, not re-done prefix work — and when the
+// parent caps a meter, Remaining headroom clamps every grant, so the
+// portfolio never promises an arm more than the pool has left.
 //
 // # Completeness
 //

@@ -300,8 +300,8 @@ func (in *Instance) Clone() *Instance {
 // those tuples alone. Because tuples are append-only, the result is exactly
 // the instance as it stood when it held n tuples — including nextVal, which
 // Add keeps at max-value+1 per column, so fresh-null numbering after the
-// prefix replays identically. This is what chase-state snapshots restore
-// from.
+// prefix replays identically. This is how a resumed chase rolls back a
+// round its last lease stopped inside.
 func (in *Instance) ClonePrefix(n int) *Instance {
 	if n < 0 || n > len(in.rows) {
 		n = len(in.rows)
@@ -311,21 +311,6 @@ func (in *Instance) ClonePrefix(n int) *Instance {
 		out.MustAdd(r)
 	}
 	return out
-}
-
-// EqualPrefix reports whether the first n tuples of in equal other's first
-// n tuples, position by position. Both instances must hold at least n
-// tuples.
-func (in *Instance) EqualPrefix(other *Instance, n int) bool {
-	if n > len(in.rows) || n > len(other.rows) {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if !in.rows[i].Equal(other.rows[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // ActiveDomainSize returns the number of distinct values appearing in

@@ -343,11 +343,9 @@ func RowSatisfiable(row VarTuple, as Assignment, inst *relation.Instance) bool {
 
 // RowSatisfiableWithin is RowSatisfiable restricted to the instance prefix
 // of tuples with index < limit. Posting lists hold ascending indices, so
-// each list is scanned only up to the first out-of-prefix entry. This is
-// the goal check of warm-started chases: a boundary snapshot exposes every
-// intermediate instance of the run as a prefix, and this predicate answers
-// "was the conclusion witnessed after round i" without materializing the
-// prefix.
+// each list is scanned only up to the first out-of-prefix entry. The
+// chase's round loop uses it to ask whether the round-start instance
+// already witnesses a trigger's conclusion, while the round appends.
 func RowSatisfiableWithin(row VarTuple, as Assignment, inst *relation.Instance, limit int) bool {
 	if limit >= inst.Len() {
 		return RowSatisfiable(row, as, inst)
