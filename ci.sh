@@ -341,6 +341,9 @@ stage_smoke() {
     # the single serve_shutdown.
     go build -o "$smoke/tdbench" ./cmd/tdbench
     go build -o "$smoke/tdserve" ./cmd/tdserve
+    # Create the output file first: the backgrounded shell opens it only
+    # once it runs, and the polling sed below must not race that open.
+    : >"$smoke/serve.out"
     "$smoke/tdserve" -addr 127.0.0.1:0 -request-timeout 2s \
         -trace "$smoke/serve.jsonl" >"$smoke/serve.out" 2>&1 &
     local srv_pid=$!

@@ -252,6 +252,19 @@ func TestCLI(t *testing.T) {
 		}
 	})
 
+	t.Run("sgword-analyze-twostep", func(t *testing.T) {
+		// A derivation win never builds the reduction's (D, D0); the CLI
+		// builds it to print its shape, and prints what it printed when
+		// the portfolio built it up front (the golden was recorded then).
+		want, err := os.ReadFile(filepath.Join("testdata", "cli", "sgword-analyze-twostep.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := run("sgword", 0, "analyze", "-preset", "twostep"); out != string(want) {
+			t.Errorf("output differs from testdata/cli/sgword-analyze-twostep.txt:\n%s", out)
+		}
+	})
+
 	t.Run("sgword-gap", func(t *testing.T) {
 		// The gap preset sits in neither of the Main Theorem's sets: the
 		// portfolio refutes the word problem but finds no finite

@@ -34,6 +34,7 @@ import (
 	"templatedep/internal/obs"
 	"templatedep/internal/portfolio"
 	"templatedep/internal/psearch"
+	"templatedep/internal/reduction"
 	"templatedep/internal/rewrite"
 	"templatedep/internal/search"
 	"templatedep/internal/words"
@@ -201,8 +202,15 @@ func main() {
 			fmt.Printf("winner: %s arm (%d scheduler ticks, %d reallocation decisions)\n",
 				res.Winner, res.Ticks, len(res.Decisions))
 		}
+		in := res.Instance
+		if in == nil {
+			// A derivation or kb win never needed (D, D0): build it to print.
+			if in, err = reduction.Build(p); err != nil {
+				fatal(err)
+			}
+		}
 		fmt.Printf("reduction: schema width %d, |D| = %d, max antecedents %d\n",
-			res.Instance.Schema.Width(), len(res.Instance.D), res.Instance.MaxAntecedents())
+			in.Schema.Width(), len(in.D), in.MaxAntecedents())
 		switch {
 		case res.Verdict == core.Implied:
 			fmt.Printf("certifies D |= D0:\n%s", cert.Describe(res.Cert()))

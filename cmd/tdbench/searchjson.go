@@ -94,7 +94,9 @@ func searchCases() []searchCase {
 			},
 		}
 	}
-	fdb := func(name string, p *words.Presentation) searchCase {
+	// fdb enumerates databases of up to two tuples over p's reduction,
+	// stopping after nodes search nodes.
+	fdb := func(name string, p *words.Presentation, nodes int) searchCase {
 		in := reduction.MustBuild(p)
 		return searchCase{
 			name: "finitedb/" + name,
@@ -102,7 +104,7 @@ func searchCases() []searchCase {
 				res, err := finitemodel.FindCounterexample(in.D, in.D0, finitemodel.Options{
 					Sizes:    budget.Range{Lo: 1, Hi: 2},
 					Prune:    prune,
-					Governor: budget.New(nil, budget.Limits{Nodes: 50_000_000}),
+					Governor: budget.New(nil, budget.Limits{Nodes: nodes}),
 				})
 				check(err)
 				return res.NodesVisited, res.Status()
@@ -114,8 +116,13 @@ func searchCases() []searchCase {
 		model("gap", words.IdempotentGapPresentation(), 5),
 		model("nilpotent4", words.NilpotentSafePresentation(4), 4),
 		model("tower2", words.PowerTowerPresentation(2), 5),
-		fdb("gap", words.IdempotentGapPresentation()),
-		fdb("power", words.PowerPresentation()),
+		fdb("gap", words.IdempotentGapPresentation(), 50_000_000),
+		fdb("power", words.PowerPresentation(), 50_000_000),
+		// Wide reductions (28 and 36 columns) whose goal is implied: no
+		// counterexample exists, so both arms stop at the node cap, and
+		// ns_per_op is what a capped finite-db lease costs per node.
+		fdb("chain6", words.ChainPresentation(6), 8192),
+		fdb("collapse2", words.CollapsePresentation(2), 8192),
 	}
 }
 

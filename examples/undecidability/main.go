@@ -15,6 +15,7 @@ import (
 	"templatedep/internal/chase"
 	"templatedep/internal/core"
 	"templatedep/internal/portfolio"
+	"templatedep/internal/reduction"
 	"templatedep/internal/words"
 )
 
@@ -48,8 +49,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		in := res.Instance
+		if in == nil {
+			// A derivation or kb win never needed (D, D0): build it to print.
+			if in, err = reduction.Build(c.p); err != nil {
+				log.Fatal(err)
+			}
+		}
 		fmt.Printf("reduction: %d attributes, |D| = %d, max antecedents %d\n",
-			res.Instance.Schema.Width(), len(res.Instance.D), res.Instance.MaxAntecedents())
+			in.Schema.Width(), len(in.D), in.MaxAntecedents())
 		fmt.Printf("verdict: %s\n", res.Verdict)
 
 		switch res.Verdict {
@@ -60,7 +68,7 @@ func main() {
 				res.Witness.Table.Size(), res.Witness.Table.String())
 			fmt.Printf("counterexample database: %d tuples (|P| = %d, |Q| = %d), satisfies all %d members of D, violates D0\n",
 				res.CounterModel.Instance.Len(), len(res.CounterModel.PElems),
-				len(res.CounterModel.QTriples), len(res.Instance.D))
+				len(res.CounterModel.QTriples), len(in.D))
 		default:
 			if res.GoalRefuted {
 				fmt.Println("the word problem is REFUTED (Knuth–Bendix completion decides A0 ≠ 0")

@@ -24,19 +24,62 @@ import (
 // evaluation over the listed tuples.
 // A nil error means the certificate PROVES its verdict for its problem.
 func Check(c *Certificate) error {
+	if err := c.checkHeader(); err != nil {
+		return err
+	}
+	if c.Problem.IsPresentation() {
+		p, err := c.Problem.presentation()
+		if err != nil {
+			return err
+		}
+		return c.checkPresentation(p)
+	}
+	deps, goal, err := c.Problem.tdInstance()
+	if err != nil {
+		return err
+	}
+	return c.checkTD(deps, goal)
+}
+
+// CheckPresentation is Check for a caller that already holds p, the parse
+// of the presentation problem c embeds: it validates c's payload against p
+// without re-parsing c.Problem. The caller vouches that p is that parse
+// (the serving layer, for one, passes its request's parse only when the
+// certificate embeds the request's own problem); a certificate about any
+// other problem proves nothing about p.
+func CheckPresentation(c *Certificate, p *words.Presentation) error {
+	if err := c.checkHeader(); err != nil {
+		return err
+	}
+	if !c.Problem.IsPresentation() {
+		return fmt.Errorf("cert: problem is not a presentation")
+	}
+	return c.checkPresentation(p)
+}
+
+// CheckTD is CheckPresentation for a TD problem: it validates c's payload
+// against deps and goal, the caller's parse of the TD instance c embeds,
+// without re-parsing c.Problem.
+func CheckTD(c *Certificate, deps []*td.TD, goal *td.TD) error {
+	if err := c.checkHeader(); err != nil {
+		return err
+	}
+	if c.Problem.IsPresentation() {
+		return fmt.Errorf("cert: problem is not a TD instance")
+	}
+	return c.checkTD(deps, goal)
+}
+
+// checkHeader checks everything Check checks before it parses the
+// problem: the version and the shape.
+func (c *Certificate) checkHeader() error {
 	if c == nil {
 		return fmt.Errorf("cert: nil certificate")
 	}
 	if c.Version != Version {
 		return fmt.Errorf("cert: unsupported version %d (checker understands %d)", c.Version, Version)
 	}
-	if err := c.checkShape(); err != nil {
-		return err
-	}
-	if c.Problem.IsPresentation() {
-		return c.checkPresentation()
-	}
-	return c.checkTD()
+	return c.checkShape()
 }
 
 // checkShape validates kind/verdict/payload coherence before any engine
@@ -104,30 +147,27 @@ func (p Problem) presentation() (*words.Presentation, error) {
 }
 
 // tdInstance re-parses the embedded TD problem.
-func (p Problem) tdInstance() (*relation.Schema, []*td.TD, *td.TD, error) {
+func (p Problem) tdInstance() ([]*td.TD, *td.TD, error) {
 	schema, err := relation.NewSchema(p.Schema)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("cert: problem schema: %w", err)
+		return nil, nil, fmt.Errorf("cert: problem schema: %w", err)
 	}
 	deps, err := td.ParseSet(schema, strings.Join(p.Deps, "\n"))
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("cert: problem dependencies: %w", err)
+		return nil, nil, fmt.Errorf("cert: problem dependencies: %w", err)
 	}
 	goal, err := td.Parse(schema, p.Goal, "D0")
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("cert: problem goal: %w", err)
+		return nil, nil, fmt.Errorf("cert: problem goal: %w", err)
 	}
-	return schema, deps, goal, nil
+	return deps, goal, nil
 }
 
-// checkPresentation checks a derivation against the normalized
-// presentation alone (reduction.Normalize); only chase and finite-model
-// certificates, which are about (D, D0) itself, rebuild the reduction.
-func (c *Certificate) checkPresentation() error {
-	p, err := c.Problem.presentation()
-	if err != nil {
-		return err
-	}
+// checkPresentation checks c's payload against p, the parse of its
+// presentation problem: a derivation against the normalized presentation
+// alone (reduction.Normalize); only chase and finite-model certificates,
+// which are about (D, D0) itself, rebuild the reduction.
+func (c *Certificate) checkPresentation(p *words.Presentation) error {
 	if c.Kind == KindDerivation {
 		norm, err := reduction.Normalize(p)
 		if err != nil {
@@ -153,11 +193,9 @@ func (c *Certificate) checkPresentation() error {
 	}
 }
 
-func (c *Certificate) checkTD() error {
-	schema, deps, goal, err := c.Problem.tdInstance()
-	if err != nil {
-		return err
-	}
+// checkTD checks c's payload against deps and goal, the parse of its TD
+// problem.
+func (c *Certificate) checkTD(deps []*td.TD, goal *td.TD) error {
 	switch c.Kind {
 	case KindDerivation:
 		return fmt.Errorf("cert: derivation certificates require a presentation problem")
@@ -167,7 +205,7 @@ func (c *Certificate) checkTD() error {
 		if len(c.Model.Table) > 0 || len(c.Model.Assign) > 0 {
 			return fmt.Errorf("cert: semigroup witness requires a presentation problem")
 		}
-		return checkModel(schema, deps, goal, c.Model)
+		return checkModel(goal.Schema(), deps, goal, c.Model)
 	}
 }
 

@@ -28,6 +28,7 @@ package eid
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"templatedep/internal/relation"
@@ -209,9 +210,11 @@ func PaperExample() (*relation.Schema, *EID) {
 	return s, e
 }
 
-// Format renders the EID in its textual syntax.
+// Format renders the EID in the textual syntax Parse reads, naming
+// variables as td.Format does (td.ColumnPrefixes), so the text re-parses
+// over every schema.
 func (e *EID) Format() string {
-	s := e.Schema()
+	prefixes := td.ColumnPrefixes(e.Schema())
 	atom := func(r tableau.VarTuple) string {
 		var b strings.Builder
 		b.WriteString("R(")
@@ -219,7 +222,8 @@ func (e *EID) Format() string {
 			if a > 0 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "%s%d", strings.ToLower(s.Name(relation.Attr(a))), int(v))
+			b.WriteString(prefixes[a])
+			b.WriteString(strconv.Itoa(int(v)))
 		}
 		b.WriteString(")")
 		return b.String()

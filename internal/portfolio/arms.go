@@ -149,7 +149,8 @@ func kbArm(sys *rewrite.System, b core.Budget, res *Result, scale int) *arm {
 // lease charges the rounds already done to its governor and continues from
 // the last completed round, so the arm's meters stay cumulative without
 // re-doing rounds, and the winning lease's Proof covers the whole run.
-func chaseArm(deps []*td.TD, d0 *td.TD, b core.Budget, res *Result, scale int) *arm {
+// problem yields (D, D0); the first lease calls it, once.
+func chaseArm(problem func() ([]*td.TD, *td.TD, error), b core.Budget, res *Result, scale int) *arm {
 	a := &arm{
 		name:  "chase",
 		meter: budget.Rounds,
@@ -164,6 +165,10 @@ func chaseArm(deps []*td.TD, d0 *td.TD, b core.Budget, res *Result, scale int) *
 	var hasRate bool
 	a.run = func(g *budget.Governor) (leaseResult, error) {
 		if run == nil {
+			deps, d0, err := problem()
+			if err != nil {
+				return leaseResult{}, err
+			}
 			co := b.Chase
 			co.Sink = b.Sink
 			e, err := chase.NewEngine(d0.Schema(), deps, co)
@@ -203,8 +208,9 @@ func chaseArm(deps []*td.TD, d0 *td.TD, b core.Budget, res *Result, scale int) *
 // order window: each covered window advances Hi by one (structural
 // progress, so the arm reports converging), and covering the caller's
 // whole window retires the arm. Node exhaustion inside a window counts as
-// stalling.
-func modelSearchArm(p *words.Presentation, in *reduction.Instance, b core.Budget, res *Result, scale int) *arm {
+// stalling. A win builds its Theorem (B) database over the reduction
+// instance reduce returns.
+func modelSearchArm(p *words.Presentation, reduce func() (*reduction.Instance, error), b core.Budget, res *Result, scale int) *arm {
 	window := b.ModelSearch.Orders
 	if window.Lo < 2 {
 		window.Lo = 2
@@ -229,6 +235,10 @@ func modelSearchArm(p *words.Presentation, in *reduction.Instance, b core.Budget
 			return leaseResult{}, err
 		}
 		if sres.Interpretation != nil {
+			in, err := reduce()
+			if err != nil {
+				return leaseResult{}, err
+			}
 			cm, err := in.BuildCounterModel(sres.Interpretation)
 			if err != nil {
 				return leaseResult{}, err
@@ -325,7 +335,12 @@ func parityArm(deps []*td.TD, d0 *td.TD, b core.Budget, res *Result) *arm {
 // AnalyzePresentation runs the presentation-level portfolio: the
 // equational closure, Knuth–Bendix completion, the finite counter-model
 // search, and the chase on the reduction's (D, D0), in that fixed
-// scheduling order. The closure leads because it is the cheapest win on
+// scheduling order. The closure and completion run on the normalized
+// presentation (reduction.Normalize): by Reduction Theorem (A) their
+// derivation of A0 = 0 settles the run alone, so (D, D0) is built only
+// when an arm needs it — at the chase's first lease, or for a model-search
+// win's database — and Result.Instance stays nil after a derivation or kb
+// win. The closure leads because it is the cheapest win on
 // derivable presentations: its opening lease settles every derivable
 // preset but collapse:3 and collapse:4, and it is the arm that settles the
 // Turing-machine encodings, on which completion never becomes confluent.
@@ -341,16 +356,33 @@ func AnalyzePresentation(p *words.Presentation, b core.Budget) (*Result, error) 
 // (leases grow geometrically either way); traces are not, since lease
 // boundaries move.
 func analyzePresentation(p *words.Presentation, b core.Budget, scale int) (*Result, error) {
-	in, err := reduction.Build(p)
+	norm, err := reduction.Normalize(p)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Instance: in}
+	res := &Result{original: p, norm: norm}
+	reduce := func() (*reduction.Instance, error) {
+		if res.Instance == nil {
+			in, err := reduction.Build(p)
+			if err != nil {
+				return nil, err
+			}
+			res.Instance = in
+		}
+		return res.Instance, nil
+	}
+	problem := func() ([]*td.TD, *td.TD, error) {
+		in, err := reduce()
+		if err != nil {
+			return nil, nil, err
+		}
+		return in.D, in.D0, nil
+	}
 	arms := []*arm{
-		derivationArm(in.Pres, b, res, scale),
-		kbArm(rewrite.FromPresentation(in.Pres), b, res, scale),
-		modelSearchArm(p, in, b, res, scale),
-		chaseArm(in.D, in.D0, b, res, scale),
+		derivationArm(norm, b, res, scale),
+		kbArm(rewrite.FromPresentation(norm), b, res, scale),
+		modelSearchArm(p, reduce, b, res, scale),
+		chaseArm(problem, b, res, scale),
 	}
 	return run(arms, b, res)
 }
@@ -366,7 +398,8 @@ func analyzePresentation(p *words.Presentation, b core.Budget, scale int) (*Resu
 // 20 to 40 times slower (DESIGN.md §12).
 func Infer(deps []*td.TD, d0 *td.TD, b core.Budget) (*Result, error) {
 	res := &Result{deps: deps, d0: d0}
-	arms := []*arm{chaseArm(deps, d0, b, res, 1)}
+	problem := func() ([]*td.TD, *td.TD, error) { return deps, d0, nil }
+	arms := []*arm{chaseArm(problem, b, res, 1)}
 	if d0.Schema().Width() <= finitemodel.ParityMaxWidth {
 		arms = append(arms, parityArm(deps, d0, b, res))
 	}

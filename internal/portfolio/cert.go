@@ -16,14 +16,14 @@ func (r *Result) Cert() *cert.Certificate {
 	switch {
 	case r.Verdict == core.Unknown:
 		return nil
-	case r.Instance != nil:
-		doc = cert.PresentationProblem(r.Instance.Original)
+	case r.original != nil:
+		doc = cert.PresentationProblem(r.original)
 	default:
 		doc = cert.TDProblem(r.d0.Schema(), r.deps, r.d0)
 	}
 	switch {
 	case r.Winner == "derivation" || r.Winner == "kb":
-		return cert.NewDerivation(doc, r.Instance.Pres, r.derivation)
+		return cert.NewDerivation(doc, r.norm, r.derivation)
 	case r.Winner == "chase" && r.Verdict == core.Implied:
 		return cert.NewChase(doc, r.Chase.Proof())
 	case r.CounterModel != nil:

@@ -5,6 +5,7 @@ import (
 
 	"templatedep/internal/core"
 	"templatedep/internal/portfolio"
+	"templatedep/internal/reduction"
 	"templatedep/internal/words"
 )
 
@@ -17,7 +18,13 @@ func ExampleAnalyzePresentation() {
 	}
 	fmt.Println("verdict:", res.Verdict, "won by", res.Winner)
 	fmt.Println("derivation steps:", len(res.Cert().Derivation.Steps))
-	fmt.Println("dependencies:", len(res.Instance.D))
+	// The derivation settles the run alone, so (D, D0) was never built;
+	// build it to count the dependencies.
+	in, err := reduction.Build(words.TwoStepPresentation())
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("dependencies:", len(in.D))
 	// Output:
 	// verdict: implied won by derivation
 	// derivation steps: 2

@@ -62,7 +62,10 @@
 // parent pool is settled with the per-lease DELTA of each meter — the pool
 // meters logical frontier progress, not re-done prefix work — and when the
 // parent caps a meter, Remaining headroom clamps every grant, so the
-// portfolio never promises an arm more than the pool has left.
+// portfolio never promises an arm more than the pool has left. A
+// presentation run builds the reduction's (D, D0) once, at its first need:
+// the chase arm's first lease, or a model-search win; the derivation and
+// kb arms need only the normalized presentation.
 //
 // # Completeness
 //
@@ -161,7 +164,11 @@ type Result struct {
 	// Reduction Theorem (A) but does NOT settle the TD question (the gap
 	// instances live exactly there). Presentation runs only.
 	GoalRefuted bool
-	// Instance is the reduction's (D, D0); presentation runs only.
+	// Instance is the reduction's (D, D0) for a presentation run, built
+	// at the first need: the chase arm's first lease, or a model-search
+	// win. It is nil when no arm needed it (a derivation or kb win before
+	// the chase ran) and for TD runs; reduction.Build gives the same
+	// instance.
 	Instance *reduction.Instance
 	// Chase is the chase arm's final lease (its Proof is the proof when
 	// the chase won).
@@ -183,11 +190,14 @@ type Result struct {
 	// the run ended by verdict or by every arm retiring.
 	Stop budget.Outcome
 
-	// derivation is a derivation or kb win's proof of A0 = 0 over
-	// Instance.Pres; deps and d0 are a TD run's problem.
-	derivation *words.Derivation
-	deps       []*td.TD
-	d0         *td.TD
+	// original and norm are a presentation run's problem and its
+	// normalized form (reduction.Normalize); derivation is a derivation or
+	// kb win's proof of A0 = 0 over norm. deps and d0 are a TD run's
+	// problem.
+	original, norm *words.Presentation
+	derivation     *words.Derivation
+	deps           []*td.TD
+	d0             *td.TD
 }
 
 // armHealth is an arm's self-reported progress classification for one

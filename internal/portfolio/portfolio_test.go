@@ -11,6 +11,7 @@ import (
 	"templatedep/internal/cert"
 	"templatedep/internal/core"
 	"templatedep/internal/obs"
+	"templatedep/internal/reduction"
 	"templatedep/internal/search"
 	"templatedep/internal/td"
 	"templatedep/internal/tm"
@@ -70,6 +71,49 @@ func TestAnalyzeVerdicts(t *testing.T) {
 		res := analyze(t, tc.preset, b)
 		if res.Verdict != tc.want || res.Winner != tc.winner {
 			t.Errorf("%s: verdict %v won by %q, want %v won by %q", tc.preset, res.Verdict, res.Winner, tc.want, tc.winner)
+		}
+	}
+}
+
+// The reduction's (D, D0) is built exactly when an arm needs it: the
+// chase arm's first lease or a model-search win. A derivation or kb win
+// that preempts the chase leaves Result.Instance nil; a built instance is
+// the one reduction.Build gives.
+func TestReductionBuiltOnlyWhenNeeded(t *testing.T) {
+	for _, tc := range []struct {
+		preset string
+		built  bool
+	}{
+		{"twostep", false}, {"chain:2", false}, {"collapse:2", false},
+		{"collapse:4", false}, {"power", true}, {"tower:2", true}, {"gap", true},
+	} {
+		b := core.Budget{}
+		if tc.preset == "gap" {
+			b = tight()
+		}
+		res := analyze(t, tc.preset, b)
+		chaseRan := false
+		for _, a := range res.Arms {
+			if a.Name == "chase" {
+				chaseRan = a.Leases > 0
+			}
+		}
+		needed := chaseRan || res.Winner == "model-search"
+		if got := res.Instance != nil; got != needed || got != tc.built {
+			t.Errorf("%s: built %v, chase ran %v, winner %q; want built %v",
+				tc.preset, got, chaseRan, res.Winner, tc.built)
+		}
+		if res.Instance == nil {
+			continue
+		}
+		want := reduction.MustBuild(mustPreset(t, tc.preset))
+		if len(res.Instance.D) != len(want.D) || res.Instance.D0.String() != want.D0.String() {
+			t.Fatalf("%s: built instance differs from reduction.Build's", tc.preset)
+		}
+		for i, d := range want.D {
+			if res.Instance.D[i].String() != d.String() {
+				t.Fatalf("%s: dependency %d differs from reduction.Build's", tc.preset, i)
+			}
 		}
 	}
 }

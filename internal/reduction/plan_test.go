@@ -1,12 +1,47 @@
 package reduction
 
 import (
+	"fmt"
 	"templatedep/internal/budget"
 	"testing"
 
 	"templatedep/internal/chase"
 	"templatedep/internal/words"
 )
+
+// PlanChaseSteps translates an equational derivation of A0 = 0 into the
+// dependency firings the chase must perform to simulate it, following the
+// proof of part (A):
+//
+//   - a CONTRACTION step (x -> y, applying an equation AB = C left to
+//     right) is simulated by one D1 firing: the AB-bridge segment forces
+//     the C-apex;
+//   - an EXPANSION step (y -> x, right to left) is simulated by D2 (create
+//     the A-apex), D3 (create the B-apex), then D4 (merge their dangling
+//     corners into the middle base point).
+//
+// The returned slice contains indices into Instance.D, in simulation order.
+// TestChasePlanIsTraceSubsequence asserts that an actual chase proof fires
+// exactly these dependencies in this relative order (interleaved with
+// whatever else the fair rounds fire).
+func (in *Instance) PlanChaseSteps(d *words.Derivation) ([]int, error) {
+	if err := d.Validate(in.Pres); err != nil {
+		return nil, fmt.Errorf("reduction: cannot plan from an invalid derivation: %w", err)
+	}
+	var plan []int
+	for _, s := range d.Steps {
+		base := 4 * s.Eq
+		if base+3 >= len(in.D) {
+			return nil, fmt.Errorf("reduction: step references equation %d beyond the dependency set", s.Eq)
+		}
+		if s.Forward {
+			plan = append(plan, base) // D1
+		} else {
+			plan = append(plan, base+1, base+2, base+3) // D2, D3, D4
+		}
+	}
+	return plan, nil
+}
 
 // isSubsequence reports whether want occurs as a (not necessarily
 // contiguous) subsequence of got.

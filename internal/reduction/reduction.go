@@ -24,13 +24,18 @@
 //
 // D0 states: a one-symbol bridge for A0 forces a one-symbol bridge for the
 // zero symbol over the same base, with an E'-linked apex.
+//
+// Build writes each of these dependencies straight into tableau rows, one
+// fixed shape per Fig. 3 diagram (package diagram draws them, and is the
+// reference the rows are tested against). The package runs no engine: its
+// tests drive both directions of the theorem end to end.
 package reduction
 
 import (
 	"fmt"
 
-	"templatedep/internal/diagram"
 	"templatedep/internal/relation"
+	"templatedep/internal/tableau"
 	"templatedep/internal/td"
 	"templatedep/internal/words"
 )
@@ -181,67 +186,119 @@ func (in *Instance) MaxAntecedents() int {
 	return m
 }
 
+// edge is a Fig. 3 edge: nodes u and v agree on attr.
+type edge struct {
+	attr relation.Attr
+	u, v int
+}
+
+// dependency writes a Fig. 3 diagram straight into tableau rows: node i is
+// row i, and the last node is the conclusion (*). In every column each
+// node has its own variable unless edges of that column join it to other
+// nodes; joined nodes share one variable. Variables are numbered per
+// column in order of first occurrence, the numbering tableau.New keeps as
+// it is, so the result is the TD the diagram of these edges converts to.
+func (in *Instance) dependency(name string, nodes int, edges ...edge) (*td.TD, error) {
+	w := in.Schema.Width()
+	buf := make([]tableau.Var, nodes*w)
+	rows := make([]tableau.VarTuple, nodes)
+	for i := range rows {
+		rows[i] = buf[i*w : (i+1)*w]
+		for a := range rows[i] {
+			rows[i][a] = tableau.Var(i)
+		}
+	}
+	var parent [maxNodes]int
+	find := func(x int) int {
+		for parent[x] != x {
+			x = parent[x]
+		}
+		return x
+	}
+next:
+	for k, e := range edges {
+		for _, f := range edges[:k] {
+			if f.attr == e.attr {
+				continue next // column already numbered
+			}
+		}
+		for i := range parent {
+			parent[i] = i
+		}
+		for _, f := range edges[k:] {
+			if f.attr == e.attr {
+				parent[find(f.u)] = find(f.v)
+			}
+		}
+		var id [maxNodes]tableau.Var
+		for i := range id {
+			id[i] = -1
+		}
+		n := tableau.Var(0)
+		for i := 0; i < nodes; i++ {
+			r := find(i)
+			if id[r] < 0 {
+				id[r] = n
+				n++
+			}
+			rows[i][e.attr] = id[r]
+		}
+	}
+	return td.New(in.Schema, rows[:nodes-1], rows[nodes-1], name)
+}
+
+// maxNodes is the most nodes a Fig. 3 diagram has (D1 and D4).
+const maxNodes = 6
+
 // buildEquationDeps constructs D1(r)..D4(r) for equation r: AB = C.
 func (in *Instance) buildEquationDeps(i int, eq words.Equation) ([]*td.TD, error) {
 	A, B := eq.LHS[0], eq.LHS[1]
 	C := eq.RHS[0]
 	label := eq.Format(in.Pres.Alphabet)
+	e, e1 := in.e, in.ePrime
+	p, pp := in.prime, in.dprime
 
 	// D1: nodes t1..t5 = 0..4, * = 5. A bridge for AB forces the C-apex.
-	g1 := diagram.MustNew(in.Schema, 6, 5)
-	g1.MustAddEdge(in.e, 0, 1)
-	g1.MustAddEdge(in.e, 1, 2)
-	g1.MustAddEdge(in.prime[A], 0, 3)
-	g1.MustAddEdge(in.dprime[A], 3, 1)
-	g1.MustAddEdge(in.prime[B], 1, 4)
-	g1.MustAddEdge(in.dprime[B], 4, 2)
-	g1.MustAddEdge(in.ePrime, 3, 4)
-	g1.MustAddEdge(in.prime[C], 0, 5)
-	g1.MustAddEdge(in.dprime[C], 5, 2)
-	g1.MustAddEdge(in.ePrime, 3, 5)
-	d1, err := g1.TD(fmt.Sprintf("D1[%d: %s]", i, label))
+	d1, err := in.dependency(fmt.Sprintf("D1[%d: %s]", i, label), 6,
+		edge{e, 0, 1}, edge{e, 1, 2},
+		edge{p[A], 0, 3}, edge{pp[A], 3, 1},
+		edge{p[B], 1, 4}, edge{pp[B], 4, 2},
+		edge{e1, 3, 4},
+		edge{p[C], 0, 5}, edge{pp[C], 5, 2},
+		edge{e1, 3, 5})
 	if err != nil {
 		return nil, err
 	}
 
 	// D2: nodes t1..t3 = 0..2, * = 3. A C-triangle forces an A-apex from t1.
-	g2 := diagram.MustNew(in.Schema, 4, 3)
-	g2.MustAddEdge(in.e, 0, 1)
-	g2.MustAddEdge(in.prime[C], 0, 2)
-	g2.MustAddEdge(in.dprime[C], 2, 1)
-	g2.MustAddEdge(in.prime[A], 0, 3)
-	g2.MustAddEdge(in.ePrime, 2, 3)
-	d2, err := g2.TD(fmt.Sprintf("D2[%d: %s]", i, label))
+	d2, err := in.dependency(fmt.Sprintf("D2[%d: %s]", i, label), 4,
+		edge{e, 0, 1},
+		edge{p[C], 0, 2}, edge{pp[C], 2, 1},
+		edge{p[A], 0, 3},
+		edge{e1, 2, 3})
 	if err != nil {
 		return nil, err
 	}
 
 	// D3: symmetric to D2, a B-apex reaching t2.
-	g3 := diagram.MustNew(in.Schema, 4, 3)
-	g3.MustAddEdge(in.e, 0, 1)
-	g3.MustAddEdge(in.prime[C], 0, 2)
-	g3.MustAddEdge(in.dprime[C], 2, 1)
-	g3.MustAddEdge(in.dprime[B], 3, 1)
-	g3.MustAddEdge(in.ePrime, 2, 3)
-	d3, err := g3.TD(fmt.Sprintf("D3[%d: %s]", i, label))
+	d3, err := in.dependency(fmt.Sprintf("D3[%d: %s]", i, label), 4,
+		edge{e, 0, 1},
+		edge{p[C], 0, 2}, edge{pp[C], 2, 1},
+		edge{pp[B], 3, 1},
+		edge{e1, 2, 3})
 	if err != nil {
 		return nil, err
 	}
 
 	// D4: nodes t1..t5 = 0..4, * = 5. A C-triangle plus dangling A- and
 	// B-apexes force the shared middle base point.
-	g4 := diagram.MustNew(in.Schema, 6, 5)
-	g4.MustAddEdge(in.e, 0, 1)
-	g4.MustAddEdge(in.prime[C], 0, 2)
-	g4.MustAddEdge(in.dprime[C], 2, 1)
-	g4.MustAddEdge(in.prime[A], 0, 3)
-	g4.MustAddEdge(in.dprime[B], 4, 1)
-	g4.MustAddEdge(in.ePrime, 2, 3)
-	g4.MustAddEdge(in.ePrime, 3, 4)
-	g4.MustAddEdge(in.dprime[A], 3, 5)
-	g4.MustAddEdge(in.prime[B], 5, 4)
-	g4.MustAddEdge(in.e, 0, 5)
-	d4, err := g4.TD(fmt.Sprintf("D4[%d: %s]", i, label))
+	d4, err := in.dependency(fmt.Sprintf("D4[%d: %s]", i, label), 6,
+		edge{e, 0, 1},
+		edge{p[C], 0, 2}, edge{pp[C], 2, 1},
+		edge{p[A], 0, 3}, edge{pp[B], 4, 1},
+		edge{e1, 2, 3}, edge{e1, 3, 4},
+		edge{pp[A], 3, 5}, edge{p[B], 5, 4},
+		edge{e, 0, 5})
 	if err != nil {
 		return nil, err
 	}
@@ -254,12 +311,9 @@ func (in *Instance) buildEquationDeps(i int, eq words.Equation) ([]*td.TD, error
 func (in *Instance) buildD0() (*td.TD, error) {
 	a := in.Pres.Alphabet
 	a0, z := a.A0(), a.Zero()
-	g := diagram.MustNew(in.Schema, 4, 3)
-	g.MustAddEdge(in.e, 0, 1)
-	g.MustAddEdge(in.prime[a0], 0, 2)
-	g.MustAddEdge(in.dprime[a0], 2, 1)
-	g.MustAddEdge(in.prime[z], 0, 3)
-	g.MustAddEdge(in.dprime[z], 3, 1)
-	g.MustAddEdge(in.ePrime, 2, 3)
-	return g.TD("D0")
+	return in.dependency("D0", 4,
+		edge{in.e, 0, 1},
+		edge{in.prime[a0], 0, 2}, edge{in.dprime[a0], 2, 1},
+		edge{in.prime[z], 0, 3}, edge{in.dprime[z], 3, 1},
+		edge{in.ePrime, 2, 3})
 }

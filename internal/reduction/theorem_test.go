@@ -8,6 +8,10 @@ import (
 	"templatedep/internal/words"
 )
 
+// The Reduction Theorem's two directions as end-to-end test drivers: part
+// (A) through a derivation and the chase, part (B) through a counter-model
+// built from a semigroup witness and verified.
+
 // DirectionAReport certifies an execution of Reduction Theorem part (A):
 // the presentation equationally forces A0 = 0 (witnessed by Derivation) and
 // the chase proves D ⊨ D0 (witnessed by Chase, whose trace is the proof).

@@ -76,11 +76,18 @@ func TestNilpotentQuotientFeedsDirectionB(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("witness: %v %v", ok, err)
 	}
-	rep, err := reduction.VerifyDirectionB(p, in)
+	red, err := reduction.Build(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.CounterModel.Instance.Len() == 0 {
+	cm, err := red.BuildCounterModel(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := red.Verify(cm); err != nil {
+		t.Fatal(err)
+	}
+	if cm.Instance.Len() == 0 {
 		t.Error("empty counter-model")
 	}
 }

@@ -19,14 +19,21 @@ import (
 // cold inference (the twostep preset is Implied with a 2-step derivation).
 func validCert(t *testing.T) *cert.Certificate {
 	t.Helper()
+	return certOf(t, "twostep")
+}
+
+// certOf runs preset cold on a fresh server and returns the certificate
+// of its definitive verdict.
+func certOf(t *testing.T, preset string) *cert.Certificate {
+	t.Helper()
 	s := New(Config{RequestTimeout: 5 * time.Second})
 	defer s.Shutdown(context.Background())
-	resp, err := s.Infer(presetProblem(t, "twostep"))
+	resp, err := s.Infer(presetProblem(t, preset))
 	if err != nil {
-		t.Fatalf("cold twostep: %v", err)
+		t.Fatalf("cold %s: %v", preset, err)
 	}
 	if resp.Cert == nil {
-		t.Fatalf("cold twostep run produced no certificate")
+		t.Fatalf("cold %s run produced no certificate", preset)
 	}
 	return resp.Cert
 }
@@ -133,11 +140,10 @@ func TestCacheHitWithFailingCertIsMissAndRecomputed(t *testing.T) {
 
 	// A stored-but-unverified GOOD certificate verifies on its hit and the
 	// entry is served (and marked checked, so the next hit skips the work).
-	q := presetProblem(t, "power")
 	s.mu.Lock()
-	s.cache.Put(q.Key, CachedVerdict{Verdict: core.Implied, Cert: good})
+	s.cache.Put(p.Key, CachedVerdict{Verdict: core.Implied, Cert: good})
 	s.mu.Unlock()
-	resp3, err := s.Infer(q)
+	resp3, err := s.Infer(p)
 	if err != nil || resp3.Source != "cache" || resp3.Cert == nil {
 		t.Fatalf("unverified good cert: source=%v cert=%v err=%v", resp3.Source, resp3.Cert, err)
 	}
@@ -145,10 +151,24 @@ func TestCacheHitWithFailingCertIsMissAndRecomputed(t *testing.T) {
 		t.Fatalf("serve.cert_checked = %d, want 2", counters.Get("serve.cert_checked"))
 	}
 	s.mu.Lock()
-	v, _ := s.cache.Get(q.Key)
+	v, _ := s.cache.Get(p.Key)
 	s.mu.Unlock()
 	if !v.CertOK {
 		t.Fatalf("hit-path verification did not mark the entry checked")
+	}
+
+	// The same valid certificate under another problem's key proves
+	// nothing about it: power's entry is evicted and recomputed.
+	q := presetProblem(t, "power")
+	s.mu.Lock()
+	s.cache.Put(q.Key, CachedVerdict{Verdict: core.Implied, Cert: good})
+	s.mu.Unlock()
+	if resp4, err := s.Infer(q); err != nil || resp4.Source != "cold" {
+		t.Fatalf("twostep's certificate under power's key: source=%v err=%v, want cold", resp4.Source, err)
+	}
+	if r.count() != 2 || counters.Get("serve.cert_rejected") != 2 {
+		t.Fatalf("engine ran %d times, serve.cert_rejected = %d; want 2 and 2",
+			r.count(), counters.Get("serve.cert_rejected"))
 	}
 }
 

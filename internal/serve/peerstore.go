@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"slices"
 
 	"templatedep/internal/cert"
 	"templatedep/internal/core"
@@ -73,10 +75,10 @@ func verdictOf(rec store.Record) (CachedVerdict, bool) {
 }
 
 // storeGet answers a leader's miss from the disk store when it can: a
-// definitive record whose certificate (if any) re-verifies, or an unknown
-// record whose budget class covers this request's. A record that does not
-// decode, or whose certificate fails re-verification, is tombstoned —
-// disk content is an input here, not an authority.
+// record that passes admit, and, if it is unknown, whose budget class
+// covers this request's. A record that does not decode, or fails admit, is
+// tombstoned and the request runs cold — disk content is an input here,
+// not an authority.
 func (s *Server) storeGet(p *Problem, sink obs.Sink) (CachedVerdict, bool) {
 	if s.cfg.Store == nil {
 		return CachedVerdict{}, false
@@ -96,20 +98,97 @@ func (s *Server) storeGet(p *Problem, sink obs.Sink) (CachedVerdict, bool) {
 		// the record through the write-through path).
 		return CachedVerdict{}, false
 	}
-	if v.Cert != nil {
-		kind := string(v.Cert.Kind)
-		if err := cert.Check(v.Cert); err != nil {
-			s.cfg.Store.Delete(p.Key)
-			sink.Event(obs.Event{Type: obs.EvCertCheck, Src: "serve",
-				Key: p.Hash, Source: kind, Verdict: "rejected"})
-			return CachedVerdict{}, false
-		}
-		v.CertOK = true
-		sink.Event(obs.Event{Type: obs.EvCertCheck, Src: "serve",
-			Key: p.Hash, Source: kind, Verdict: "ok"})
+	err := admit(p, v)
+	certChecked(sink, p, v.Cert, err)
+	if err != nil {
+		s.cfg.Store.Delete(p.Key)
+		return CachedVerdict{}, false
 	}
+	v.CertOK = v.Cert != nil
 	sink.Event(obs.Event{Type: obs.EvServeStoreHit, Src: "serve", Key: p.Hash})
 	return v, true
+}
+
+// admit is the one rule a verdict must pass before this replica answers
+// p with it, whether it comes from the disk store, from a peer, or (for
+// its certificate) from the engines: an unknown verdict carries no
+// certificate; a definitive one carries a certificate of that verdict,
+// and the certificate proves it for p's problem. When the certificate
+// embeds p's own problem (embedsRequest), its payload is checked against
+// p's parse, with no re-parse and no canonicalization. Otherwise the
+// embedded problem is parsed and canonicalized, must land on p's key, and
+// the payload is checked against that parse: a certificate for another
+// problem, however valid, never answers this one.
+func admit(p *Problem, v CachedVerdict) error {
+	c := v.Cert
+	switch {
+	case c == nil && v.Verdict == core.Unknown:
+		return nil
+	case c == nil:
+		return fmt.Errorf("serve: %s verdict without a certificate", v.Verdict)
+	case c.Verdict != v.Verdict.String():
+		return fmt.Errorf("serve: certificate of %q for a %s verdict", c.Verdict, v.Verdict)
+	case embedsRequest(c, p):
+		return checkParsed(c, p)
+	}
+	cp := c.Problem
+	q, err := parseProblem(Request{
+		Alphabet: cp.Alphabet, A0: cp.A0, Zero: cp.Zero, Equations: cp.Equations,
+		Schema: cp.Schema, Deps: cp.Deps, Goal: cp.Goal,
+	})
+	if err != nil {
+		return err
+	}
+	if q.Key != p.Key {
+		return fmt.Errorf("serve: certificate is about another problem")
+	}
+	return checkParsed(c, q)
+}
+
+// embedsRequest reports whether c embeds p's own problem: the request's
+// wire form, or the certificate form of its parse (what the portfolio
+// embeds in the certificates it writes for p).
+func embedsRequest(c *cert.Certificate, p *Problem) bool {
+	w := p.Wire
+	if w.Preset == "" && sameProblem(c.Problem, cert.Problem{
+		Alphabet: w.Alphabet, A0: w.A0, Zero: w.Zero, Equations: w.Equations,
+		Schema: w.Schema, Deps: w.Deps, Goal: w.Goal,
+	}) {
+		return true
+	}
+	if p.Pres != nil {
+		return sameProblem(c.Problem, cert.PresentationProblem(p.Pres))
+	}
+	return sameProblem(c.Problem, cert.TDProblem(p.Goal.Schema(), p.Deps, p.Goal))
+}
+
+func sameProblem(a, b cert.Problem) bool {
+	return a.A0 == b.A0 && a.Zero == b.Zero && a.Goal == b.Goal &&
+		slices.Equal(a.Alphabet, b.Alphabet) && slices.Equal(a.Equations, b.Equations) &&
+		slices.Equal(a.Schema, b.Schema) && slices.Equal(a.Deps, b.Deps)
+}
+
+// checkParsed checks c's payload against p's parse, which must be the
+// parse of the problem c embeds.
+func checkParsed(c *cert.Certificate, p *Problem) error {
+	if p.Pres != nil {
+		return cert.CheckPresentation(c, p.Pres)
+	}
+	return cert.CheckTD(c, p.Deps, p.Goal)
+}
+
+// certChecked emits the cert_check event for an admit that checked a
+// certificate.
+func certChecked(sink obs.Sink, p *Problem, c *cert.Certificate, err error) {
+	if c == nil {
+		return
+	}
+	verdict := "ok"
+	if err != nil {
+		verdict = "rejected"
+	}
+	sink.Event(obs.Event{Type: obs.EvCertCheck, Src: "serve",
+		Key: p.Hash, Source: string(c.Kind), Verdict: verdict})
 }
 
 // storePut writes an answered verdict through to disk. Store errors are
@@ -123,10 +202,9 @@ func (s *Server) storePut(p *Problem, v CachedVerdict) {
 }
 
 // peerFill forwards a local miss to the ring owner of its canonical key
-// and adopts the answer only when it comes back certificate-complete:
-// definitive, carrying a certificate that (a) passes the independent
-// checker and (b) embeds a problem THIS replica canonicalizes to the same
-// key. Anything less — peer down, unknown verdict, missing or rejected
+// and adopts the answer only when it is definitive and passes admit — a
+// certificate that proves the verdict for THIS request's problem, checked
+// here. Anything less — peer down, unknown verdict, missing or rejected
 // certificate — falls back to a local engine run; sharding is a fast path,
 // never a correctness dependency.
 func (s *Server) peerFill(p *Problem, sink obs.Sink) (CachedVerdict, bool) {
@@ -176,32 +254,22 @@ func (s *Server) peerFill(p *Problem, sink obs.Sink) (CachedVerdict, bool) {
 		fill("unknown")
 		return CachedVerdict{}, false
 	}
-	// The certificate embeds the problem it proves. Re-parse it with OUR
-	// canonicalizer: only if it lands on the same canonical key does the
-	// proof speak for this request. Then re-check the proof itself. A peer
-	// can therefore be wrong, stale, or hostile — never believed.
-	kind := string(resp.Cert.Kind)
-	cp := resp.Cert.Problem
-	certProblem, err := parseProblem(Request{
-		Alphabet: cp.Alphabet, A0: cp.A0, Zero: cp.Zero, Equations: cp.Equations,
-		Schema: cp.Schema, Deps: cp.Deps, Goal: cp.Goal,
-	})
-	if err != nil || certProblem.Key != p.Key ||
-		resp.Cert.Verdict != resp.Verdict.String() || cert.Check(resp.Cert) != nil {
-		sink.Event(obs.Event{Type: obs.EvCertCheck, Src: "serve",
-			Key: p.Hash, Source: kind, Verdict: "rejected"})
-		fill("rejected")
-		return CachedVerdict{}, false
-	}
-	sink.Event(obs.Event{Type: obs.EvCertCheck, Src: "serve",
-		Key: p.Hash, Source: kind, Verdict: "ok"})
-	fill("ok")
-	return CachedVerdict{
+	// A peer can be wrong, stale, or hostile — never believed: its answer
+	// passes the rule a store record passes.
+	v := CachedVerdict{
 		Verdict: resp.Verdict,
 		Winner:  resp.Winner,
 		ColdMS:  resp.ColdMS,
 		Cert:    resp.Cert,
 		CertOK:  true,
 		Class:   s.requestClass(p),
-	}, true
+	}
+	err = admit(p, v)
+	certChecked(sink, p, resp.Cert, err)
+	if err != nil {
+		fill("rejected")
+		return CachedVerdict{}, false
+	}
+	fill("ok")
+	return v, true
 }

@@ -10,9 +10,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"templatedep/internal/cert"
 	"templatedep/internal/core"
 	"templatedep/internal/obs"
 	"templatedep/internal/store"
@@ -268,6 +271,221 @@ func TestStoreReplacesUndecodableRecords(t *testing.T) {
 	}
 	if r.count() != 0 {
 		t.Fatalf("the restarted replica ran %d engines", r.count())
+	}
+}
+
+// recodeCert deep-copies c through its JSON form.
+func recodeCert(t *testing.T, c *cert.Certificate) *cert.Certificate {
+	t.Helper()
+	raw, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out cert.Certificate
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
+// TestStoreRecordsPassThePeerRule: a CRC-valid record is an input, not an
+// authority — a store hit passes the rule a peer fill passes (admit).
+// Each record below breaks one condition of that rule; each costs one
+// cold run, is answered with the engine's verdict, and is replaced on
+// disk, so a restart answers it from the store.
+func TestStoreRecordsPassThePeerRule(t *testing.T) {
+	twostep := validCert(t)
+	tampered := recodeCert(t, certOf(t, "chain:3"))
+	tampered.Derivation.Steps[0].Result = "A0"
+	renamed := recodeCert(t, certOf(t, "chain:4"))
+	slices.Reverse(renamed.Problem.Equations)
+	renamed.Derivation.Steps[0].Result = "A0"
+	records := []struct {
+		preset, verdict string
+		cert            *cert.Certificate
+		want            core.Verdict
+	}{
+		// another problem's valid certificate
+		{"power", "implied", twostep, core.FiniteCounterexample},
+		// a definitive verdict without a certificate
+		{"chain:2", "finite-counterexample", nil, core.Implied},
+		// the problem's own certificate under another verdict
+		{"twostep", "finite-counterexample", twostep, core.Implied},
+		// the request's own problem, a payload that does not check
+		{"chain:3", "implied", tampered, core.Implied},
+		// the same problem spelled differently, a payload that does not check
+		{"chain:4", "implied", renamed, core.Implied},
+	}
+	if p := presetProblem(t, "chain:4"); embedsRequest(renamed, p) {
+		t.Fatal("the reordered certificate takes the fast path")
+	}
+	dir := t.TempDir()
+	st := tempVerdictStore(t, dir)
+	for _, r := range records {
+		rec := store.Record{Key: presetProblem(t, r.preset).Key, Verdict: r.verdict, Winner: "derivation"}
+		if r.cert != nil {
+			raw, err := json.Marshal(r.cert)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.Cert = raw
+		}
+		if _, err := st.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	counters := obs.NewCounters()
+	runs := 0
+	s := New(Config{Store: st, Counters: counters, RequestTimeout: 10 * time.Second,
+		Runner: func(ctx context.Context, p *Problem, b core.Budget) (CachedVerdict, error) {
+			runs++
+			return PortfolioRunner(ctx, p, b)
+		}})
+	for i, r := range records {
+		p := presetProblem(t, r.preset)
+		resp, err := s.Infer(p)
+		if err != nil || resp.Source != "cold" || resp.Verdict != r.want {
+			t.Fatalf("%s: source=%q verdict=%v err=%v; want a cold %v", r.preset, resp.Source, resp.Verdict, err, r.want)
+		}
+		if runs != i+1 {
+			t.Fatalf("%s: %d engine runs, want %d", r.preset, runs, i+1)
+		}
+		if rec, ok := st.Get(p.Key); !ok || rec.Verdict != r.want.String() || len(rec.Cert) == 0 {
+			t.Fatalf("%s: record not replaced: %+v ok=%v", r.preset, rec, ok)
+		}
+	}
+	if got := counters.Get("serve.cert_rejected"); got != 4 {
+		t.Fatalf("serve.cert_rejected = %d, want 4 (every record with a certificate)", got)
+	}
+	s.Shutdown(context.Background())
+
+	gated := &gatedRunner{verdict: core.Unknown}
+	s2 := New(Config{Store: st, Runner: gated.run})
+	defer s2.Shutdown(context.Background())
+	for _, r := range records {
+		resp, err := s2.Infer(presetProblem(t, r.preset))
+		if err != nil || resp.Source != "store" || resp.Verdict != r.want {
+			t.Fatalf("%s after restart: source=%q verdict=%v err=%v", r.preset, resp.Source, resp.Verdict, err)
+		}
+	}
+	// The same problem spelled differently (equations reversed) shares
+	// the record: its certificate takes admit's canonicalizing path.
+	w := cert.PresentationProblem(presetProblem(t, "twostep").Pres)
+	slices.Reverse(w.Equations)
+	q, err := ParseRequest(Request{Alphabet: w.Alphabet, A0: w.A0, Zero: w.Zero, Equations: w.Equations})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.mu.Lock()
+	s2.cache.Delete(q.Key)
+	s2.mu.Unlock()
+	if resp, err := s2.Infer(q); err != nil || resp.Source != "store" || resp.Verdict != core.Implied {
+		t.Fatalf("respelled twostep: source=%q verdict=%v err=%v", resp.Source, resp.Verdict, err)
+	}
+	if gated.count() != 0 {
+		t.Fatalf("the restarted replica ran %d engines", gated.count())
+	}
+}
+
+// TestServedCertificatesProveTheRequest: whichever rung answers — a cold
+// run, the cache, the store after a restart, a peer — a ?cert=1 response
+// carries a certificate whose problem canonicalizes to the request's key.
+func TestServedCertificatesProveTheRequest(t *testing.T) {
+	w := cert.PresentationProblem(presetProblem(t, "twostep").Pres)
+	slices.Reverse(w.Equations)
+	respelled, err := json.Marshal(Request{Alphabet: w.Alphabet, A0: w.A0, Zero: w.Zero, Equations: w.Equations})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := []string{
+		`{"preset":"twostep"}`,
+		string(respelled),
+		`{"preset":"power"}`,
+		`{"schema":["A","B"],"deps":["R(x, y) & R(x, y') -> R(x, y)"],"goal":"R(x, y) -> R(x, y)"}`,
+	}
+	check := func(url, body, source string) {
+		t.Helper()
+		resp, err := http.Post(url+"/infer?cert=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out Response
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		var req Request
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ParseRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Source != source || out.Cert == nil {
+			t.Fatalf("%s: source %q cert %v, want a %s answer with a certificate", body, out.Source, out.Cert != nil, source)
+		}
+		cp := out.Cert.Problem
+		got, err := parseProblem(Request{Alphabet: cp.Alphabet, A0: cp.A0, Zero: cp.Zero, Equations: cp.Equations,
+			Schema: cp.Schema, Deps: cp.Deps, Goal: cp.Goal})
+		if err != nil || got.Key != want.Key {
+			t.Fatalf("%s (%s): certificate problem does not canonicalize to the request's key (err %v)", body, source, err)
+		}
+	}
+
+	dir := t.TempDir()
+	s := New(Config{Store: tempVerdictStore(t, dir), RequestTimeout: 10 * time.Second})
+	srv := httptest.NewServer(s.Handler())
+	check(srv.URL, bodies[0], "cold")
+	check(srv.URL, bodies[1], "cache")
+	check(srv.URL, bodies[2], "cold")
+	check(srv.URL, bodies[3], "cold")
+	check(srv.URL, bodies[3], "cache")
+	srv.Close()
+	s.Shutdown(context.Background())
+	s.cfg.Store.Close()
+
+	s2 := New(Config{Store: tempVerdictStore(t, dir), Runner: (&gatedRunner{verdict: core.Unknown}).run})
+	srv2 := httptest.NewServer(s2.Handler())
+	defer srv2.Close()
+	defer s2.Shutdown(context.Background())
+	check(srv2.URL, bodies[1], "store")
+	check(srv2.URL, bodies[2], "store")
+	check(srv2.URL, bodies[3], "store")
+
+	_, b, urls := twoReplicas(t, func(peers []string, self string) Config {
+		return Config{Peers: peers, Self: self, RequestTimeout: 10 * time.Second}
+	})
+	p := ownedProblem(t, b, urls[0])
+	check(urls[1], fmt.Sprintf(`{"preset":%q}`, p.Wire.Preset), "peer")
+}
+
+// TestEngineCertificatesEmbedTheRequest: the certificate a cold run
+// writes embeds its request's own problem, so admit checks it against the
+// request's parse without canonicalizing anything — for a preset, a
+// presentation spelled out, and a TD instance whose variable names are
+// not td.Format's.
+func TestEngineCertificatesEmbedTheRequest(t *testing.T) {
+	s := New(Config{RequestTimeout: 10 * time.Second})
+	defer s.Shutdown(context.Background())
+	w := cert.PresentationProblem(presetProblem(t, "chain:2").Pres)
+	for _, req := range []Request{
+		{Preset: "twostep"},
+		{Alphabet: w.Alphabet, A0: w.A0, Zero: w.Zero, Equations: w.Equations},
+		{Schema: []string{"A", "B"}, Deps: []string{"R(x, y) & R(x, y') -> R(x, y)"}, Goal: "R(x, y) -> R(x, y)"},
+	} {
+		p, err := ParseRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := s.Infer(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cert == nil || !embedsRequest(resp.Cert, p) {
+			t.Errorf("%+v: the cold run's certificate does not embed the request's problem", req)
+		}
 	}
 }
 

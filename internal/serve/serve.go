@@ -547,11 +547,11 @@ func (s *Server) Infer(p *Problem) (Response, error) {
 			// overwrite it.
 		case v.Cert != nil && !v.CertOK:
 			// The stored certificate was never (successfully) verified —
-			// re-check before replaying the verdict, evict on failure (from
+			// admit it before replaying the verdict, evict on failure (from
 			// the disk store too: a proof this process cannot verify must
 			// not answer the next process either).
 			kind := string(v.Cert.Kind)
-			if err := cert.Check(v.Cert); err != nil {
+			if err := admit(p, v); err != nil {
 				s.cache.Delete(p.Key)
 				if s.cfg.Store != nil {
 					s.cfg.Store.Delete(p.Key)
@@ -661,20 +661,17 @@ func (s *Server) runCold(p *Problem, sink obs.Sink) (CachedVerdict, error) {
 	if o := g.Interrupted(); o.Stopped() {
 		v.Stop = o.String()
 	}
-	// Verify the engine's certificate with the independent checker before
-	// the verdict is stored or served. A rejection never trusts the proof
-	// — the cert is dropped — but keeps the verdict: the engines are the
-	// soundness anchor, the certificate is the audit trail.
+	// Check the engine's certificate by the rule a store record passes
+	// (admit) before the verdict is stored or served. A rejection never
+	// trusts the proof — the cert is dropped — but keeps the verdict: the
+	// engines are the soundness anchor, the certificate is the audit trail.
 	if v.Cert != nil {
-		kind := string(v.Cert.Kind)
-		if cerr := cert.Check(v.Cert); cerr != nil {
+		err := admit(p, v)
+		certChecked(sink, p, v.Cert, err)
+		if err != nil {
 			v.Cert = nil
-			sink.Event(obs.Event{Type: obs.EvCertCheck, Src: "serve",
-				Key: p.Hash, Source: kind, Verdict: "rejected"})
 		} else {
 			v.CertOK = true
-			sink.Event(obs.Event{Type: obs.EvCertCheck, Src: "serve",
-				Key: p.Hash, Source: kind, Verdict: "ok"})
 		}
 	}
 	v.Class = s.requestClass(p)

@@ -60,33 +60,64 @@ type Tableau struct {
 
 // New builds a tableau from rows, renumbering variables densely per column.
 // Variable identity is preserved within a column: rows sharing a variable
-// index in the input share the renumbered variable.
+// index in the input share the renumbered variable. The rows are copied.
+//
+// Renumbering is in first-occurrence order, so rows that already number
+// each column's variables that way (every td.Parse result, and the
+// reduction's dependencies) are their own renumbering: New copies them
+// and builds no per-column remap maps.
 func New(s *relation.Schema, rows []VarTuple) (*Tableau, error) {
-	t := &Tableau{schema: s, varCount: make([]int, s.Width())}
-	remap := make([]map[Var]Var, s.Width())
-	for a := range remap {
-		remap[a] = make(map[Var]Var)
+	w := s.Width()
+	t := &Tableau{schema: s, varCount: make([]int, w)}
+	if len(rows) > 0 {
+		t.rows = make([]VarTuple, len(rows))
 	}
+	buf := make([]Var, len(rows)*w)
+	ordered := true
 	for ri, r := range rows {
-		if len(r) != s.Width() {
-			return nil, fmt.Errorf("tableau: row %d has width %d, want %d", ri, len(r), s.Width())
+		if len(r) != w {
+			return nil, fmt.Errorf("tableau: row %d has width %d, want %d", ri, len(r), w)
 		}
-		nr := make(VarTuple, len(r))
+		nr := VarTuple(buf[ri*w : (ri+1)*w : (ri+1)*w])
 		for a, v := range r {
 			if v < 0 {
 				return nil, fmt.Errorf("tableau: negative variable in row %d column %s", ri, s.Name(relation.Attr(a)))
 			}
+			switch next := Var(t.varCount[a]); {
+			case v == next:
+				t.varCount[a]++
+			case v > next:
+				ordered = false
+			}
+			nr[a] = v
+		}
+		t.rows[ri] = nr
+	}
+	if !ordered {
+		t.renumber()
+	}
+	return t, nil
+}
+
+// renumber maps each column's variables to 0..n-1 in order of first
+// occurrence, in place, and recounts them.
+func (t *Tableau) renumber() {
+	clear(t.varCount)
+	remap := make([]map[Var]Var, len(t.varCount))
+	for a := range remap {
+		remap[a] = make(map[Var]Var)
+	}
+	for _, r := range t.rows {
+		for a, v := range r {
 			nv, ok := remap[a][v]
 			if !ok {
 				nv = Var(t.varCount[a])
 				remap[a][v] = nv
 				t.varCount[a]++
 			}
-			nr[a] = nv
+			r[a] = nv
 		}
-		t.rows = append(t.rows, nr)
 	}
-	return t, nil
 }
 
 // MustNew is New that panics on error.

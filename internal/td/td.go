@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"templatedep/internal/relation"
 	"templatedep/internal/tableau"
@@ -185,11 +186,11 @@ func (d *TD) FrozenAntecedents() (*relation.Instance, tableau.Assignment) {
 //
 //	R(a0, b0, c0) & R(a0, b1, c1) -> R(a2, b0, c1)
 //
-// Variable names are the lower-cased column name followed by the variable
-// index.
+// Variable names are the column's prefix (ColumnPrefixes) followed by the
+// variable index.
 func (d *TD) Format() string {
 	s := d.Schema()
-	prefixes := columnPrefixes(s)
+	prefixes := ColumnPrefixes(s)
 	atom := func(r tableau.VarTuple) string {
 		var b strings.Builder
 		b.WriteString("R(")
@@ -223,13 +224,15 @@ func (d *TD) String() string {
 	return d.name + ": " + d.Format()
 }
 
-// columnPrefixes derives one variable-name prefix per column: the
-// lower-cased, digit-stripped column name, disambiguated with the column
-// position whenever two columns collapse to the same prefix (K0' and K1'
-// both yield k'). Distinct prefixes per column keep the rendered text
-// inside the typing restriction, so Format round-trips through Parse on
-// every schema.
-func columnPrefixes(s *relation.Schema) []string {
+// ColumnPrefixes derives one variable-name prefix per column: the
+// lower-cased column name stripped of digits and of every character the
+// parsers split on (varPrefix), disambiguated with the column position
+// whenever two columns collapse to the same prefix (K0' and K1' both
+// yield k', A and a both yield a). Distinct prefixes per column keep
+// the rendered text inside the typing restriction, so Format (and
+// eid.Format, which names variables the same way) round-trips through
+// Parse on every schema.
+func ColumnPrefixes(s *relation.Schema) []string {
 	n := s.Width()
 	out := make([]string, n)
 	count := make(map[string]int, n)
@@ -247,9 +250,12 @@ func columnPrefixes(s *relation.Schema) []string {
 
 func varPrefix(attrName string) string {
 	p := strings.ToLower(attrName)
-	// Strip characters that would collide with the index digits.
+	// Strip characters that would collide with the index digits, and
+	// those the parsers split on or refuse in a token: whitespace, the
+	// atom and list punctuation, and '>', without which no "->" or "=>"
+	// can form.
 	p = strings.Map(func(r rune) rune {
-		if r >= '0' && r <= '9' {
+		if r >= '0' && r <= '9' || unicode.IsSpace(r) || strings.ContainsRune(",()&>", r) {
 			return -1
 		}
 		return r
